@@ -13,7 +13,7 @@ import sys as _sys
 
 import numpy as np
 
-from locdamp import harness, kernels
+from locdamp import harness
 from locdamp.chartimes import sharp_delay_table, residence_bound, horizon_bounds
 from locdamp.model import diagonalize, validate_system
 from locdamp.spectral import gamma_estimate
@@ -105,7 +105,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         return 2
     result = harness.run_scenario(scenario)
     csv_path, summary_path = harness.export(result, args.out)
-    print(f"kernel backend: {kernels.BACKEND}")
     print(f"wrote {csv_path}")
     print(f"wrote {summary_path}")
     return 0

@@ -21,7 +21,7 @@ from typing import Any
 
 import numpy as np
 
-from locdamp import kernels, solver
+from locdamp import solver
 from locdamp.chartimes import (
     UndampedRegion,
     sharp_delay_table,
@@ -647,7 +647,6 @@ def summarize(result: ScenarioResult) -> dict[str, Any]:
     out: dict[str, Any] = {
         "name": s.name,
         "kind": s.kind,
-        "kernel_backend": kernels.BACKEND,
         "n_components": s.system.n,
         "validation_ok": result.validation.ok,
         "checks": {c.name: c.passed for c in result.validation.checks},

@@ -31,8 +31,9 @@ SPEED_LCM_MAX = 10_000
 SNAP_MAX_FRACTION = 0.5
 # Cells per narrowest stripe when no resolution is requested.
 DEFAULT_CELLS_PER_STRIPE = 200
-# Mass in the edge guard band above this magnitude aborts the run.
-GUARD_TOL = 1e-14
+# Mass in the edge guard band above this fraction of the initial sup-norm
+# aborts the run.
+GUARD_RTOL = 1e-14
 
 
 class GridError(ValueError):
@@ -308,10 +309,13 @@ def advance_segment(
     damp_half: np.ndarray,
     n_steps: int,
     apply_damping: bool,
+    *,
+    guard_tol: float,
     mask: np.ndarray | None = None,
     t_base: float = 0.0,
 ) -> None:
-    """Run the kernel for ``n_steps`` steps in place; edge contact raises."""
+    """Run the kernel for ``n_steps`` steps in place; mass above
+    ``guard_tol`` in the edge guard band raises."""
     use_mask = grid.damp_mask if mask is None else mask
     code = kernels.advance(
         w,
@@ -321,7 +325,7 @@ def advance_segment(
         int(n_steps),
         1 if apply_damping else 0,
         grid.guard_cells,
-        GUARD_TOL,
+        guard_tol,
     )
     if code != 0:
         t_hit = t_base + code * grid.dt
@@ -383,6 +387,7 @@ def run(
     src = source_matrix(sys, eigs)
     damp_half = np.ascontiguousarray(matrix_exp(-0.5 * grid.dt * src).real)
     mask = np.ones_like(grid.damp_mask) if full_damping else grid.damp_mask
+    guard_tol = GUARD_RTOL * float(np.abs(w).max())
 
     rows = [_norm_row(w, grid, eigs.basis)]
     times = [0.0]
@@ -390,7 +395,8 @@ def run(
     while done < n_total:
         chunk = min(stride, n_total - done)
         advance_segment(
-            w, grid, damp_half, chunk, apply_damping, mask=mask, t_base=done * grid.dt
+            w, grid, damp_half, chunk, apply_damping,
+            guard_tol=guard_tol, mask=mask, t_base=done * grid.dt,
         )
         done += chunk
         times.append(done * grid.dt)

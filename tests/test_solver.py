@@ -11,8 +11,9 @@ import pytest
 
 from helpers import damped_wave_system, three_speed_system
 from locdamp.chartimes import UndampedRegion
-from locdamp.model import EigenStructure, diagonalize
+from locdamp.model import EigenStructure, HyperbolicSystem, diagonalize
 from locdamp.solver import (
+    GUARD_RTOL,
     BoundaryError,
     Bump,
     Grid,
@@ -350,7 +351,9 @@ class TestBoundaryGuard:
         w[1, 315] = 1.0
         damp_half = np.ascontiguousarray(np.eye(2))
         with pytest.raises(BoundaryError, match="edge guard band"):
-            advance_segment(w, grid, damp_half, 10, apply_damping=False)
+            advance_segment(
+                w, grid, damp_half, 10, apply_damping=False, guard_tol=GUARD_RTOL
+            )
 
     def test_contact_time_reported(self):
         sys = damped_wave_system()
@@ -361,8 +364,82 @@ class TestBoundaryGuard:
         w[1, 315] = 1.0
         damp_half = np.ascontiguousarray(np.eye(2))
         with pytest.raises(BoundaryError) as err:
-            advance_segment(w, grid, damp_half, 10, apply_damping=False)
+            advance_segment(
+                w, grid, damp_half, 10, apply_damping=False, guard_tol=GUARD_RTOL
+            )
         assert f"{3 * grid.dt:.6g}" in str(err.value)
+
+
+def _scalar_edge_run(amplitude):
+    # the 8-sigma support edge stops 0.031 short of the right edge, which
+    # passes the margin precheck; the gaussian tail reaches the guard band
+    sigma = 0.2
+    sys = HyperbolicSystem(a=np.array([[1.0]]), n1=0, dd=np.array([[1.0]]))
+    data = InitialDataSpec(
+        bumps=(
+            Bump(
+                kind="gaussian",
+                component=0,
+                center=0.0,
+                width=sigma,
+                amplitude=amplitude,
+            ),
+        ),
+        basis="characteristic",
+    )
+    return run(
+        sys,
+        UndampedRegion(stripes=((-1.0, 1.0),)),
+        data,
+        x_min=-10.0,
+        x_max=10.0,
+        t_final=10.0 - 0.031 - 8.0 * sigma,
+        stride=100,
+        n_cells=2000,
+        apply_damping=False,
+    )
+
+
+def _wave_run(amplitude):
+    data = InitialDataSpec(
+        bumps=(
+            Bump("gaussian", component=0, center=-0.5, width=0.25, amplitude=amplitude),
+            Bump("cosine", component=1, center=0.5, width=0.5, amplitude=-0.5 * amplitude),
+        )
+    )
+    return run(
+        damped_wave_system(),
+        UndampedRegion(stripes=((-1.0, 1.0),)),
+        data,
+        x_min=-12.0,
+        x_max=12.0,
+        t_final=6.0,
+        stride=50,
+        n_cells=2400,
+    )
+
+
+class TestGuardScale:
+    """The edge guard is relative to the data's initial sup-norm, so the
+    outcome of a run does not depend on the amplitude of its data."""
+
+    @pytest.mark.parametrize("amplitude", [1e-20, 1.0, 1e20])
+    def test_tail_near_edge_completes_at_any_amplitude(self, amplitude):
+        traj = _scalar_edge_run(amplitude)
+        assert traj.l2_total[-1] == pytest.approx(traj.l2_total[0], rel=1e-12)
+
+    @pytest.mark.parametrize("c", [1e-20, 1.0, 1e20])
+    def test_run_is_linear_in_the_data(self, c):
+        base = _wave_run(1.0)
+        scaled = _wave_run(c)
+        for name in ("l2_total", "l2_high", "l2_low", "linf", "linf_low", "l1"):
+            ref = c * getattr(base, name)
+            assert np.allclose(
+                getattr(scaled, name), ref, rtol=1e-12, atol=1e-12 * ref.max()
+            ), name
+        ref_w = c * base.final_w
+        scale = np.abs(ref_w).max()
+        assert np.allclose(scaled.final_w, ref_w, rtol=0.0, atol=1e-12 * scale)
 
 
 class TestFreqSplit:
