@@ -35,7 +35,7 @@ from locdamp.model import (
     diagonalize,
     validate_system,
 )
-from locdamp.spectral import FullspaceResult, SpectralScan, fullspace_evolve, gamma_estimate
+from locdamp.spectral import NormSeries, SpectralScan, fullspace_evolve, gamma_estimate
 
 SCENARIO_KINDS = ("verify-envelope", "conservation-probe", "fullspace")
 # Envelope bookkeeping: multiplicative headroom baked into the calibrated
@@ -98,24 +98,34 @@ def _check_keys(
             errors.append(f"{prefix}{key}: missing required key")
             ok = False
         elif not _type_ok(obj[key], typ):
-            errors.append(f"{prefix}{key}: expected {_type_name(typ)}")
+            errors.append(f"{prefix}{key}: expected {_type_name(typ, obj[key])}")
             ok = False
     for key, typ in optional.items():
         if key in obj and not _type_ok(obj[key], typ):
-            errors.append(f"{prefix}{key}: expected {_type_name(typ)}")
+            errors.append(f"{prefix}{key}: expected {_type_name(typ, obj[key])}")
             ok = False
     return ok
 
 
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _type_ok(value: Any, typ: type) -> bool:
+    # JSON admits NaN and Infinity, and integers too large for a float.
     if typ is float:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
+        try:
+            return _is_number(value) and math.isfinite(value)
+        except OverflowError:
+            return False
     if typ is int:
         return isinstance(value, int) and not isinstance(value, bool)
     return isinstance(value, typ)
 
 
-def _type_name(typ: type) -> str:
+def _type_name(typ: type, value: Any) -> str:
+    if typ is float and _is_number(value):
+        return "a finite number"
     return {float: "a number", int: "an integer", str: "a string", dict: "an object", list: "a list"}[typ]
 
 
@@ -336,7 +346,7 @@ class EnvelopeCalibration:
     gamma: float
     c_high: float
     c_low: float
-    ref: FullspaceResult
+    ref: NormSeries
 
 
 def calibrate(
@@ -386,8 +396,11 @@ def calibrate(
     l1_0 = float(ref.l1[0])
     if l2_0 <= 0.0 or l1_0 <= 0.0:
         raise ValueError("calibrate: initial data has zero mass")
-    high_ratios = ref.l2_high * np.exp(gamma * ref.times) / l2_0
-    c_high = CALIBRATION_HEADROOM * float(high_ratios.max())
+    # A high band under the norm floor is round-off, not decay:
+    # verify_envelope ignores it, and exp(gamma t) would blow it up here.
+    high = ref.l2_high > NORM_FLOOR_RTOL * l2_0
+    high_ratios = ref.l2_high[high] * np.exp(gamma * ref.times[high]) / l2_0
+    c_high = CALIBRATION_HEADROOM * float(high_ratios.max(initial=0.0))
     pos = ref.times > 0.0
     low_ratios = ref.linf_low[pos] * np.sqrt(ref.times[pos]) / l1_0
     c_low = CALIBRATION_HEADROOM * float(low_ratios.max())
@@ -548,7 +561,7 @@ def conservation_probe(
 class ScenarioResult:
     scenario: Scenario
     validation: ValidationReport
-    series: "solver.Trajectory | FullspaceResult"
+    series: NormSeries
     scan: SpectralScan | None
     envelope: EnvelopeReport | None
     probe: ProbeReport | None
@@ -585,7 +598,7 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     return ScenarioResult(scenario, validation, traj, scan, envelope, None)
 
 
-def _run_fullspace(scenario: Scenario, eigs: EigenStructure) -> FullspaceResult:
+def _run_fullspace(scenario: Scenario, eigs: EigenStructure) -> NormSeries:
     n_cells = scenario.n_cells
     if n_cells is None:
         n_cells = solver.default_cell_count(scenario.region, scenario.x_min, scenario.x_max)
@@ -607,10 +620,10 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def write_csv(series: "solver.Trajectory | FullspaceResult", path: Path) -> None:
+def write_csv(series: NormSeries, path: Path) -> None:
     """Norm history as CSV; floats at full precision so reruns are
     byte-identical."""
-    n = series.comp_l2.shape[0]
+    n = series.n_components
     header = ["t", "l2_total", "l2_high", "l2_low", "linf", "l1"] + [
         f"comp_{k + 1}" for k in range(n)
     ]

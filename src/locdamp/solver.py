@@ -20,7 +20,7 @@ import numpy as np
 from locdamp import kernels
 from locdamp.chartimes import UndampedRegion
 from locdamp.model import EigenStructure, HyperbolicSystem, diagonalize, source_matrix
-from locdamp.spectral import matrix_exp
+from locdamp.spectral import NormSeries, field_norms, matrix_exp
 
 # Rational reconstruction of speed ratios: denominator cap, acceptance
 # tolerance, and the largest admissible common grid refinement.
@@ -243,64 +243,16 @@ class InitialDataSpec:
 
 
 @dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NormSeries):
     """Sampled norm history of one run plus the final characteristic field."""
 
-    times: np.ndarray
-    l2_total: np.ndarray
-    l2_high: np.ndarray
-    l2_low: np.ndarray
-    linf: np.ndarray
-    linf_low: np.ndarray
-    l1: np.ndarray
-    comp_l2: np.ndarray  # (n, len(times)), physical components
     grid: Grid
     eigs: EigenStructure
     final_w: np.ndarray
 
-    @property
-    def n_components(self) -> int:
-        return self.comp_l2.shape[0]
-
-
-def freq_split(w: np.ndarray, dx: float) -> tuple[float, float, float]:
-    """(high, low, low-band sup) of a characteristic field.
-
-    The split is at wavenumber 1, high band strict; energies follow the
-    real-FFT Parseval weights so the two bands sum to the total.
-    """
-    m = w.shape[1]
-    what = np.fft.rfft(w, axis=1)
-    nf = what.shape[1]
-    xi = 2.0 * np.pi * np.arange(nf) / (m * dx)
-    weights = np.full(nf, 2.0)
-    weights[0] = 1.0
-    if m % 2 == 0:
-        weights[-1] = 1.0
-    power = np.sum(np.abs(what) ** 2, axis=0)
-    high = xi > 1.0
-    scale = dx / m
-    l2_high = float(np.sqrt(scale * np.sum(weights * power * high)))
-    l2_low = float(np.sqrt(scale * np.sum(weights * power * ~high)))
-    w_low = np.fft.irfft(what * ~high, n=m, axis=1)
-    linf_low = float(np.sqrt(np.sum(w_low ** 2, axis=0)).max())
-    return l2_high, l2_low, linf_low
-
 
 def _norm_row(w: np.ndarray, grid: Grid, basis: np.ndarray) -> dict[str, object]:
-    dx = grid.dx
-    point = np.sqrt(np.sum(w ** 2, axis=0))
-    l2_high, l2_low, linf_low = freq_split(w, dx)
-    u = basis @ w
-    return {
-        "l2_total": float(np.sqrt(np.sum(w ** 2) * dx)),
-        "l2_high": l2_high,
-        "l2_low": l2_low,
-        "linf": float(point.max()),
-        "linf_low": linf_low,
-        "l1": float(point.sum() * dx),
-        "comp_l2": np.sqrt(np.sum(u ** 2, axis=1) * dx),
-    }
+    return field_norms(w, grid.dx, basis)
 
 
 def advance_segment(
@@ -402,16 +354,4 @@ def run(
         times.append(done * grid.dt)
         rows.append(_norm_row(w, grid, eigs.basis))
 
-    return Trajectory(
-        times=np.array(times),
-        l2_total=np.array([r["l2_total"] for r in rows]),
-        l2_high=np.array([r["l2_high"] for r in rows]),
-        l2_low=np.array([r["l2_low"] for r in rows]),
-        linf=np.array([r["linf"] for r in rows]),
-        linf_low=np.array([r["linf_low"] for r in rows]),
-        l1=np.array([r["l1"] for r in rows]),
-        comp_l2=np.column_stack([r["comp_l2"] for r in rows]),
-        grid=grid,
-        eigs=eigs,
-        final_w=w,
-    )
+    return Trajectory.from_rows(times, rows, grid=grid, eigs=eigs, final_w=w)

@@ -141,9 +141,7 @@ def gamma_estimate(
     )
     d = np.diag(eigs.lambdas)
     m = source_matrix(sys, eigs)
-    absc = np.array(
-        [spectral_abscissa(-1j * x * d - m) for x in xi]
-    )
+    absc = np.linalg.eigvals(-1j * xi[:, None, None] * d - m).real.max(axis=1)
 
     high = xi >= 1.0
     hi_absc = absc[high]
@@ -175,8 +173,12 @@ def gamma_estimate(
 
 
 @dataclass(frozen=True)
-class FullspaceResult:
-    """Norm history of the constant-damping reference evolution."""
+class NormSeries:
+    """Sampled norm history of a characteristic field.
+
+    Bands split at wavenumber 1 (high band strict); ``comp_l2`` holds the
+    physical components, shape ``(n, len(times))``.
+    """
 
     times: np.ndarray
     l2_total: np.ndarray
@@ -185,7 +187,68 @@ class FullspaceResult:
     linf: np.ndarray
     linf_low: np.ndarray
     l1: np.ndarray
-    comp_l2: np.ndarray  # shape (n, len(times))
+    comp_l2: np.ndarray
+
+    @property
+    def n_components(self) -> int:
+        return self.comp_l2.shape[0]
+
+    @classmethod
+    def from_rows(cls, times: Sequence[float], rows: Sequence[dict], **extra):
+        """Stack ``field_norms`` rows, one per sample time."""
+        return cls(
+            times=np.array(times),
+            l2_total=np.array([r["l2_total"] for r in rows]),
+            l2_high=np.array([r["l2_high"] for r in rows]),
+            l2_low=np.array([r["l2_low"] for r in rows]),
+            linf=np.array([r["linf"] for r in rows]),
+            linf_low=np.array([r["linf_low"] for r in rows]),
+            l1=np.array([r["l1"] for r in rows]),
+            comp_l2=np.column_stack([r["comp_l2"] for r in rows]),
+            **extra,
+        )
+
+
+def freq_split(w: np.ndarray, dx: float) -> tuple[float, float, float]:
+    """(high, low, low-band sup) of a characteristic field.
+
+    The split is at wavenumber 1, high band strict; energies follow the
+    real-FFT Parseval weights so the two bands sum to the total.
+    """
+    m = w.shape[1]
+    what = np.fft.rfft(w, axis=1)
+    nf = what.shape[1]
+    xi = 2.0 * np.pi * np.arange(nf) / (m * dx)
+    weights = np.full(nf, 2.0)
+    weights[0] = 1.0
+    if m % 2 == 0:
+        weights[-1] = 1.0
+    power = np.sum(np.abs(what) ** 2, axis=0)
+    high = xi > 1.0
+    scale = dx / m
+    l2_high = float(np.sqrt(scale * np.sum(weights * power * high)))
+    l2_low = float(np.sqrt(scale * np.sum(weights * power * ~high)))
+    w_low = np.fft.irfft(what * ~high, n=m, axis=1)
+    linf_low = float(np.sqrt(np.sum(w_low ** 2, axis=0)).max())
+    return l2_high, l2_low, linf_low
+
+
+def field_norms(w: np.ndarray, dx: float, basis: np.ndarray) -> dict[str, object]:
+    """One ``NormSeries`` row of the characteristic field ``w`` on cells
+    of width ``dx``; ``basis`` maps it to physical components.  The basis
+    is orthogonal, so pointwise norms are taken on ``w`` directly."""
+    point = np.sqrt(np.sum(w ** 2, axis=0))
+    l2_high, l2_low, linf_low = freq_split(w, dx)
+    u = basis @ w
+    return {
+        "l2_total": float(np.sqrt(np.sum(w ** 2) * dx)),
+        "l2_high": l2_high,
+        "l2_low": l2_low,
+        "linf": float(point.max()),
+        "linf_low": linf_low,
+        "l1": float(point.sum() * dx),
+        "comp_l2": np.sqrt(np.sum(u ** 2, axis=1) * dx),
+    }
 
 
 def fullspace_evolve(
@@ -195,11 +258,12 @@ def fullspace_evolve(
     times: Iterable[float],
     *,
     eigs: EigenStructure | None = None,
-) -> FullspaceResult:
+) -> NormSeries:
     """Evolve initial data under everywhere-active damping on a periodic box.
 
-    Works per frequency in the transport eigenbasis; norms are read off by
-    Parseval, split at |xi| = 1 (high band strict).  The grid must be
+    Works per frequency in the transport eigenbasis and advances from
+    sample to sample, exponentiating once per distinct time increment;
+    times must be non-negative and non-decreasing.  The grid must be
     uniform and the data band-limited: spectral mass in the top two bins
     beyond 1e-8 of the peak is rejected as aliased.
     """
@@ -212,18 +276,20 @@ def fullspace_evolve(
         raise ValueError("fullspace: grid must be uniform")
     if u0.shape != (sys.n, x.size):
         raise ValueError(f"fullspace: data shape {u0.shape} != ({sys.n}, {x.size})")
+    t_list = [float(t) for t in times]
+    if not t_list or any(b < a for a, b in zip([0.0, *t_list], t_list)):
+        raise ValueError("fullspace: times must be nonempty, non-negative and non-decreasing")
     if eigs is None:
         eigs = diagonalize(sys.a)
 
     m = x.size
-    w0 = eigs.basis.T @ u0
-    what0 = np.fft.fft(w0, axis=1)
+    what = np.fft.fft(eigs.basis.T @ u0, axis=1)
     xi = 2.0 * np.pi * np.fft.fftfreq(m, d=dx)
 
     order = np.argsort(np.abs(xi))
     top_bins = order[-2:]
-    peak = float(np.abs(what0).max())
-    if peak > 0.0 and float(np.abs(what0[:, top_bins]).max()) > ALIASING_RTOL * peak:
+    peak = float(np.abs(what).max())
+    if peak > 0.0 and float(np.abs(what[:, top_bins]).max()) > ALIASING_RTOL * peak:
         raise ValueError(
             "fullspace: initial data is not resolved on this grid (top-bin spectral mass)"
         )
@@ -231,44 +297,15 @@ def fullspace_evolve(
     d = np.diag(eigs.lambdas)
     src = source_matrix(sys, eigs)
     e_all = -1j * xi[:, None, None] * d[None] - src[None]
-    low_mask = np.abs(xi) <= 1.0
-    weight = dx / m  # Parseval: sum |u|^2 dx == (dx/m) * sum |uhat|^2
 
-    t_list = [float(t) for t in times]
-    nt = len(t_list)
-    l2_total = np.empty(nt)
-    l2_high = np.empty(nt)
-    l2_low = np.empty(nt)
-    linf = np.empty(nt)
-    linf_low = np.empty(nt)
-    l1 = np.empty(nt)
-    comp_l2 = np.empty((sys.n, nt))
-
-    for j, t in enumerate(t_list):
-        prop = _matrix_exp_batch(e_all * t)
-        what_t = np.einsum("kij,jk->ik", prop, what0)
-        power = np.sum(np.abs(what_t) ** 2, axis=0)
-        l2_total[j] = np.sqrt(weight * power.sum())
-        l2_low[j] = np.sqrt(weight * power[low_mask].sum())
-        l2_high[j] = np.sqrt(weight * power[~low_mask].sum())
-
-        w_t = np.fft.ifft(what_t, axis=1).real
-        u_t = eigs.basis @ w_t
-        point = np.sqrt(np.sum(u_t ** 2, axis=0))
-        linf[j] = point.max()
-        l1[j] = point.sum() * dx
-        comp_l2[:, j] = np.sqrt(np.sum(u_t ** 2, axis=1) * dx)
-
-        w_low = np.fft.ifft(what_t * low_mask, axis=1).real
-        linf_low[j] = np.sqrt(np.sum(w_low ** 2, axis=0)).max()
-
-    return FullspaceResult(
-        times=np.array(t_list),
-        l2_total=l2_total,
-        l2_high=l2_high,
-        l2_low=l2_low,
-        linf=linf,
-        linf_low=linf_low,
-        l1=l1,
-        comp_l2=comp_l2,
-    )
+    props: dict[float, np.ndarray] = {}
+    rows = []
+    t_prev = 0.0
+    for t in t_list:
+        inc = t - t_prev
+        if inc not in props:
+            props[inc] = _matrix_exp_batch(e_all * inc)
+        what = np.einsum("kij,jk->ik", props[inc], what)
+        t_prev = t
+        rows.append(field_norms(np.fft.ifft(what, axis=1).real, dx, eigs.basis))
+    return NormSeries.from_rows(t_list, rows)

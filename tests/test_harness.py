@@ -7,16 +7,19 @@ run and with artificially shrunken constants that must trip violations.
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from locdamp import cli, harness
 from locdamp.chartimes import UndampedRegion
 from locdamp.model import EigenStructure
 from locdamp.solver import Bump, InitialDataSpec, Trajectory
-from locdamp.spectral import FullspaceResult
+from locdamp.spectral import NormSeries
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -145,6 +148,92 @@ class TestLoader:
         raw["initial_data"]["bumps"][0]["width"] = -1.0
         assert len(_errors_of(tmp_path, raw)) >= 3
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name, path",
+        [
+            ("time.t_final", ("time", "t_final")),
+            ("domain.x_min", ("domain", "x_min")),
+            ("domain.x_max", ("domain", "x_max")),
+            ("initial_data.bumps[0].center", ("initial_data", "bumps", 0, "center")),
+            ("initial_data.bumps[0].width", ("initial_data", "bumps", 0, "width")),
+            ("initial_data.bumps[0].amplitude", ("initial_data", "bumps", 0, "amplitude")),
+        ],
+    )
+    def test_non_finite_number_rejected(self, tmp_path, name, path, value):
+        raw = _good_raw()
+        _at(raw, path[:-1])[path[-1]] = value
+        assert _errors_of(tmp_path, raw) == [f"{name}: expected a finite number"]
+
+    def test_integer_beyond_float_range_rejected(self, tmp_path):
+        raw = _good_raw()
+        raw["domain"]["x_max"] = 10**400
+        assert _errors_of(tmp_path, raw) == ["domain.x_max: expected a finite number"]
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def _paths(node, prefix=()):
+    """The path of every node in a parsed JSON tree, the root included."""
+    yield prefix
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        items = ()
+    for key, child in items:
+        yield from _paths(child, (*prefix, key))
+
+
+_JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=8),
+    st.lists(st.floats(), max_size=3),
+    st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
+)
+
+
+class TestLoaderFuzz:
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_mutated_scenario_raises_only_scenario_error(self, tmp_path, data):
+        shipped = data.draw(st.sampled_from(sorted(SCENARIOS.glob("*.json"))))
+        raw = json.loads(shipped.read_text())
+        for _ in range(data.draw(st.integers(1, 3))):
+            op = data.draw(st.sampled_from(["drop", "add", "retype", "non-finite"]))
+            if op == "add":
+                dicts = [p for p in _paths(raw) if isinstance(_at(raw, p), dict)]
+                if dicts:
+                    node = _at(raw, data.draw(st.sampled_from(dicts)))
+                    node[data.draw(st.text(min_size=1, max_size=8))] = data.draw(_JSON_VALUES)
+                continue
+            inner = [p for p in _paths(raw) if p]
+            if not inner:
+                continue
+            path = data.draw(st.sampled_from(inner))
+            parent = _at(raw, path[:-1])
+            if op == "drop":
+                del parent[path[-1]]
+            else:
+                non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+                parent[path[-1]] = data.draw(_JSON_VALUES if op == "retype" else non_finite)
+        try:
+            harness.load_scenario(_write(tmp_path, raw))
+        except harness.ScenarioError as exc:
+            assert exc.errors and all(isinstance(e, str) and e for e in exc.errors)
+
 
 class TestFits:
     def test_exponential_rate_recovered_exactly(self):
@@ -216,6 +305,18 @@ class TestCalibrate:
         bound_low = cal.c_low * l1_0 / np.sqrt(ref.times[pos])
         assert np.all(ref.linf_low[pos] <= bound_low * (1.0 + 1e-9))
         assert cal.gamma == 0.5
+
+    def test_horizon_past_the_one_shot_guard(self):
+        # t_max * 4 pi / sigma = 240 * 4 pi / 0.25 exceeds the 1e4 norm guard
+        # of a single exponential; late high bands sit at round-off and
+        # must not inflate the constant
+        scenario = harness.load_scenario(SCENARIOS / "damped_wave.json")
+        short = harness.calibrate(scenario.system, scenario.data, np.linspace(0.0, 8.0, 17), 0.5)
+        cal = harness.calibrate(scenario.system, scenario.data, np.linspace(0.0, 240.0, 33), 0.5)
+        assert cal.ref.times[-1] == 240.0
+        assert np.all(np.isfinite(cal.ref.l2_total))
+        assert cal.c_high == pytest.approx(short.c_high, rel=0.05)
+        assert cal.c_low == pytest.approx(short.c_low, rel=0.05)
 
 
 class TestVerifyEnvelope:
@@ -311,7 +412,7 @@ class TestFullspaceScenario:
         s = harness.load_scenario(SCENARIOS / "fullspace_damped_wave.json")
         result = harness.run_scenario(s)
         series = result.series
-        assert isinstance(series, FullspaceResult)
+        assert type(series) is NormSeries
         assert series.times[0] == 0.0
         assert series.times[-1] == pytest.approx(100.0)
         assert series.times.size == 101
@@ -319,6 +420,17 @@ class TestFullspaceScenario:
         summary = harness.summarize(result)
         assert summary["kind"] == "fullspace"
         assert summary["n_samples"] == 101
+
+    def test_long_horizon_completes(self, tmp_path):
+        # one exponential over t = 450 would exceed the norm guard; the
+        # reference advances by 18.75 per sample instead
+        raw = json.loads((SCENARIOS / "fullspace_damped_wave.json").read_text())
+        raw["domain"] = {"x_min": -512.0, "x_max": 512.0, "n_cells": 8192}
+        raw["time"] = {"t_final": 450.0, "stride": 150}
+        series = harness.run_scenario(harness.load_scenario(_write(tmp_path, raw))).series
+        assert series.times.tolist() == [18.75 * k for k in range(25)]
+        assert np.all(np.isfinite(np.vstack([series.l2_total, series.l2_high, series.comp_l2])))
+        assert np.all(np.diff(series.l2_total) <= 1e-12 * series.l2_total.max())
 
 
 class TestExport:
@@ -445,3 +557,12 @@ class TestCli:
         assert code == 0
         assert "envelopes hold" in out
         assert (out_dir / "summary.json").exists()
+
+    def test_verify_rejects_non_finite_amplitude(self, tmp_path, capsys):
+        raw = json.loads((SCENARIOS / "damped_wave.json").read_text())
+        raw["initial_data"]["bumps"][0]["amplitude"] = math.nan
+        code = cli.main(["verify", str(_write(tmp_path, raw))])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert "initial_data.bumps[0].amplitude: expected a finite number" in out
+        assert "envelopes hold" not in out

@@ -22,11 +22,10 @@ from locdamp.solver import (
     advance_segment,
     build_grid,
     default_cell_count,
-    freq_split,
     rational_shifts,
     run,
 )
-from locdamp.spectral import fullspace_evolve
+from locdamp.spectral import freq_split, fullspace_evolve
 
 
 class TestRationalShifts:

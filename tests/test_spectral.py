@@ -4,10 +4,13 @@ Matrix exponentials are cross-checked against scipy.linalg.expm; decay
 rates against closed-form eigenvalues of small symbols.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from helpers import damped_wave_system, three_speed_system
+from locdamp import harness, spectral
 from locdamp.model import HyperbolicSystem, diagonalize
 from locdamp.spectral import (
     MatrixExpError,
@@ -155,6 +158,17 @@ class TestGammaEstimate:
         assert scan.gamma > 0.1
         assert scan.tail_stabilized
 
+    @pytest.mark.parametrize("name", ["damped_wave", "stripes_two", "three_speed_321"])
+    def test_batched_scan_matches_one_abscissa_per_frequency(self, name):
+        path = Path(__file__).resolve().parent.parent / "scenarios" / f"{name}.json"
+        sys = harness.load_scenario(path).system
+        eigs = diagonalize(sys.a)
+        scan = gamma_estimate(sys, eigs=eigs)
+        one_by_one = [
+            spectral_abscissa(symbol(sys, xi, diagonalized=True, eigs=eigs)) for xi in scan.xi
+        ]
+        assert np.array_equal(scan.abscissa, one_by_one)
+
     def test_input_validation(self):
         sys = damped_wave_system()
         with pytest.raises(ValueError, match="xi_max"):
@@ -234,3 +248,38 @@ class TestFullspaceEvolve:
             fullspace_evolve(sys, np.cumsum(np.abs(np.sin(x)) + 0.1), np.zeros((2, 256)), [0.0])
         with pytest.raises(ValueError, match="shape"):
             fullspace_evolve(sys, x, np.zeros((3, 256)), [0.0])
+
+    def test_chained_samples_match_one_time_calls(self):
+        sys = damped_wave_system()
+        x = -32.0 + 0.25 * np.arange(256)
+        u0 = _gaussian_data(x, [-1.0, 1.0])
+        times = [0.0, 0.5, 1.0, 1.0, 2.5, 4.0, 8.0]
+        chained = fullspace_evolve(sys, x, u0, times)
+        for j, t in enumerate(times):
+            once = fullspace_evolve(sys, x, u0, [t])
+            for name in ("l2_total", "l2_high", "l2_low", "linf", "linf_low", "l1"):
+                assert getattr(chained, name)[j] == pytest.approx(
+                    getattr(once, name)[0], rel=1e-12
+                ), (name, t)
+            assert np.allclose(chained.comp_l2[:, j], once.comp_l2[:, 0], rtol=1e-12, atol=0.0)
+
+    def test_one_exponential_per_distinct_increment(self, monkeypatch):
+        calls = []
+        original = spectral._matrix_exp_batch
+        monkeypatch.setattr(
+            spectral, "_matrix_exp_batch", lambda ms: calls.append(1) or original(ms)
+        )
+        sys = damped_wave_system()
+        x = -32.0 + 0.25 * np.arange(256)
+        res = fullspace_evolve(sys, x, _gaussian_data(x, [0.0, 0.0]), [0.0, 1.0, 2.0, 3.0, 5.0])
+        # increments 0, 1, 1, 1, 2
+        assert len(calls) == 3
+        assert res.times.tolist() == [0.0, 1.0, 2.0, 3.0, 5.0]
+
+    def test_rejects_negative_and_decreasing_times(self):
+        sys = damped_wave_system()
+        x = -32.0 + 0.25 * np.arange(256)
+        u0 = _gaussian_data(x, [0.0, 0.0])
+        for times in ([-1.0, 0.0], [0.0, 2.0, 1.0], []):
+            with pytest.raises(ValueError, match="non-decreasing"):
+                fullspace_evolve(sys, x, u0, times)
