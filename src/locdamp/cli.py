@@ -9,6 +9,7 @@ decay envelopes; exits nonzero on violations).
 from __future__ import annotations
 
 import argparse
+import math
 import sys as _sys
 
 import numpy as np
@@ -50,6 +51,8 @@ def _parse_grid(spec: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError(f"--t-grid: expected start:stop:step, got {spec!r}")
     start, stop, step = (float(p) for p in parts)
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ValueError("--t-grid: start, stop and step must be finite")
     if step <= 0 or stop < start:
         raise ValueError("--t-grid: need stop >= start and step > 0")
     n = int(np.floor((stop - start) / step + 1e-9)) + 1
@@ -87,9 +90,11 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     scenario = _load(args.scenario)
     if scenario is None:
         return 2
-    scan = gamma_estimate(
-        scenario.system, xi_max=args.xi_max, samples=args.samples
-    )
+    try:
+        scan = gamma_estimate(scenario.system, xi_max=args.xi_max, samples=args.samples)
+    except ValueError as exc:
+        print(f"error: {exc}")
+        return 2
     print(f"scenario: {scenario.name}")
     print(f"uniform decay rate: {scan.gamma:.17g}")
     print(f"  attained at frequency {scan.gamma_argmax_xi:.12g}")

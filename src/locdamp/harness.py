@@ -373,6 +373,8 @@ def calibrate(
 
     t_arr = np.asarray(list(times), dtype=float)
     t_pos = t_arr[t_arr > 0.0]
+    if t_pos.size == 0:
+        raise ValueError("calibrate: need at least one positive sample time")
     if t_pos.size > REF_MAX_TIMES:
         idx = np.linspace(0, t_pos.size - 1, REF_MAX_TIMES).round().astype(int)
         t_pos = t_pos[np.unique(idx)]

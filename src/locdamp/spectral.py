@@ -126,8 +126,8 @@ def gamma_estimate(
     logarithmically on [1, xi_max].  Only xi >= 1 feeds the uniform rate;
     only 0 < xi <= 0.1 feeds the curvature fit.
     """
-    if xi_max <= 1.0:
-        raise ValueError("gamma_estimate: xi_max must exceed 1")
+    if not (np.isfinite(xi_max) and xi_max > 1.0):
+        raise ValueError("gamma_estimate: xi_max must be finite and exceed 1")
     if samples < 16:
         raise ValueError("gamma_estimate: need at least 16 samples")
     if eigs is None:
@@ -261,11 +261,15 @@ def fullspace_evolve(
 ) -> NormSeries:
     """Evolve initial data under everywhere-active damping on a periodic box.
 
-    Works per frequency in the transport eigenbasis and advances from
-    sample to sample, exponentiating once per distinct time increment;
-    times must be non-negative and non-decreasing.  The grid must be
-    uniform and the data band-limited: spectral mass in the top two bins
-    beyond 1e-8 of the peak is rejected as aliased.
+    Works per frequency in the transport eigenbasis on the xi >= 0 half of
+    the spectrum (data and symbol are real, so the other half is its
+    conjugate) and advances from sample to sample; times must be
+    non-negative and non-decreasing.  Increments that agree within
+    ``tol = 4 * spacing(max(times))`` share one propagator and increments
+    at or under ``tol`` are not stepped, so the j-th sample is evolved
+    over a time within ``j * tol`` of its own.  The grid must be uniform
+    and the data band-limited: spectral mass in the top two bins beyond
+    1e-8 of the peak is rejected as aliased.
     """
     x = np.asarray(x, dtype=float)
     u0 = np.asarray(u0, dtype=float)
@@ -283,13 +287,14 @@ def fullspace_evolve(
         eigs = diagonalize(sys.a)
 
     m = x.size
-    what = np.fft.fft(eigs.basis.T @ u0, axis=1)
-    xi = 2.0 * np.pi * np.fft.fftfreq(m, d=dx)
+    what = np.fft.rfft(eigs.basis.T @ u0, axis=1)
+    xi = 2.0 * np.pi * np.fft.rfftfreq(m, d=dx)
 
-    order = np.argsort(np.abs(xi))
-    top_bins = order[-2:]
+    # The top two bins of the full spectrum: the two highest rfft bins for
+    # even m, one conjugate pair (the highest rfft bin) for odd m.
+    top = what[:, -2:] if m % 2 == 0 else what[:, -1:]
     peak = float(np.abs(what).max())
-    if peak > 0.0 and float(np.abs(what[:, top_bins]).max()) > ALIASING_RTOL * peak:
+    if peak > 0.0 and float(np.abs(top).max()) > ALIASING_RTOL * peak:
         raise ValueError(
             "fullspace: initial data is not resolved on this grid (top-bin spectral mass)"
         )
@@ -298,14 +303,18 @@ def fullspace_evolve(
     src = source_matrix(sys, eigs)
     e_all = -1j * xi[:, None, None] * d[None] - src[None]
 
-    props: dict[float, np.ndarray] = {}
+    tol = 4.0 * float(np.spacing(t_list[-1]))
+    props: list[tuple[float, np.ndarray]] = []
     rows = []
     t_prev = 0.0
     for t in t_list:
         inc = t - t_prev
-        if inc not in props:
-            props[inc] = _matrix_exp_batch(e_all * inc)
-        what = np.einsum("kij,jk->ik", props[inc], what)
         t_prev = t
-        rows.append(field_norms(np.fft.ifft(what, axis=1).real, dx, eigs.basis))
+        if inc > tol:
+            prop = next((p for key, p in props if abs(inc - key) <= tol), None)
+            if prop is None:
+                prop = _matrix_exp_batch(e_all * inc)
+                props.append((inc, prop))
+            what = np.einsum("kij,jk->ik", prop, what)
+        rows.append(field_norms(np.fft.irfft(what, n=m, axis=1), dx, eigs.basis))
     return NormSeries.from_rows(t_list, rows)

@@ -1,8 +1,12 @@
 """Residence-time calculus: frozen hand-derived values plus cross-checks
 between the closed forms and the window-level brute-force scans."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locdamp.chartimes import (
     ScanSpec,
@@ -262,6 +266,35 @@ class TestHorizonBounds:
             b = horizon_bounds(eigs_of(*speeds), CENTERED)
             assert b.slow_pair_lower <= b.exact_three_speed + 1e-12
             assert b.exact_three_speed <= b.upper + 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        speeds=st.sets(
+            st.builds(Fraction, st.integers(1, 12), st.integers(1, 4)), min_size=3, max_size=3
+        ),
+        r=st.builds(Fraction, st.integers(1, 8), st.integers(1, 4)),
+    )
+    def test_exact_matches_window_scan_on_commensurate_triples(self, speeds, r):
+        # The exact horizon is the longest unbroken stretch of the union of
+        # the three stripe windows seen from the scanned abutment point,
+        # where the middle window starts as the slow one ends.  Small-
+        # fraction speeds keep every overlap or gap far above the scan's
+        # resolution.
+        s3, s2, s1 = (float(s) for s in sorted(speeds))
+        r = float(r)
+        b = horizon_bounds(eigs_of(s1, s2, s3), UndampedRegion.centered(r))
+        o = three_speed_scan_oracle(s1, s2, s3, r)
+        windows = sorted(
+            (crossing_window(s, (-r, r), o["x2"], o["t2"]) for s in (s1, s2, s3)),
+            key=lambda w: w.t_en,
+        )
+        longest, start, end = 0.0, windows[0].t_en, windows[0].t_ex
+        for w in windows[1:]:
+            if w.t_en > end + 1e-6:
+                longest, start = max(longest, end - start), w.t_en
+            end = max(end, w.t_ex)
+        longest = max(longest, end - start)
+        assert b.exact_three_speed == pytest.approx(longest, abs=1e-6)
 
     def test_single_speed_has_no_chained_bound(self):
         b = horizon_bounds(eigs_of(1.0), CENTERED)

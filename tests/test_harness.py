@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from locdamp import cli, harness
+from locdamp import cli, harness, solver, spectral
 from locdamp.chartimes import UndampedRegion
 from locdamp.model import EigenStructure
 from locdamp.solver import Bump, InitialDataSpec, Trajectory
@@ -291,6 +291,36 @@ class TestCalibrate:
         with pytest.raises(ValueError, match="gaussian"):
             harness.calibrate(scenario.system, data, [1.0, 2.0], 0.5)
 
+    def test_rejects_times_without_a_positive_sample(self):
+        scenario = harness.load_scenario(SCENARIOS / "damped_wave.json")
+        with pytest.raises(ValueError, match="at least one positive sample time"):
+            harness.calibrate(scenario.system, scenario.data, [0.0], 0.5)
+
+    @pytest.mark.parametrize("name", ["damped_wave", "stripes_two", "three_speed_321"])
+    def test_one_exponential_per_distinct_step_count(self, name, monkeypatch):
+        # Trajectory times are float multiples of dt whose differences
+        # disagree in the last bits; equal step counts must still share
+        # one propagator.
+        scenario = harness.load_scenario(SCENARIOS / f"{name}.json")
+        traj = solver.run(
+            scenario.system,
+            scenario.region,
+            scenario.data,
+            x_min=scenario.x_min,
+            x_max=scenario.x_max,
+            t_final=scenario.t_final,
+            stride=scenario.stride,
+            n_cells=scenario.n_cells,
+        )
+        calls = []
+        original = spectral._matrix_exp_batch
+        monkeypatch.setattr(
+            spectral, "_matrix_exp_batch", lambda ms: calls.append(1) or original(ms)
+        )
+        cal = harness.calibrate(scenario.system, scenario.data, traj.times, 0.5)
+        steps = np.rint(np.diff(cal.ref.times) / traj.grid.dt).astype(int)
+        assert len(calls) == len(set(steps[steps > 0].tolist()))
+
     def test_reference_satisfies_its_own_envelopes(self):
         scenario = harness.load_scenario(SCENARIOS / "damped_wave.json")
         times = np.linspace(0.0, 8.0, 17)
@@ -519,6 +549,28 @@ class TestCli:
         )
         assert code == 2
         assert "start:stop:step" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("spec", ["0:inf:1", "nan:4:1", "0:4:nan", "0:4:inf"])
+    def test_times_non_finite_grid(self, capsys, spec):
+        code = cli.main(["times", str(SCENARIOS / "damped_wave.json"), "--t-grid", spec])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert out.splitlines()[-1] == "error: --t-grid: start, stop and step must be finite"
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--xi-max", "0.5", "xi_max must be finite and exceed 1"),
+            ("--xi-max", "nan", "xi_max must be finite and exceed 1"),
+            ("--xi-max", "inf", "xi_max must be finite and exceed 1"),
+            ("--samples", "4", "need at least 16 samples"),
+        ],
+    )
+    def test_spectrum_bad_scan_options(self, capsys, option, value, message):
+        code = cli.main(["spectrum", str(SCENARIOS / "damped_wave.json"), option, value])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert out.splitlines() == [f"error: gamma_estimate: {message}"]
 
     def test_spectrum(self, capsys):
         code = cli.main(

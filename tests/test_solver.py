@@ -5,15 +5,19 @@ against the frequency-side reference on a fully damped run.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import damped_wave_system, three_speed_system
 from locdamp.chartimes import UndampedRegion
 from locdamp.model import EigenStructure, HyperbolicSystem, diagonalize
 from locdamp.solver import (
     GUARD_RTOL,
+    SPEED_LCM_MAX,
     BoundaryError,
     Bump,
     Grid,
@@ -65,6 +69,77 @@ class TestRationalShifts:
     def test_zero_speed_rejected(self):
         with pytest.raises(GridError, match="zero speed"):
             rational_shifts([0.0, 1.0])
+
+
+# Nonzero speeds p/q with small p and q: commensurate by construction.
+SPEED_FRACTIONS = st.builds(
+    Fraction, st.integers(-24, 24).filter(lambda p: p != 0), st.integers(1, 8)
+)
+
+
+class TestRationalShiftsProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(fracs=st.lists(SPEED_FRACTIONS, min_size=1, max_size=5))
+    def test_shifts_times_unit_recover_the_speeds(self, fracs):
+        lams = [float(f) for f in fracs]
+        v_unit, shifts = rational_shifts(lams)
+        unit = Fraction(v_unit).limit_denominator(SPEED_LCM_MAX)
+        assert [int(k) * unit for k in shifts] == fracs
+        assert math.gcd(*(int(k) for k in shifts)) == 1
+        assert (shifts * v_unit).tolist() == pytest.approx(lams, rel=1e-15, abs=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        fracs=st.lists(SPEED_FRACTIONS, min_size=1, max_size=5),
+        scale=st.builds(Fraction, st.integers(1, 6), st.integers(1, 6)),
+    )
+    def test_common_rescaling_keeps_the_shifts(self, fracs, scale):
+        v_unit, shifts = rational_shifts([float(f) for f in fracs])
+        v_scaled, shifts_scaled = rational_shifts([float(f * scale) for f in fracs])
+        assert np.array_equal(shifts_scaled, shifts)
+        assert v_scaled == pytest.approx(v_unit * float(scale), rel=1e-15, abs=0.0)
+
+
+class TestBuildGridProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        speeds=st.lists(SPEED_FRACTIONS, min_size=1, max_size=3),
+        widths=st.lists(st.floats(0.5, 3.0), min_size=1, max_size=3),
+        gaps=st.lists(st.floats(0.5, 3.0), min_size=2, max_size=2),
+        left=st.floats(-5.0, 5.0),
+        margins=st.tuples(st.floats(0.5, 4.0), st.floats(0.5, 4.0)),
+        n_cells=st.integers(200, 3000),
+    )
+    def test_snapping_time_step_and_mask(self, speeds, widths, gaps, left, margins, n_cells):
+        # widths and gaps of at least 0.5 stay wider than two cells, since
+        # the domain spans at most 23 units over at least 200 cells
+        stripes = []
+        a = left
+        for width, gap in zip(widths, gaps + [0.0]):
+            stripes.append((a, a + width))
+            a += width + gap
+        region = UndampedRegion(stripes=tuple(stripes))
+        x_min, x_max = stripes[0][0] - margins[0], stripes[-1][1] + margins[1]
+        eigs = EigenStructure.from_speeds([float(f) for f in speeds])
+        grid = build_grid(eigs, region, x_min, x_max, n_cells)
+
+        assert grid.dt * grid.v_unit == pytest.approx(grid.dx, rel=1e-15, abs=0.0)
+        moved = [
+            abs(s - o)
+            for snapped, orig in zip(grid.region.stripes, region.stripes)
+            for s, o in zip(snapped, orig)
+        ]
+        assert grid.snap_error == max(moved)
+        assert grid.snap_error <= 0.5 * grid.dx * (1.0 + 1e-12)
+
+        # snapped edges sit on cell edges, so the undamped cells are whole
+        # index ranges
+        undamped = np.zeros(n_cells, dtype=bool)
+        for sa, sb in grid.region.stripes:
+            ka, kb = (sa - x_min) / grid.dx, (sb - x_min) / grid.dx
+            assert abs(ka - round(ka)) <= 1e-9 and abs(kb - round(kb)) <= 1e-9
+            undamped[round(ka):round(kb)] = True
+        assert np.array_equal(grid.damp_mask == 0, undamped)
 
 
 class TestBuildGrid:

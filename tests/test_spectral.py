@@ -14,6 +14,8 @@ from locdamp import harness, spectral
 from locdamp.model import HyperbolicSystem, diagonalize
 from locdamp.spectral import (
     MatrixExpError,
+    NormSeries,
+    field_norms,
     fullspace_evolve,
     gamma_estimate,
     matrix_exp,
@@ -184,7 +186,60 @@ def _gaussian_data(x, centers, sigma=0.5):
     return u0
 
 
+def _full_spectrum_oracle(sys, x, u0, times):
+    """Reference norms from the whole fft, one ``expm(E(xi) t)`` per
+    frequency and sample time, and ``ifft(...).real``."""
+    expm = pytest.importorskip("scipy.linalg").expm
+    eigs = diagonalize(sys.a)
+    dx = x[1] - x[0]
+    what = np.fft.fft(eigs.basis.T @ u0, axis=1)
+    xi = 2.0 * np.pi * np.fft.fftfreq(x.size, d=dx)
+    rows = []
+    for t in times:
+        evolved = np.column_stack(
+            [
+                expm(symbol(sys, k, diagonalized=True, eigs=eigs) * t) @ what[:, j]
+                for j, k in enumerate(xi)
+            ]
+        )
+        rows.append(field_norms(np.fft.ifft(evolved, axis=1).real, dx, eigs.basis))
+    return NormSeries.from_rows(times, rows)
+
+
 class TestFullspaceEvolve:
+    @pytest.mark.parametrize("m", [256, 255])
+    @pytest.mark.parametrize(
+        "make_sys, centers",
+        [(damped_wave_system, [-1.0, 1.0]), (three_speed_system, [-1.0, 0.0, 1.5])],
+    )
+    def test_half_spectrum_matches_full_spectrum_oracle(self, m, make_sys, centers):
+        sys = make_sys()
+        x = -32.0 + 0.25 * np.arange(m)
+        u0 = _gaussian_data(x, centers)
+        times = [0.0, 0.7, 1.4, 1.4, 3.0, 5.5]
+        got = fullspace_evolve(sys, x, u0, times)
+        want = _full_spectrum_oracle(sys, x, u0, times)
+        for name in ("l2_total", "l2_high", "l2_low", "linf", "linf_low", "l1", "comp_l2"):
+            assert np.allclose(getattr(got, name), getattr(want, name), rtol=1e-12, atol=0.0), name
+
+    @pytest.mark.parametrize("m, checked", [(256, 2), (255, 1)])
+    def test_aliasing_guard_reads_the_top_full_spectrum_bins(self, m, checked):
+        # The guard reads the top two bins of the full spectrum: the two
+        # highest rfft bins for even m, one conjugate pair for odd m.  A
+        # cosine on rfft bin k is accepted below them and rejected on them.
+        sys = damped_wave_system()
+        x = 0.125 * np.arange(m)
+        highest = m // 2
+        for k in range(highest - 2, highest + 1):
+            u0 = np.zeros((2, m))
+            u0[0] = np.cos(2.0 * np.pi * k * np.arange(m) / m)
+            if k > highest - checked:
+                with pytest.raises(ValueError, match="not resolved"):
+                    fullspace_evolve(sys, x, u0, [0.0, 1.0])
+            else:
+                res = fullspace_evolve(sys, x, u0, [0.0, 1.0])
+                assert np.all(np.isfinite(res.l2_total)), k
+
     def test_pure_transport_conserves_l2(self):
         sys = HyperbolicSystem(
             a=np.array([[0.0, 1.0], [1.0, 0.0]]), n1=1, dd=np.array([[0.0]])
@@ -272,8 +327,8 @@ class TestFullspaceEvolve:
         sys = damped_wave_system()
         x = -32.0 + 0.25 * np.arange(256)
         res = fullspace_evolve(sys, x, _gaussian_data(x, [0.0, 0.0]), [0.0, 1.0, 2.0, 3.0, 5.0])
-        # increments 0, 1, 1, 1, 2
-        assert len(calls) == 3
+        # increments 0, 1, 1, 1, 2; a zero increment needs no exponential
+        assert len(calls) == 2
         assert res.times.tolist() == [0.0, 1.0, 2.0, 3.0, 5.0]
 
     def test_rejects_negative_and_decreasing_times(self):
