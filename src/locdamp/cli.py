@@ -17,7 +17,8 @@ import numpy as np
 from locdamp import harness
 from locdamp.chartimes import sharp_delay_table, residence_bound, horizon_bounds
 from locdamp.model import diagonalize, validate_system
-from locdamp.spectral import gamma_estimate
+from locdamp.solver import BoundaryError
+from locdamp.spectral import MatrixExpError, gamma_estimate
 
 
 def _load(path: str) -> harness.Scenario | None:
@@ -27,6 +28,17 @@ def _load(path: str) -> harness.Scenario | None:
         print(f"error: scenario rejected ({len(exc.errors)} problem(s))")
         for msg in exc.errors:
             print(f"  - {msg}")
+        return None
+
+
+def _run(scenario: harness.Scenario) -> harness.ScenarioResult | None:
+    # A run can still reject a scenario the loader accepted (data that would
+    # reach the edge guard band, data zero on the grid, box bumps for a
+    # calibration); ``GridError`` is a ``ValueError``.
+    try:
+        return harness.run_scenario(scenario)
+    except (ValueError, BoundaryError, MatrixExpError) as exc:
+        print(f"error: {exc}")
         return None
 
 
@@ -108,7 +120,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     scenario = _load(args.scenario)
     if scenario is None:
         return 2
-    result = harness.run_scenario(scenario)
+    result = _run(scenario)
+    if result is None:
+        return 2
     csv_path, summary_path = harness.export(result, args.out)
     print(f"wrote {csv_path}")
     print(f"wrote {summary_path}")
@@ -122,7 +136,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if scenario.kind != "verify-envelope":
         print(f"error: scenario kind is {scenario.kind!r}; verify needs 'verify-envelope'")
         return 2
-    result = harness.run_scenario(scenario)
+    result = _run(scenario)
+    if result is None:
+        return 2
     if args.out:
         harness.export(result, args.out)
     env = result.envelope

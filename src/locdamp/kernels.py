@@ -5,6 +5,12 @@ by a whole number of cells with zero inflow, an edge-band guard, then the
 second half-relax.  The relaxation is applied to each contiguous run of
 the mask as one matrix product; a stripe mask has at most one run more
 than it has stripes.
+
+Work is confined to the light cone of the initial nonzero columns: the
+kernel keeps a half-open column window outside which ``v`` is exactly
+zero, relaxes and shifts only inside it, and widens it after each shift
+by the largest left and right shift.  A field that fills the domain gives
+the full-width window.
 """
 
 from __future__ import annotations
@@ -14,10 +20,34 @@ import numpy as np
 
 def _mask_runs(mask: np.ndarray) -> list[tuple[int, int]]:
     """Half-open ``(start, stop)`` index ranges of the nonzero runs of ``mask``."""
-    edges = np.diff(np.concatenate(([0], (mask != 0).view(np.int8), [0])))
-    starts = np.flatnonzero(edges == 1).tolist()
-    stops = np.flatnonzero(edges == -1).tolist()
-    return list(zip(starts, stops))
+    on = mask != 0
+    bounds = (np.flatnonzero(on[1:] != on[:-1]) + 1).tolist()
+    if on[0]:
+        bounds.insert(0, 0)
+    if on[-1]:
+        bounds.append(on.size)
+    return list(zip(bounds[::2], bounds[1::2]))
+
+
+def _nonzero_window(v: np.ndarray) -> tuple[int, int]:
+    """Half-open column range holding every nonzero entry of ``v``; empty
+    (``(0, 0)``) when ``v`` is zero."""
+    cols = np.flatnonzero(v.any(axis=0))
+    return (int(cols[0]), int(cols[-1]) + 1) if cols.size else (0, 0)
+
+
+def _relax(
+    v: np.ndarray, damp_half: np.ndarray, runs: list[tuple[int, int]], lo: int, hi: int
+) -> None:
+    """Half-relax the part of each mask run that meets the window ``[lo, hi)``."""
+    for a, b in runs:
+        if a < hi and lo < b:
+            # numpy hands a one-column product to BLAS's matrix-vector code,
+            # which rounds unlike the same column of a wider product, so keep
+            # two columns where the run has them; the extra one lies outside
+            # the window and is zero
+            a, b = max(a, min(lo, b - 2)), min(b, max(hi, a + 2))
+            v[:, a:b] = damp_half @ v[:, a:b]
 
 
 def advance(
@@ -38,30 +68,37 @@ def advance(
     """
     m = v.shape[1]
     runs = _mask_runs(mask) if apply_damping else []
-    row_shifts = [(i, int(s)) for i, s in enumerate(shifts) if s != 0]
+    moves = [int(s) for s in shifts]
+    row_shifts = [(i, s) for i, s in enumerate(moves) if s != 0]
+    grow_left, grow_right = min(0, *moves), max(0, *moves)
     guard = min(int(guard_cells), m)
     left = v[:, :guard]
     right = v[:, m - guard:]
+    lo, hi = _nonzero_window(v)
 
     for step in range(int(n_steps)):
-        for a, b in runs:
-            v[:, a:b] = damp_half @ v[:, a:b]
+        _relax(v, damp_half, runs, lo, hi)
 
-        # a shift of m or more cells empties both slices and clears the row
+        # copy the window to its shifted place, clipped to the domain, and
+        # zero the window cells the copy left behind
         for i, s in row_shifts:
             row = v[i]
             if s > 0:
-                row[s:] = row[:-s]
-                row[:s] = 0.0
+                stop = min(hi + s, m)
+                if lo + s < stop:
+                    row[lo + s:stop] = row[lo:stop - s]
+                row[lo:min(lo + s, hi)] = 0.0
             else:
-                row[:s] = row[-s:]
-                row[s:] = 0.0
+                start = max(lo + s, 0)
+                if start < hi + s:
+                    row[start:hi + s] = row[start - s:hi]
+                row[max(hi + s, lo):hi] = 0.0
+        lo, hi = max(0, lo + grow_left), min(m, hi + grow_right)
 
         if guard > 0 and (
             np.abs(left).max() > guard_tol or np.abs(right).max() > guard_tol
         ):
             return step + 1
 
-        for a, b in runs:
-            v[:, a:b] = damp_half @ v[:, a:b]
+        _relax(v, damp_half, runs, lo, hi)
     return 0

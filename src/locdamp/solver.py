@@ -335,6 +335,8 @@ def run(
         w = np.ascontiguousarray(u0, dtype=np.float64)
     else:
         w = np.ascontiguousarray(eigs.basis.T @ u0, dtype=np.float64)
+    if not w.any():
+        raise ValueError("initial data is zero on the grid")
 
     src = source_matrix(sys, eigs)
     damp_half = np.ascontiguousarray(matrix_exp(-0.5 * grid.dt * src).real)

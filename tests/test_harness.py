@@ -40,6 +40,20 @@ def _errors_of(tmp_path: Path, raw) -> list[str]:
     return err.value.errors
 
 
+def _long_run(raw: dict) -> None:
+    raw["time"]["t_final"] = 500.0
+
+
+def _box_bumps(raw: dict) -> None:
+    for bump in raw["initial_data"]["bumps"]:
+        bump["kind"] = "box"
+
+
+def _zero_amplitudes(raw: dict) -> None:
+    for bump in raw["initial_data"]["bumps"]:
+        bump["amplitude"] = 0.0
+
+
 class TestLoader:
     def test_roundtrip(self):
         s = harness.load_scenario(SCENARIOS / "probe_scalar.json")
@@ -609,6 +623,32 @@ class TestCli:
         assert code == 0
         assert "envelopes hold" in out
         assert (out_dir / "summary.json").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (_long_run, "initial data would reach the edge guard band before t_final; enlarge the domain"),
+            (_box_bumps, "calibrate: reference calibration needs gaussian bumps"),
+            (_zero_amplitudes, "initial data is zero on the grid"),
+        ],
+        ids=["edge", "box", "zero"],
+    )
+    def test_run_rejection_exits_2(self, tmp_path, capsys, command, edit, message):
+        raw = json.loads((SCENARIOS / "damped_wave.json").read_text())
+        edit(raw)
+        code = cli.main([command, str(_write(tmp_path, raw)), "--out", str(tmp_path / "run")])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert out.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "run").exists()
+
+    def test_simulate_zero_probe_exits_2(self, tmp_path, capsys):
+        raw = _good_raw()
+        raw["initial_data"]["bumps"][0]["amplitude"] = 0.0
+        code = cli.main(["simulate", str(_write(tmp_path, raw)), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().out.splitlines() == ["error: initial data is zero on the grid"]
 
     def test_verify_rejects_non_finite_amplitude(self, tmp_path, capsys):
         raw = json.loads((SCENARIOS / "damped_wave.json").read_text())

@@ -400,6 +400,22 @@ class TestRun:
                 x_min=-12.0, x_max=12.0, t_final=1e-6, stride=1, n_cells=1200,
             )
 
+    @pytest.mark.parametrize(
+        "bump",
+        [
+            Bump(kind="gaussian", component=0, center=0.0, width=0.25, amplitude=0.0),
+            # narrower than a cell and centred on a cell edge: no center inside
+            Bump(kind="box", component=0, center=0.0, width=0.004),
+        ],
+    )
+    def test_data_zero_on_grid_rejected(self, bump):
+        with pytest.raises(ValueError, match="initial data is zero on the grid"):
+            run(
+                damped_wave_system(), UndampedRegion(stripes=((-1.0, 1.0),)),
+                InitialDataSpec(bumps=(bump,)),
+                x_min=-12.0, x_max=12.0, t_final=1.0, stride=1, n_cells=1200,
+            )
+
     def test_margin_precheck_rejects_tight_domain(self):
         sys = damped_wave_system()
         region = UndampedRegion(stripes=((-1.0, 1.0),))
