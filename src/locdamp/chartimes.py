@@ -424,59 +424,3 @@ def three_speed_geometry(
         t_lambda=t_lambda, case=case,
     )
 
-
-def three_speed_scan_oracle(
-    s1: float, s2: float, s3: float, R: float, resolution: float = 1e-9
-) -> dict[str, float]:
-    """Locate the abutment times by bisection along the slow characteristic
-    ``x(t) = -R + s3 t`` using only ``crossing_window``.
-
-    Independent of the closed forms in ``three_speed_geometry``; used to
-    validate them.  Returns t2/x2, t1/x1 and the middle/fast overlap at the
-    scanned (x2, t2), all accurate to ``resolution`` in time.
-    """
-    stripe = (-R, R)
-
-    def point(t0: float) -> tuple[float, float]:
-        return -R + s3 * t0, t0
-
-    def slow_exit_gap(t0: float) -> float:
-        x0, _ = point(t0)
-        w3 = crossing_window(s3, stripe, x0, t0)
-        w2 = crossing_window(s2, stripe, x0, t0)
-        return w2.t_en - w3.t_ex
-
-    def mid_exit_gap(t0: float) -> float:
-        x0, _ = point(t0)
-        w2 = crossing_window(s2, stripe, x0, t0)
-        w1 = crossing_window(s1, stripe, x0, t0)
-        return w1.t_en - w2.t_ex
-
-    def bisect(fn) -> float:
-        lo = 2.0 * R / s3
-        hi = lo * 2.0
-        while fn(hi) <= 0.0:
-            hi *= 2.0
-            if hi > 1e12 * lo:
-                raise RuntimeError("scan oracle: abutment bracket not found")
-        while hi - lo > resolution:
-            mid = 0.5 * (lo + hi)
-            if fn(mid) <= 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    t2 = bisect(slow_exit_gap)
-    t1 = bisect(mid_exit_gap)
-    x2, _ = point(t2)
-    x1, _ = point(t1)
-    w2 = crossing_window(s2, stripe, x2, t2)
-    w1 = crossing_window(s1, stripe, x2, t2)
-    return {
-        "t2": t2,
-        "x2": x2,
-        "t1": t1,
-        "x1": x1,
-        "t_lambda": max(0.0, w2.t_ex - w1.t_en),
-    }

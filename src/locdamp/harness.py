@@ -15,19 +15,14 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from locdamp import solver
-from locdamp.chartimes import (
-    UndampedRegion,
-    sharp_delay_table,
-    residence_bound,
-    horizon_bounds,
-)
+from locdamp.chartimes import UndampedRegion, residence_bound
 from locdamp.model import (
     EigenStructure,
     HyperbolicSystem,
@@ -291,47 +286,40 @@ class FitResult:
     max_residual: float
 
 
-def fit_decay_rate(times, values, t_min: float, t_max: float) -> FitResult:
-    """Exponential-rate fit: least squares on log(values) over [t_min, t_max].
-
-    Positive ``rate`` means decay.  Requires at least 10 usable points.
-    """
+def _log_linear_fit(name: str, times, values, t_min, t_max, *, log_time: bool) -> FitResult:
+    """Least squares of log(values) against times, or against log(times)
+    with ``log_time``, over [t_min, t_max]; ``rate`` is the fitted slope."""
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
     mask = (t >= t_min) & (t <= t_max) & (v > 0.0)
+    if log_time:
+        mask &= t > 0.0
     if mask.sum() < MIN_FIT_POINTS:
-        raise ValueError(
-            f"fit_decay_rate: need at least {MIN_FIT_POINTS} points in [{t_min}, {t_max}]"
-        )
-    ts, logs = t[mask], np.log(v[mask])
-    slope, intercept = np.polyfit(ts, logs, 1)
-    resid = float(np.max(np.abs(logs - (slope * ts + intercept))))
-    return FitResult(
-        rate=float(-slope),
-        log_intercept=float(intercept),
-        n_points=int(mask.sum()),
-        max_residual=resid,
-    )
-
-
-def fit_loglog_slope(times, values, t_min: float, t_max: float) -> FitResult:
-    """Power-law fit: slope of log(values) against log(times)."""
-    t = np.asarray(times, dtype=float)
-    v = np.asarray(values, dtype=float)
-    mask = (t >= t_min) & (t <= t_max) & (t > 0.0) & (v > 0.0)
-    if mask.sum() < MIN_FIT_POINTS:
-        raise ValueError(
-            f"fit_loglog_slope: need at least {MIN_FIT_POINTS} points in [{t_min}, {t_max}]"
-        )
-    logt, logs = np.log(t[mask]), np.log(v[mask])
-    slope, intercept = np.polyfit(logt, logs, 1)
-    resid = float(np.max(np.abs(logs - (slope * logt + intercept))))
+        raise ValueError(f"{name}: need at least {MIN_FIT_POINTS} points in [{t_min}, {t_max}]")
+    xs = np.log(t[mask]) if log_time else t[mask]
+    logs = np.log(v[mask])
+    slope, intercept = np.polyfit(xs, logs, 1)
+    resid = float(np.max(np.abs(logs - (slope * xs + intercept))))
     return FitResult(
         rate=float(slope),
         log_intercept=float(intercept),
         n_points=int(mask.sum()),
         max_residual=resid,
     )
+
+
+def fit_decay_rate(times, values, t_min: float, t_max: float) -> FitResult:
+    """Exponential-rate fit: least squares on log(values) over [t_min, t_max].
+
+    Positive ``rate`` means decay.  Requires at least 10 usable points.
+    """
+    fit = _log_linear_fit("fit_decay_rate", times, values, t_min, t_max, log_time=False)
+    return replace(fit, rate=-fit.rate)
+
+
+def fit_loglog_slope(times, values, t_min: float, t_max: float) -> FitResult:
+    """Power-law fit: slope of log(values) against log(times)."""
+    return _log_linear_fit("fit_loglog_slope", times, values, t_min, t_max, log_time=True)
 
 
 # ---------------------------------------------------------------------------
@@ -601,21 +589,12 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
 
 
 def _run_fullspace(scenario: Scenario, eigs: EigenStructure) -> NormSeries:
-    n_cells = scenario.n_cells
-    if n_cells is None:
-        n_cells = solver.default_cell_count(scenario.region, scenario.x_min, scenario.x_max)
-    dx = (scenario.x_max - scenario.x_min) / n_cells
-    v_unit, _ = solver.rational_shifts(eigs.lambdas)
-    dt = dx / v_unit
-    n_total = int(round(scenario.t_final / dt))
-    steps = list(range(0, n_total + 1, scenario.stride))
-    if steps[-1] != n_total:
-        steps.append(n_total)
-    times = [k * dt for k in steps]
-    x = scenario.x_min + dx * np.arange(n_cells)
+    grid = solver.build_grid(eigs, scenario.region, scenario.x_min, scenario.x_max, scenario.n_cells)
+    steps = solver.sample_steps(scenario.t_final, grid.dt, scenario.stride)
+    x = grid.x_min + grid.dx * np.arange(grid.n_cells)
     samples = scenario.data.sample(x, scenario.system.n)
     u0 = samples if scenario.data.basis == "physical" else eigs.basis @ samples
-    return fullspace_evolve(scenario.system, x, u0, times, eigs=eigs)
+    return fullspace_evolve(scenario.system, x, u0, [k * grid.dt for k in steps], eigs=eigs)
 
 
 def _fmt(value: float) -> str:
@@ -746,7 +725,4 @@ __all__ = [
     "write_csv",
     "summarize",
     "export",
-    "residence_bound",
-    "horizon_bounds",
-    "sharp_delay_table",
 ]

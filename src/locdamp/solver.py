@@ -82,6 +82,17 @@ def default_cell_count(region: UndampedRegion, x_min: float, x_max: float) -> in
     return int(np.ceil((x_max - x_min) / dx))
 
 
+def sample_steps(t_final: float, dt: float, stride: int) -> list[int]:
+    """Step counts a run samples at: 0, every ``stride`` steps, and the last step."""
+    stride = int(stride)
+    if stride < 1:
+        raise ValueError("stride: must be a positive step count")
+    n_total = int(round(float(t_final) / dt))
+    if n_total < 1:
+        raise ValueError("t_final: shorter than one time step")
+    return [*range(0, n_total, stride), n_total]
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform cell grid with the locked time step and stripe mask."""
@@ -311,13 +322,8 @@ def run(
     if eigs is None:
         eigs = diagonalize(sys.a)
     grid = build_grid(eigs, region, x_min, x_max, n_cells)
-    stride = int(stride)
-    if stride < 1:
-        raise ValueError("stride: must be a positive step count")
     t_final = float(t_final)
-    n_total = int(round(t_final / grid.dt))
-    if n_total < 1:
-        raise ValueError("t_final: shorter than one time step")
+    steps = sample_steps(t_final, grid.dt, stride)
 
     lo, hi = data.support()
     lam = eigs.lambdas
@@ -344,16 +350,12 @@ def run(
     guard_tol = GUARD_RTOL * float(np.abs(w).max())
 
     rows = [_norm_row(w, grid, eigs.basis)]
-    times = [0.0]
-    done = 0
-    while done < n_total:
-        chunk = min(stride, n_total - done)
+    for start, stop in zip(steps, steps[1:]):
         advance_segment(
-            w, grid, damp_half, chunk, apply_damping,
-            guard_tol=guard_tol, mask=mask, t_base=done * grid.dt,
+            w, grid, damp_half, stop - start, apply_damping,
+            guard_tol=guard_tol, mask=mask, t_base=start * grid.dt,
         )
-        done += chunk
-        times.append(done * grid.dt)
         rows.append(_norm_row(w, grid, eigs.basis))
 
+    times = [k * grid.dt for k in steps]
     return Trajectory.from_rows(times, rows, grid=grid, eigs=eigs, final_w=w)

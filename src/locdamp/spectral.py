@@ -31,27 +31,16 @@ class MatrixExpError(RuntimeError):
     """Argument norm exceeds the scaling guard."""
 
 
-def symbol(
-    sys: HyperbolicSystem,
-    xi: float,
-    *,
-    diagonalized: bool = False,
-    eigs: EigenStructure | None = None,
-) -> np.ndarray:
-    """Per-frequency evolution matrix -i*xi*A - B.
+def symbol(sys: HyperbolicSystem, xi: float) -> np.ndarray:
+    """Per-frequency evolution matrix -i*xi*A - B."""
+    return -1j * float(xi) * sys.a - sys.full_damping().matrix
 
-    With ``diagonalized=True`` the same matrix is expressed in the
-    transport eigenbasis (speeds on the diagonal, damping conjugated),
-    which shares its spectrum with the plain form.
-    """
-    xi = float(xi)
-    if diagonalized:
-        if eigs is None:
-            eigs = diagonalize(sys.a)
-        d = np.diag(eigs.lambdas)
-        m = source_matrix(sys, eigs)
-        return -1j * xi * d - m
-    return -1j * xi * sys.a - sys.full_damping().matrix
+
+def _symbol_stack(sys: HyperbolicSystem, eigs: EigenStructure, xi: np.ndarray) -> np.ndarray:
+    """Stack of eigenbasis symbols -i*xi*diag(lambdas) - S, one per entry of
+    ``xi``; each shares its spectrum with ``symbol`` at that frequency."""
+    d = np.diag(eigs.lambdas)
+    return -1j * xi[:, None, None] * d - source_matrix(sys, eigs)
 
 
 def matrix_exp(m) -> np.ndarray:
@@ -87,11 +76,6 @@ def _matrix_exp_batch(ms: np.ndarray) -> np.ndarray:
     for _ in range(s):
         p = p @ p
     return p
-
-
-def spectral_abscissa(m) -> float:
-    """Largest real part over the spectrum."""
-    return float(np.linalg.eigvals(np.asarray(m, dtype=complex)).real.max())
 
 
 @dataclass(frozen=True)
@@ -139,9 +123,7 @@ def gamma_estimate(
             np.logspace(0.0, np.log10(xi_max), samples - n_low),
         ]
     )
-    d = np.diag(eigs.lambdas)
-    m = source_matrix(sys, eigs)
-    absc = np.linalg.eigvals(-1j * xi[:, None, None] * d - m).real.max(axis=1)
+    absc = np.linalg.eigvals(_symbol_stack(sys, eigs, xi)).real.max(axis=1)
 
     high = xi >= 1.0
     hi_absc = absc[high]
@@ -268,8 +250,8 @@ def fullspace_evolve(
     ``tol = 4 * spacing(max(times))`` share one propagator and increments
     at or under ``tol`` are not stepped, so the j-th sample is evolved
     over a time within ``j * tol`` of its own.  The grid must be uniform
-    and the data band-limited: spectral mass in the top two bins beyond
-    1e-8 of the peak is rejected as aliased.
+    and the data nonzero and band-limited: spectral mass in the top two
+    bins beyond 1e-8 of the peak is rejected as aliased.
     """
     x = np.asarray(x, dtype=float)
     u0 = np.asarray(u0, dtype=float)
@@ -280,6 +262,8 @@ def fullspace_evolve(
         raise ValueError("fullspace: grid must be uniform")
     if u0.shape != (sys.n, x.size):
         raise ValueError(f"fullspace: data shape {u0.shape} != ({sys.n}, {x.size})")
+    if not u0.any():
+        raise ValueError("initial data is zero on the grid")
     t_list = [float(t) for t in times]
     if not t_list or any(b < a for a, b in zip([0.0, *t_list], t_list)):
         raise ValueError("fullspace: times must be nonempty, non-negative and non-decreasing")
@@ -299,9 +283,7 @@ def fullspace_evolve(
             "fullspace: initial data is not resolved on this grid (top-bin spectral mass)"
         )
 
-    d = np.diag(eigs.lambdas)
-    src = source_matrix(sys, eigs)
-    e_all = -1j * xi[:, None, None] * d[None] - src[None]
+    e_all = _symbol_stack(sys, eigs, xi)
 
     tol = 4.0 * float(np.spacing(t_list[-1]))
     props: list[tuple[float, np.ndarray]] = []

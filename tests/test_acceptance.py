@@ -12,7 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import damped_wave_system, random_valid_system, three_speed_system
+from helpers import (
+    damped_wave_system,
+    random_valid_system,
+    spectral_abscissa,
+    three_speed_scan_oracle,
+    three_speed_system,
+)
 from locdamp import harness
 from locdamp.chartimes import (
     ScanSpec,
@@ -21,7 +27,6 @@ from locdamp.chartimes import (
     sup_undamped_measure,
     residence_bound,
     three_speed_geometry,
-    three_speed_scan_oracle,
 )
 from locdamp.model import (
     EigenStructure,
@@ -32,7 +37,7 @@ from locdamp.model import (
     validate_system,
 )
 from locdamp.solver import Bump, InitialDataSpec, run
-from locdamp.spectral import spectral_abscissa, symbol
+from locdamp.spectral import symbol
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import three_speed_scan_oracle
 from locdamp.chartimes import (
     ScanSpec,
     UndampedRegion,
@@ -20,7 +21,6 @@ from locdamp.chartimes import (
     residence_bound,
     horizon_bounds,
     three_speed_geometry,
-    three_speed_scan_oracle,
     undamped_union,
 )
 from locdamp.model import EigenStructure

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import locdamp
 from locdamp import cli, harness, solver, spectral
 from locdamp.chartimes import UndampedRegion
 from locdamp.model import EigenStructure
@@ -52,6 +53,29 @@ def _box_bumps(raw: dict) -> None:
 def _zero_amplitudes(raw: dict) -> None:
     for bump in raw["initial_data"]["bumps"]:
         bump["amplitude"] = 0.0
+
+
+def _set(section: str, **values):
+    return lambda raw: raw[section].update(values)
+
+
+# (id, edit, message): runs that reject a stepping scenario or a fullspace one.
+STEPPING_REJECTIONS = [
+    ("edge", _long_run, "initial data would reach the edge guard band before t_final; enlarge the domain"),
+    ("box", _box_bumps, "calibrate: reference calibration needs gaussian bumps"),
+    ("zero", _zero_amplitudes, "initial data is zero on the grid"),
+]
+FULLSPACE_REJECTIONS = [
+    ("no_cells", _set("domain", n_cells=0), "n_cells: need at least 16, got 0"),
+    (
+        "reversed_domain",
+        _set("domain", x_min=128.0, x_max=-128.0),
+        "domain: need x_min < x_max, got [128.0, -128.0]",
+    ),
+    ("empty_domain", _set("domain", x_min=0.0, x_max=0.0), "domain: need x_min < x_max, got [0.0, 0.0]"),
+    ("short_run", _set("time", t_final=1e-6), "t_final: shorter than one time step"),
+    ("zero", _zero_amplitudes, "initial data is zero on the grid"),
+]
 
 
 class TestLoader:
@@ -465,6 +489,25 @@ class TestFullspaceScenario:
         assert summary["kind"] == "fullspace"
         assert summary["n_samples"] == 101
 
+    def test_samples_on_the_solver_schedule(self, tmp_path):
+        # 1200 steps sampled every 7 leave a short last chunk of 3 steps
+        raw = json.loads((SCENARIOS / "damped_wave.json").read_text())
+        raw["kind"] = "fullspace"
+        raw["time"]["stride"] = 7
+        s = harness.load_scenario(_write(tmp_path, raw))
+        traj = solver.run(
+            s.system,
+            s.region,
+            s.data,
+            x_min=s.x_min,
+            x_max=s.x_max,
+            t_final=s.t_final,
+            stride=s.stride,
+            n_cells=s.n_cells,
+        )
+        assert round(traj.times[-1] / traj.grid.dt) % s.stride != 0
+        assert np.array_equal(harness.run_scenario(s).series.times, traj.times)
+
     def test_long_horizon_completes(self, tmp_path):
         # one exponential over t = 450 would exceed the norm guard; the
         # reference advances by 18.75 per sample instead
@@ -475,6 +518,15 @@ class TestFullspaceScenario:
         assert series.times.tolist() == [18.75 * k for k in range(25)]
         assert np.all(np.isfinite(np.vstack([series.l2_total, series.l2_high, series.comp_l2])))
         assert np.all(np.diff(series.l2_total) <= 1e-12 * series.l2_total.max())
+
+
+class TestPublicNames:
+    @pytest.mark.parametrize("module", [locdamp, harness], ids=["locdamp", "harness"])
+    def test_all_names_resolve_once(self, module):
+        names = module.__all__
+        assert len(names) == len(set(names))
+        for name in names:
+            assert hasattr(module, name), name
 
 
 class TestExport:
@@ -624,18 +676,22 @@ class TestCli:
         assert "envelopes hold" in out
         assert (out_dir / "summary.json").exists()
 
-    @pytest.mark.parametrize("command", ["simulate", "verify"])
     @pytest.mark.parametrize(
-        "edit, message",
+        "command, scenario, edit, message",
         [
-            (_long_run, "initial data would reach the edge guard band before t_final; enlarge the domain"),
-            (_box_bumps, "calibrate: reference calibration needs gaussian bumps"),
-            (_zero_amplitudes, "initial data is zero on the grid"),
+            pytest.param(command, "damped_wave", edit, message, id=f"{name}-{command}")
+            for name, edit, message in STEPPING_REJECTIONS
+            for command in ("simulate", "verify")
+        ]
+        + [
+            pytest.param(
+                "simulate", "fullspace_damped_wave", edit, message, id=f"fullspace_{name}-simulate"
+            )
+            for name, edit, message in FULLSPACE_REJECTIONS
         ],
-        ids=["edge", "box", "zero"],
     )
-    def test_run_rejection_exits_2(self, tmp_path, capsys, command, edit, message):
-        raw = json.loads((SCENARIOS / "damped_wave.json").read_text())
+    def test_run_rejection_exits_2(self, tmp_path, capsys, command, scenario, edit, message):
+        raw = json.loads((SCENARIOS / f"{scenario}.json").read_text())
         edit(raw)
         code = cli.main([command, str(_write(tmp_path, raw)), "--out", str(tmp_path / "run")])
         out = capsys.readouterr().out

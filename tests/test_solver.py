@@ -28,6 +28,7 @@ from locdamp.solver import (
     default_cell_count,
     rational_shifts,
     run,
+    sample_steps,
 )
 from locdamp.spectral import freq_split, fullspace_evolve
 
@@ -300,6 +301,24 @@ class TestPureTransport:
             apply_damping=False,
         )
         assert np.allclose(traj.l2_total, traj.l2_total[0], rtol=1e-12)
+
+
+class TestSampleSteps:
+    def test_stride_divides_the_run(self):
+        assert sample_steps(2.0, 0.02, 50) == [0, 50, 100]
+
+    def test_short_last_chunk_kept(self):
+        # 1.0 / 0.125 = 8 steps, sampled every 3
+        assert sample_steps(1.0, 0.125, 3) == [0, 3, 6, 8]
+
+    def test_stride_longer_than_run(self):
+        assert sample_steps(1.0, 0.125, 10**9) == [0, 8]
+
+    def test_input_validation(self):
+        with pytest.raises(ValueError, match="t_final: shorter than one time step"):
+            sample_steps(1e-6, 0.125, 1)
+        with pytest.raises(ValueError, match="stride"):
+            sample_steps(1.0, 0.125, 0)
 
 
 class TestRun:

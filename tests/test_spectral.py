@@ -9,7 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import damped_wave_system, three_speed_system
+from helpers import (
+    damped_wave_system,
+    eigenbasis_symbol,
+    spectral_abscissa,
+    three_speed_system,
+)
 from locdamp import harness, spectral
 from locdamp.model import HyperbolicSystem, diagonalize
 from locdamp.spectral import (
@@ -19,7 +24,6 @@ from locdamp.spectral import (
     fullspace_evolve,
     gamma_estimate,
     matrix_exp,
-    spectral_abscissa,
     symbol,
 )
 
@@ -35,19 +39,14 @@ class TestSymbol:
         sys = damped_wave_system()
         assert np.allclose(symbol(sys, 0.0), -sys.full_damping().matrix, atol=0)
 
-    def test_diagonalized_form_shares_spectrum(self):
+    def test_symbol_stack_shares_spectrum(self):
         sys = three_speed_system()
-        for xi in (0.0, 0.3, 1.0, 7.5):
+        xis = np.array([0.0, 0.3, 1.0, 7.5])
+        stack = spectral._symbol_stack(sys, diagonalize(sys.a), xis)
+        for xi, m in zip(xis, stack):
             plain = np.sort_complex(np.linalg.eigvals(symbol(sys, xi)))
-            diag = np.sort_complex(np.linalg.eigvals(symbol(sys, xi, diagonalized=True)))
+            diag = np.sort_complex(np.linalg.eigvals(m))
             assert np.allclose(plain, diag, atol=1e-10)
-
-    def test_diagonalized_accepts_precomputed_eigs(self):
-        sys = damped_wave_system()
-        eigs = diagonalize(sys.a)
-        a = symbol(sys, 2.0, diagonalized=True, eigs=eigs)
-        b = symbol(sys, 2.0, diagonalized=True)
-        assert np.array_equal(a, b)
 
 
 class TestMatrixExp:
@@ -167,7 +166,7 @@ class TestGammaEstimate:
         eigs = diagonalize(sys.a)
         scan = gamma_estimate(sys, eigs=eigs)
         one_by_one = [
-            spectral_abscissa(symbol(sys, xi, diagonalized=True, eigs=eigs)) for xi in scan.xi
+            spectral_abscissa(eigenbasis_symbol(sys, eigs, xi)) for xi in scan.xi
         ]
         assert np.array_equal(scan.abscissa, one_by_one)
 
@@ -198,7 +197,7 @@ def _full_spectrum_oracle(sys, x, u0, times):
     for t in times:
         evolved = np.column_stack(
             [
-                expm(symbol(sys, k, diagonalized=True, eigs=eigs) * t) @ what[:, j]
+                expm(eigenbasis_symbol(sys, eigs, k) * t) @ what[:, j]
                 for j, k in enumerate(xi)
             ]
         )
@@ -303,6 +302,8 @@ class TestFullspaceEvolve:
             fullspace_evolve(sys, np.cumsum(np.abs(np.sin(x)) + 0.1), np.zeros((2, 256)), [0.0])
         with pytest.raises(ValueError, match="shape"):
             fullspace_evolve(sys, x, np.zeros((3, 256)), [0.0])
+        with pytest.raises(ValueError, match="initial data is zero on the grid"):
+            fullspace_evolve(sys, x, np.zeros((2, 256)), [0.0, 1.0])
 
     def test_chained_samples_match_one_time_calls(self):
         sys = damped_wave_system()
