@@ -78,7 +78,8 @@ class UndampedRegion:
 
 @dataclass(frozen=True)
 class CharacteristicWindow:
-    """Entry/exit times of one backward characteristic through one stripe."""
+    """Entry/exit times of one backward characteristic through one stripe
+    (arrays of them for an array of observation points)."""
 
     t_en: float
     t_ex: float
@@ -100,18 +101,17 @@ def crossing_window(
 
     The characteristic enters through the upstream edge (left edge for
     rightward movers, right edge for leftward movers), so entry precedes
-    exit for either sign of the speed.
+    exit for either sign of the speed.  ``x0`` may be an array; the window
+    times then have its shape.
     """
     if lam == 0.0:
-        raise ValueError("crossing_window: speed must be nonzero")
+        raise ValueError("characteristic speed must be nonzero")
     a, b = float(stripe[0]), float(stripe[1])
     c = 0.5 * (a + b)
     r = 0.5 * (b - a)
     sgn = 1.0 if lam > 0 else -1.0
-    raw_en = t0 - (x0 - c + r * sgn) / lam
-    raw_ex = t0 - (x0 - c - r * sgn) / lam
-    t_en = min(max(raw_en, 0.0), t0)
-    t_ex = min(max(raw_ex, 0.0), t0)
+    t_en = np.clip(t0 - (x0 - c + r * sgn) / lam, 0.0, t0)
+    t_ex = np.clip(t0 - (x0 - c - r * sgn) / lam, 0.0, t0)
     return CharacteristicWindow(t_en=t_en, t_ex=t_ex)
 
 
@@ -195,19 +195,11 @@ def _union_measures(
 ) -> np.ndarray:
     """Union measure of all crossing windows at each x in ``xs`` (vectorised
     sweep over windows sorted by entry time)."""
-    starts = []
-    ends = []
-    for lam in lambdas:
-        sgn = 1.0 if lam > 0 else -1.0
-        for a, b in region.stripes:
-            c = 0.5 * (a + b)
-            r = 0.5 * (b - a)
-            raw_en = t0 - (xs - c + r * sgn) / lam
-            raw_ex = t0 - (xs - c - r * sgn) / lam
-            starts.append(np.clip(raw_en, 0.0, t0))
-            ends.append(np.clip(raw_ex, 0.0, t0))
-    s = np.vstack(starts)
-    e = np.vstack(ends)
+    windows = [
+        crossing_window(lam, stripe, xs, t0) for lam in lambdas for stripe in region.stripes
+    ]
+    s = np.vstack([w.t_en for w in windows])
+    e = np.vstack([w.t_ex for w in windows])
     order = np.argsort(s, axis=0, kind="stable")
     s = np.take_along_axis(s, order, axis=0)
     e = np.take_along_axis(e, order, axis=0)
@@ -274,6 +266,8 @@ def sharp_delay_table(
 
 def _group_speeds(lambdas: Sequence[float]) -> dict[str, list[float]]:
     arr = np.asarray(lambdas, dtype=float)
+    if np.any(arr == 0.0):
+        raise ValueError("characteristic speed must be nonzero")
     return {
         "negative": sorted(abs(v) for v in arr if v < 0),
         "positive": sorted(abs(v) for v in arr if v > 0),

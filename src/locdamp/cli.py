@@ -75,9 +75,16 @@ def _cmd_times(args: argparse.Namespace) -> int:
     scenario = _load(args.scenario)
     if scenario is None:
         return 2
-    eigs = diagonalize(scenario.system.a)
     region = scenario.region
-    tb = residence_bound(eigs, region)
+    # a non-symmetric velocity matrix, a standing component and a bad
+    # --t-grid are each reported as one error line, before any output
+    try:
+        eigs = diagonalize(scenario.system.a)
+        tb = residence_bound(eigs, region)
+        grid = _parse_grid(args.t_grid) if args.t_grid else np.linspace(0.0, 2.0 * tb, 9)
+    except ValueError as exc:
+        print(f"error: {exc}")
+        return 2
     print(f"scenario: {scenario.name}")
     print(f"residence delay bound: {tb:.17g}")
     if len(region.stripes) == 1:
@@ -87,11 +94,6 @@ def _cmd_times(args: argparse.Namespace) -> int:
         if b.exact_three_speed is not None:
             print(f"conservation horizon exact: {b.exact_three_speed:.17g}")
         print(f"conservation horizon upper bound: {b.upper:.17g}")
-    try:
-        grid = _parse_grid(args.t_grid) if args.t_grid else np.linspace(0.0, 2.0 * tb, 9)
-    except ValueError as exc:
-        print(f"error: {exc}")
-        return 2
     print(f"{'t':>24} {'sup_undamped':>24} {'delay':>24}")
     for t, sup, delay in sharp_delay_table(eigs, region, grid):
         print(f"{t:>24.17g} {sup:>24.17g} {delay:>24.17g}")

@@ -1,11 +1,12 @@
 """System definitions and admissibility checks for partially damped transport.
 
-A system couples a symmetric velocity matrix with a damping matrix acting
-only on the trailing block of components.  Admissibility is: symmetry,
-distinct nonzero propagation speeds, a coercive damped block, and the
-coupling condition (no transport eigenvector hides inside the damping
+A system couples a symmetric velocity matrix A with a damping matrix B
+acting only on the trailing block of components.  Admissibility is:
+symmetry, distinct nonzero propagation speeds, a coercive damped block, and
+the coupling condition (no transport eigenvector hides inside the damping
 kernel).  The coupling condition is computed by two independent routes,
 eigenvector screening and a reachability-style rank test, which must agree.
+Eigendecompositions come from numpy's symmetric eigensolver (``eigh``).
 """
 
 from __future__ import annotations
@@ -19,13 +20,7 @@ EIGEN_GAP_RTOL = 1e-9
 ZERO_SPEED_RTOL = 1e-9
 COUPLING_KERNEL_RTOL = 1e-10
 RANK_PIVOT_RTOL = 1e-10
-JACOBI_OFFDIAG_RTOL = 1e-13
-JACOBI_MAX_SWEEPS = 100
 SIGN_CONVENTION_EPS = 1e-12
-
-
-class EigenSolverError(RuntimeError):
-    """Rotation sweeps failed to reach the off-diagonal target."""
 
 
 def _as_matrix(m, name: str) -> np.ndarray:
@@ -77,51 +72,17 @@ class HyperbolicSystem:
         return self.a.shape[0]
 
     @property
-    def n_damped(self) -> int:
-        return self.n - self.n1
-
-    def full_damping(self) -> "FullDampingMatrix":
-        return FullDampingMatrix.from_system(self)
-
-
-@dataclass(frozen=True)
-class FullDampingMatrix:
-    """The damping matrix padded to full size: zero on the leading block."""
-
-    matrix: np.ndarray
-    n1: int
-
-    def __post_init__(self) -> None:
-        m = _as_matrix(self.matrix, "damping.matrix")
-        n1 = int(self.n1)
-        if not 0 <= n1 < m.shape[0]:
-            raise ValueError(f"damping.n1: need 0 <= n1 < {m.shape[0]}, got {n1}")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "n1", n1)
-
-    @classmethod
-    def from_system(cls, sys: HyperbolicSystem) -> "FullDampingMatrix":
-        m = np.zeros((sys.n, sys.n))
-        m[sys.n1:, sys.n1:] = sys.dd
-        return cls(matrix=m, n1=sys.n1)
-
-    @classmethod
-    def from_matrix(cls, matrix, n1: int) -> "FullDampingMatrix":
-        return cls(matrix=_as_matrix(matrix, "damping.matrix"), n1=int(n1))
-
-    @property
-    def damped_block(self) -> np.ndarray:
-        return self.matrix[self.n1:, self.n1:]
+    def b(self) -> np.ndarray:
+        """The damping padded to n-by-n: zero outside the trailing block."""
+        m = np.zeros((self.n, self.n))
+        m[self.n1:, self.n1:] = self.dd
+        return m
 
     @property
     def coercivity(self) -> float:
-        """Coercivity of the damped block: smallest eigenvalue of its
-        symmetric part.  May be nonpositive; admissibility demands > 0."""
-        block = self.damped_block
-        sym = 0.5 * (block + block.T)
-        lams, _ = _jacobi(sym)
-        return float(lams.min())
+        """Smallest eigenvalue of the symmetric part of ``dd``.  May be
+        nonpositive; admissibility demands > 0."""
+        return float(np.linalg.eigvalsh(0.5 * (self.dd + self.dd.T))[0])
 
 
 @dataclass(frozen=True)
@@ -157,52 +118,6 @@ class EigenStructure:
         return cls(lambdas=lam, p=int(np.sum(lam < 0.0)), basis=np.eye(lam.size))
 
 
-def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic rotation diagonalisation of a symmetric matrix.
-
-    Returns (eigenvalues, column eigenvectors), unsorted.  Converged when
-    the off-diagonal Frobenius mass drops below 1e-13 of the input norm.
-    """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    v = np.eye(n)
-    target = JACOBI_OFFDIAG_RTOL * np.linalg.norm(a)
-
-    def offdiag(mat: np.ndarray) -> float:
-        # direct sum over off-diagonal entries; a subtraction from the full
-        # norm cancels catastrophically near convergence
-        return float(np.linalg.norm(mat - np.diag(np.diag(mat))))
-
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if offdiag(a) <= target:
-            return np.diag(a).copy(), v
-        skip = target / (n * n)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.hypot(tau, 1.0)) if tau != 0.0 else 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    off = offdiag(a)
-    if off <= target:
-        return np.diag(a).copy(), v
-    raise EigenSolverError(
-        f"rotation sweeps did not converge: off-diagonal {off:.3e} > {target:.3e}"
-    )
-
-
 def diagonalize(a) -> EigenStructure:
     """Eigen-decompose a symmetric velocity matrix.
 
@@ -213,25 +128,26 @@ def diagonalize(a) -> EigenStructure:
     a = _as_matrix(a, "velocity matrix")
     if not _is_symmetric(a):
         raise ValueError("velocity matrix must be symmetric")
-    lams, vecs = _jacobi(a)
-    order = np.argsort(lams, kind="stable")
-    lams = lams[order]
-    vecs = vecs[:, order]
-    for k in range(vecs.shape[1]):
-        col = vecs[:, k]
-        lead = np.flatnonzero(np.abs(col) > SIGN_CONVENTION_EPS)
-        if lead.size and col[lead[0]] < 0.0:
-            vecs[:, k] = -col
+    lams, vecs = np.linalg.eigh(a)  # ascending
+    lead = np.argmax(np.abs(vecs) > SIGN_CONVENTION_EPS, axis=0)
+    vecs[:, vecs[lead, np.arange(lams.size)] < 0.0] *= -1.0
     return EigenStructure(lambdas=lams, p=int(np.sum(lams < 0.0)), basis=vecs)
 
 
-def coupling_check_eigvec(a, damping: FullDampingMatrix, eigs: EigenStructure | None = None) -> bool:
-    """Coupling via eigenvector screening: every transport eigenvector must
-    be moved by the damping matrix."""
+def _as_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     a = _as_matrix(a, "velocity matrix")
+    b = _as_matrix(b, "damping matrix")
+    if b.shape != a.shape:
+        raise ValueError(f"damping matrix: expected shape {a.shape}, got {b.shape}")
+    return a, b
+
+
+def coupling_check_eigvec(a, b, eigs: EigenStructure | None = None) -> bool:
+    """Coupling via eigenvector screening: every transport eigenvector must
+    be moved by the damping matrix ``b``."""
+    a, b = _as_pair(a, b)
     if eigs is None:
         eigs = diagonalize(a)
-    b = damping.matrix
     tol = COUPLING_KERNEL_RTOL * max(1.0, float(np.linalg.norm(b)))
     for k in range(eigs.n):
         if np.linalg.norm(b @ eigs.basis[:, k]) <= tol:
@@ -239,11 +155,10 @@ def coupling_check_eigvec(a, damping: FullDampingMatrix, eigs: EigenStructure | 
     return True
 
 
-def coupling_check_rank(a, damping: FullDampingMatrix) -> bool:
+def coupling_check_rank(a, b) -> bool:
     """Coupling via the stacked reachability block [B; BA; ...; BA^(n-1)]:
     holds iff that stack has full column rank."""
-    a = _as_matrix(a, "velocity matrix")
-    b = damping.matrix
+    a, b = _as_pair(a, b)
     n = a.shape[0]
     blocks = []
     cur = b.copy()
@@ -286,8 +201,7 @@ def source_matrix(sys: HyperbolicSystem, eigs: EigenStructure | None = None) -> 
     """
     if eigs is None:
         eigs = diagonalize(sys.a)
-    b = sys.full_damping().matrix
-    return eigs.basis.T @ b @ eigs.basis
+    return eigs.basis.T @ sys.b @ eigs.basis
 
 
 @dataclass(frozen=True)
@@ -329,8 +243,7 @@ def validate_system(sys: HyperbolicSystem) -> ValidationReport:
         )
     )
 
-    damping = sys.full_damping()
-    coercivity = damping.coercivity
+    coercivity = sys.coercivity
     coercive = coercivity > 0.0
     checks.append(
         CheckResult(
@@ -362,8 +275,9 @@ def validate_system(sys: HyperbolicSystem) -> ValidationReport:
                 f"min |speed| {np.abs(lam).min():.6g}",
             )
         )
-        via_eigvec = coupling_check_eigvec(a, damping, eigs)
-        via_rank = coupling_check_rank(a, damping)
+        b = sys.b
+        via_eigvec = coupling_check_eigvec(a, b, eigs)
+        via_rank = coupling_check_rank(a, b)
         checks.append(
             CheckResult(
                 "coupling_eigvec",

@@ -33,7 +33,7 @@ class MatrixExpError(RuntimeError):
 
 def symbol(sys: HyperbolicSystem, xi: float) -> np.ndarray:
     """Per-frequency evolution matrix -i*xi*A - B."""
-    return -1j * float(xi) * sys.a - sys.full_damping().matrix
+    return -1j * float(xi) * sys.a - sys.b
 
 
 def _symbol_stack(sys: HyperbolicSystem, eigs: EigenStructure, xi: np.ndarray) -> np.ndarray:

@@ -179,6 +179,31 @@ class TestSupScan:
                 sup, _ = sup_undamped_measure(eigs, reg, t)
                 assert sup <= min(t, bound) * (1.0 + 1e-9) + 1e-12
 
+    def test_sweep_matches_scalar_union(self):
+        # the vectorised sweep behind the sup and the scalar merge of
+        # ``undamped_union`` measure the same union at every scan point
+        rng = np.random.default_rng(61)
+        for _ in range(20):
+            k = int(rng.integers(1, 5))
+            eigs = EigenStructure.from_speeds(
+                rng.uniform(0.3, 4.0, k) * rng.choice([-1.0, 1.0], size=k)
+            )
+            edges = np.sort(rng.uniform(-4.0, 4.0, 2 * int(rng.integers(1, 4))))
+            reg = UndampedRegion(stripes=tuple(zip(edges[::2], edges[1::2])))
+            for t in (0.7, 2.5, 9.0):
+                scan = ScanSpec(x_min=-12.0, x_max=12.0, step=0.24)
+                xs = scan.grid()
+                measures = np.array([undamped_union(eigs, reg, x, t)[1] for x in xs])
+                sup, arg = sup_undamped_measure(eigs, reg, t, scan)
+                tol = 1e-12 * t
+                assert abs(sup - measures.max()) <= tol
+                # arg is the first x attaining the sup, up to rounding: every
+                # scan point from the first attaining one up to arg attains it
+                first = int(np.argmax(measures >= sup - tol))
+                idx = int(np.flatnonzero(xs == arg)[0])
+                assert idx >= first
+                assert np.all(measures[first:idx + 1] >= sup - tol)
+
     def test_explicit_scan_spec(self):
         spec = ScanSpec(x_min=-2.0, x_max=2.0, step=0.01)
         sup, _ = sup_undamped_measure(eigs_of(1.0), CENTERED, 1.0, scan=spec)

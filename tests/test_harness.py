@@ -624,6 +624,22 @@ class TestCli:
         assert out.splitlines()[-1] == "error: --t-grid: start, stop and step must be finite"
 
     @pytest.mark.parametrize(
+        "a, message",
+        [
+            ([[0.0, 1.0], [0.5, 0.0]], "velocity matrix must be symmetric"),
+            ([[0.0, 0.0], [0.0, 1.0]], "characteristic speed must be nonzero"),
+        ],
+        ids=["non-symmetric", "standing-component"],
+    )
+    def test_times_inadmissible_exits_2(self, tmp_path, capsys, a, message):
+        raw = json.loads((SCENARIOS / "damped_wave.json").read_text())
+        raw["system"]["a"] = a
+        code = cli.main(["times", str(_write(tmp_path, raw))])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert out.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize(
         "option, value, message",
         [
             ("--xi-max", "0.5", "xi_max must be finite and exceed 1"),
