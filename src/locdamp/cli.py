@@ -3,7 +3,12 @@
 Subcommands: ``check`` (admissibility report), ``times`` (residence-time
 table and horizon bounds), ``spectrum`` (decay-rate scan), ``simulate``
 (run a scenario and export CSV + summary), ``verify`` (run and check the
-decay envelopes; exits nonzero on violations).
+decay envelopes).
+
+Exit 1 means ``check`` found the system inadmissible or ``verify`` found an
+envelope violation.  Exit 2 means rejected input, handled in ``main`` alone:
+a rejected scenario file prints one line per problem, anything else (a bad
+option, a system ``times`` cannot use, a run the solver refuses) one line.
 """
 
 from __future__ import annotations
@@ -21,31 +26,8 @@ from locdamp.solver import BoundaryError
 from locdamp.spectral import MatrixExpError, gamma_estimate
 
 
-def _load(path: str) -> harness.Scenario | None:
-    try:
-        return harness.load_scenario(path)
-    except harness.ScenarioError as exc:
-        print(f"error: scenario rejected ({len(exc.errors)} problem(s))")
-        for msg in exc.errors:
-            print(f"  - {msg}")
-        return None
-
-
-def _run(scenario: harness.Scenario) -> harness.ScenarioResult | None:
-    # A run can still reject a scenario the loader accepted (data that would
-    # reach the edge guard band, data zero on the grid, box bumps for a
-    # calibration); ``GridError`` is a ``ValueError``.
-    try:
-        return harness.run_scenario(scenario)
-    except (ValueError, BoundaryError, MatrixExpError) as exc:
-        print(f"error: {exc}")
-        return None
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
-    scenario = _load(args.scenario)
-    if scenario is None:
-        return 2
+    scenario = harness.load_scenario(args.scenario)
     report = validate_system(scenario.system)
     print(f"scenario: {scenario.name}")
     for c in report.checks:
@@ -72,43 +54,32 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def _cmd_times(args: argparse.Namespace) -> int:
-    scenario = _load(args.scenario)
-    if scenario is None:
-        return 2
+    scenario = harness.load_scenario(args.scenario)
     region = scenario.region
-    # a non-symmetric velocity matrix, a standing component and a bad
-    # --t-grid are each reported as one error line, before any output
-    try:
-        eigs = diagonalize(scenario.system.a)
-        tb = residence_bound(eigs, region)
-        grid = _parse_grid(args.t_grid) if args.t_grid else np.linspace(0.0, 2.0 * tb, 9)
-    except ValueError as exc:
-        print(f"error: {exc}")
-        return 2
+    # Compute everything before printing, so that a rejected system or
+    # --t-grid prints one error line and nothing else.
+    eigs = diagonalize(scenario.system.a)
+    tb = residence_bound(eigs, region)
+    grid = _parse_grid(args.t_grid) if args.t_grid else np.linspace(0.0, 2.0 * tb, 9)
+    bounds = horizon_bounds(eigs, region) if len(region.stripes) == 1 else None
+    table = sharp_delay_table(eigs, region, grid)
     print(f"scenario: {scenario.name}")
     print(f"residence delay bound: {tb:.17g}")
-    if len(region.stripes) == 1:
-        b = horizon_bounds(eigs, region)
-        if b.slow_pair_lower_defined:
-            print(f"conservation horizon lower bound: {b.slow_pair_lower:.17g}")
-        if b.exact_three_speed is not None:
-            print(f"conservation horizon exact: {b.exact_three_speed:.17g}")
-        print(f"conservation horizon upper bound: {b.upper:.17g}")
+    if bounds is not None:
+        if bounds.slow_pair_lower_defined:
+            print(f"conservation horizon lower bound: {bounds.slow_pair_lower:.17g}")
+        if bounds.exact_three_speed is not None:
+            print(f"conservation horizon exact: {bounds.exact_three_speed:.17g}")
+        print(f"conservation horizon upper bound: {bounds.upper:.17g}")
     print(f"{'t':>24} {'sup_undamped':>24} {'delay':>24}")
-    for t, sup, delay in sharp_delay_table(eigs, region, grid):
+    for t, sup, delay in table:
         print(f"{t:>24.17g} {sup:>24.17g} {delay:>24.17g}")
     return 0
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    scenario = _load(args.scenario)
-    if scenario is None:
-        return 2
-    try:
-        scan = gamma_estimate(scenario.system, xi_max=args.xi_max, samples=args.samples)
-    except ValueError as exc:
-        print(f"error: {exc}")
-        return 2
+    scenario = harness.load_scenario(args.scenario)
+    scan = gamma_estimate(scenario.system, xi_max=args.xi_max, samples=args.samples)
     print(f"scenario: {scenario.name}")
     print(f"uniform decay rate: {scan.gamma:.17g}")
     print(f"  attained at frequency {scan.gamma_argmax_xi:.12g}")
@@ -119,12 +90,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    scenario = _load(args.scenario)
-    if scenario is None:
-        return 2
-    result = _run(scenario)
-    if result is None:
-        return 2
+    result = harness.run_scenario(harness.load_scenario(args.scenario))
     csv_path, summary_path = harness.export(result, args.out)
     print(f"wrote {csv_path}")
     print(f"wrote {summary_path}")
@@ -132,15 +98,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    scenario = _load(args.scenario)
-    if scenario is None:
-        return 2
+    scenario = harness.load_scenario(args.scenario)
     if scenario.kind != "verify-envelope":
-        print(f"error: scenario kind is {scenario.kind!r}; verify needs 'verify-envelope'")
-        return 2
-    result = _run(scenario)
-    if result is None:
-        return 2
+        raise ValueError(f"scenario kind is {scenario.kind!r}; verify needs 'verify-envelope'")
+    result = harness.run_scenario(scenario)
     if args.out:
         harness.export(result, args.out)
     env = result.envelope
@@ -194,7 +155,17 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(fn=_cmd_verify)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    # ScenarioError is a ValueError, so it goes first.  A run can still reject
+    # a loaded scenario: edge guard band, zero data, box bumps to calibrate.
+    try:
+        return args.fn(args)
+    except harness.ScenarioError as exc:
+        print(f"error: scenario rejected ({len(exc.errors)} problem(s))")
+        for msg in exc.errors:
+            print(f"  - {msg}")
+    except (ValueError, BoundaryError, MatrixExpError) as exc:
+        print(f"error: {exc}")
+    return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

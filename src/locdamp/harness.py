@@ -78,75 +78,118 @@ class Scenario:
 # strict loader
 # ---------------------------------------------------------------------------
 
-
-def _check_keys(
-    obj: dict, path: str, required: dict[str, type], optional: dict[str, type], errors: list[str]
-) -> bool:
-    ok = True
-    prefix = f"{path}." if path else ""
-    for key in obj:
-        if key not in required and key not in optional:
-            errors.append(f"{prefix}{key}: unknown key")
-            ok = False
-    for key, typ in required.items():
-        if key not in obj:
-            errors.append(f"{prefix}{key}: missing required key")
-            ok = False
-        elif not _type_ok(obj[key], typ):
-            errors.append(f"{prefix}{key}: expected {_type_name(typ, obj[key])}")
-            ok = False
-    for key, typ in optional.items():
-        if key in obj and not _type_ok(obj[key], typ):
-            errors.append(f"{prefix}{key}: expected {_type_name(typ, obj[key])}")
-            ok = False
-    return ok
+# The scenario-file schema, shaped like the JSON it checks.  A dict is an
+# object; its keys ending in "?" are optional.  A one-item list is a list of
+# that item.  ``float`` is a finite number, ``int`` an integer, ``str`` a
+# string; MATRIX is a nonempty list of equal-length rows of finite numbers
+# and PAIR a ``[left, right]`` pair of finite numbers.  A triple ``(rule,
+# test, message)`` adds a value rule, tried once ``rule`` holds.  A pair
+# ``(rule, build)`` turns a value that passed ``rule`` into
+# ``build(**value)``; a ``ValueError`` from ``build`` names the field.
+MATRIX = "matrix"
+PAIR = "pair"
+_BUMP = {"kind": str, "component": int, "center": float, "width": float, "amplitude?": float}
+SCHEMA = {
+    "name": str,
+    "kind": (str, lambda v: v in SCENARIO_KINDS, f"expected one of {SCENARIO_KINDS}, got {{!r}}"),
+    "system": {"a": MATRIX, "n1": int, "dd": MATRIX},
+    "region": {"stripes": [PAIR]},
+    "domain": {"x_min": float, "x_max": float, "n_cells?": int},
+    "time": {
+        "t_final": (float, lambda v: v > 0.0, "must be positive"),
+        "stride": (int, lambda v: v >= 1, "must be at least 1"),
+    },
+    "initial_data": {
+        "bumps": ([(_BUMP, solver.Bump)], bool, "must not be empty"),
+        "basis?": str,
+    },
+}
+_EXPECTED = {str: "a string", int: "an integer"}
 
 
 def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _type_ok(value: Any, typ: type) -> bool:
+def _is_finite(value: Any) -> bool:
     # JSON admits NaN and Infinity, and integers too large for a float.
-    if typ is float:
-        try:
-            return _is_number(value) and math.isfinite(value)
-        except OverflowError:
-            return False
-    if typ is int:
-        return isinstance(value, int) and not isinstance(value, bool)
-    return isinstance(value, typ)
+    try:
+        return _is_number(value) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
-def _type_name(typ: type, value: Any) -> str:
-    if typ is float and _is_number(value):
-        return "a finite number"
-    return {float: "a number", int: "an integer", str: "a string", dict: "an object", list: "a list"}[typ]
-
-
-def _matrix(value: Any, path: str, errors: list[str]) -> list[list[float]] | None:
-    if not isinstance(value, list) or not value:
-        errors.append(f"{path}: expected a nonempty list of rows")
-        return None
-    rows = []
-    for i, row in enumerate(value):
-        if not isinstance(row, list) or not all(_type_ok(v, float) for v in row):
-            errors.append(f"{path}[{i}]: expected a list of numbers")
-            return None
-        rows.append([float(v) for v in row])
-    return rows
+def _check(value: Any, rule: Any, path: str, errors: list[str]) -> Any:
+    """Check ``value`` against the schema ``rule``, appending one message per
+    problem, with its path, to ``errors``.  Returns the value as converted
+    (``float`` numbers, built objects); it is valid only if none was appended."""
+    before = len(errors)
+    if isinstance(rule, tuple):
+        value = _check(value, rule[0], path, errors)
+        if len(errors) == before and len(rule) == 3 and not rule[1](value):
+            errors.append(f"{path}: {rule[2].format(value)}")
+        elif len(errors) == before and len(rule) == 2:
+            try:
+                return rule[1](**value)
+            except ValueError as exc:
+                errors.append(f"{path}.{exc}")
+        return value
+    if isinstance(rule, dict):
+        if not isinstance(value, dict):
+            errors.append(f"{path}: expected an object")
+            return value
+        prefix = f"{path}." if path else ""
+        keys = {key.rstrip("?"): key for key in rule}
+        errors.extend(f"{prefix}{key}: unknown key" for key in value if key not in keys)
+        out = {}
+        for name, key in keys.items():
+            if name in value:
+                out[name] = _check(value[name], rule[key], prefix + name, errors)
+            elif not key.endswith("?"):
+                errors.append(f"{prefix}{name}: missing required key")
+        return out
+    if isinstance(rule, list):
+        if not isinstance(value, list):
+            errors.append(f"{path}: expected a list")
+            return value
+        return [_check(item, rule[0], f"{path}[{i}]", errors) for i, item in enumerate(value)]
+    if rule is MATRIX:
+        if not isinstance(value, list) or not value:
+            errors.append(f"{path}: expected a nonempty list of rows")
+            return value
+        for i, row in enumerate(value):
+            if not isinstance(row, list) or not all(map(_is_finite, row)):
+                errors.append(f"{path}[{i}]: expected a list of numbers")
+        if len(errors) == before:
+            width = len(value[0])
+            errors.extend(
+                f"{path}[{i}]: expected length {width} as in row 0, got {len(row)}"
+                for i, row in enumerate(value)
+                if len(row) != width
+            )
+    elif rule is PAIR:
+        if not (isinstance(value, list) and len(value) == 2 and all(map(_is_finite, value))):
+            errors.append(f"{path}: expected a pair [left, right]")
+    elif rule is float:
+        if _is_finite(value):
+            return float(value)
+        errors.append(f"{path}: expected {'a finite number' if _is_number(value) else 'a number'}")
+    elif not (isinstance(value, rule) and not isinstance(value, bool)):
+        errors.append(f"{path}: expected {_EXPECTED[rule]}")
+    return value
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """Parse and validate a scenario file.
+    """Parse and validate a scenario file against ``SCHEMA``.
 
-    Unknown keys are rejected; every problem is reported with the path of
-    the offending field.
+    Unknown keys are rejected, and every problem at any depth is reported
+    once with the path of its field.  The system, region and initial-data
+    constructors then apply their own value rules.
     """
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
-    except OSError as exc:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError([f"{path}: {exc}"]) from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError([f"{path}: invalid JSON ({exc})"]) from exc
@@ -154,121 +197,32 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError([f"{path}: top level must be an object"])
 
     errors: list[str] = []
-    _check_keys(
-        raw,
-        "",
-        {
-            "name": str,
-            "kind": str,
-            "system": dict,
-            "region": dict,
-            "domain": dict,
-            "time": dict,
-            "initial_data": dict,
-        },
-        {},
-        errors,
-    )
+    doc = _check(raw, SCHEMA, "", errors)
     if errors:
         raise ScenarioError(errors)
-
-    if raw["kind"] not in SCENARIO_KINDS:
-        errors.append(f"kind: expected one of {SCENARIO_KINDS}, got {raw['kind']!r}")
-
-    sys_obj = raw["system"]
-    _check_keys(sys_obj, "system", {"a": list, "n1": int, "dd": list}, {}, errors)
-    a = _matrix(sys_obj.get("a"), "system.a", errors) if "a" in sys_obj else None
-    dd = _matrix(sys_obj.get("dd"), "system.dd", errors) if "dd" in sys_obj else None
-
-    reg_obj = raw["region"]
-    _check_keys(reg_obj, "region", {"stripes": list}, {}, errors)
-    stripes: list[tuple[float, float]] = []
-    if isinstance(reg_obj.get("stripes"), list):
-        for i, pair in enumerate(reg_obj["stripes"]):
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or not all(_type_ok(v, float) for v in pair)
-            ):
-                errors.append(f"region.stripes[{i}]: expected a pair [left, right]")
-            else:
-                stripes.append((float(pair[0]), float(pair[1])))
-
-    dom_obj = raw["domain"]
-    _check_keys(dom_obj, "domain", {"x_min": float, "x_max": float}, {"n_cells": int}, errors)
-
-    time_obj = raw["time"]
-    _check_keys(time_obj, "time", {"t_final": float, "stride": int}, {}, errors)
-    if _type_ok(time_obj.get("t_final"), float) and float(time_obj["t_final"]) <= 0.0:
-        errors.append("time.t_final: must be positive")
-    if _type_ok(time_obj.get("stride"), int) and int(time_obj["stride"]) < 1:
-        errors.append("time.stride: must be at least 1")
-
-    data_obj = raw["initial_data"]
-    _check_keys(data_obj, "initial_data", {"bumps": list}, {"basis": str}, errors)
-    bumps: list[solver.Bump] = []
-    if isinstance(data_obj.get("bumps"), list):
-        if not data_obj["bumps"]:
-            errors.append("initial_data.bumps: must not be empty")
-        for i, b in enumerate(data_obj["bumps"]):
-            bpath = f"initial_data.bumps[{i}]"
-            if not isinstance(b, dict):
-                errors.append(f"{bpath}: expected an object")
-                continue
-            if not _check_keys(
-                b,
-                bpath,
-                {"kind": str, "component": int, "center": float, "width": float},
-                {"amplitude": float},
-                errors,
-            ):
-                continue
-            try:
-                bumps.append(
-                    solver.Bump(
-                        kind=b["kind"],
-                        component=int(b["component"]),
-                        center=float(b["center"]),
-                        width=float(b["width"]),
-                        amplitude=float(b.get("amplitude", 1.0)),
-                    )
-                )
-            except ValueError as exc:
-                errors.append(f"{bpath}.{exc}")
-
-    if errors:
-        raise ScenarioError(errors)
-
     try:
-        system = HyperbolicSystem(a=np.array(a), n1=int(sys_obj["n1"]), dd=np.array(dd))
+        system = HyperbolicSystem(**doc["system"])
+        region = UndampedRegion(**doc["region"])
+        data = solver.InitialDataSpec(**doc["initial_data"])
     except ValueError as exc:
         raise ScenarioError([str(exc)]) from exc
-    try:
-        region = UndampedRegion(stripes=tuple(stripes))
-    except ValueError as exc:
-        raise ScenarioError([str(exc)]) from exc
-    try:
-        data = solver.InitialDataSpec(
-            bumps=tuple(bumps), basis=data_obj.get("basis", "physical")
-        )
-    except ValueError as exc:
-        raise ScenarioError([f"initial_data.{exc}"]) from exc
-    for i, b in enumerate(bumps):
+    for i, b in enumerate(data.bumps):
         if not 0 <= b.component < system.n:
             raise ScenarioError(
                 [f"initial_data.bumps[{i}].component: out of range for {system.n} components"]
             )
 
+    domain, time = doc["domain"], doc["time"]
     return Scenario(
-        name=str(raw["name"]),
-        kind=str(raw["kind"]),
+        name=doc["name"],
+        kind=doc["kind"],
         system=system,
         region=region,
-        x_min=float(dom_obj["x_min"]),
-        x_max=float(dom_obj["x_max"]),
-        n_cells=int(dom_obj["n_cells"]) if "n_cells" in dom_obj else None,
-        t_final=float(time_obj["t_final"]),
-        stride=int(time_obj["stride"]),
+        x_min=domain["x_min"],
+        x_max=domain["x_max"],
+        n_cells=domain.get("n_cells"),
+        t_final=time["t_final"],
+        stride=time["stride"],
         data=data,
     )
 

@@ -199,9 +199,9 @@ class Bump:
 
     def __post_init__(self) -> None:
         if self.kind not in BUMP_KINDS:
-            raise ValueError(f"bump.kind: unknown kind {self.kind!r}")
+            raise ValueError(f"kind: unknown kind {self.kind!r}")
         if not self.width > 0.0:
-            raise ValueError("bump.width: must be positive")
+            raise ValueError("width: must be positive")
 
     @property
     def half_extent(self) -> float:

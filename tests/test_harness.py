@@ -8,6 +8,7 @@ run and with artificially shrunken constants that must trip violations.
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -208,6 +209,47 @@ class TestLoader:
         raw["domain"]["x_max"] = 10**400
         assert _errors_of(tmp_path, raw) == ["domain.x_max: expected a finite number"]
 
+    def test_non_list_matrix_reported_once(self, tmp_path):
+        raw = _good_raw()
+        raw["system"]["a"] = 5
+        assert _errors_of(tmp_path, raw) == ["system.a: expected a nonempty list of rows"]
+
+    def test_ragged_matrix_names_the_row(self, tmp_path):
+        raw = _good_raw()
+        raw["system"] = {"a": [[0, 1], [1]], "n1": 1, "dd": [[1.0]]}
+        assert _errors_of(tmp_path, raw) == ["system.a[1]: expected length 2 as in row 0, got 1"]
+
+    def test_unknown_basis_prefixed_once(self, tmp_path):
+        raw = _good_raw()
+        raw["initial_data"]["basis"] = "eigen"
+        assert _errors_of(tmp_path, raw) == ["initial_data.basis: unknown basis 'eigen'"]
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("kind", "tri", "kind: unknown kind 'tri'"), ("width", 0.0, "width: must be positive")],
+    )
+    def test_bump_rule_prefixed_once(self, tmp_path, field, value, message):
+        raw = _good_raw()
+        raw["initial_data"]["bumps"][0][field] = value
+        assert _errors_of(tmp_path, raw) == [f"initial_data.bumps[0].{message}"]
+
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(harness.ScenarioError) as err:
+            harness.load_scenario(path)
+        [message] = err.value.errors
+        assert message.startswith(f"{path}: ") and "utf-8" in message
+
+    def test_problems_inside_sections_reported_with_top_level_ones(self, tmp_path):
+        raw = _good_raw()
+        raw["name"] = 5
+        raw["time"]["stride"] = 0
+        assert _errors_of(tmp_path, raw) == [
+            "name: expected a string",
+            "time.stride: must be at least 1",
+        ]
+
 
 def _at(node, path):
     for key in path:
@@ -267,10 +309,47 @@ class TestLoaderFuzz:
             else:
                 non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
                 parent[path[-1]] = data.draw(_JSON_VALUES if op == "retype" else non_finite)
+        path = _write(tmp_path, raw)
         try:
-            harness.load_scenario(_write(tmp_path, raw))
+            harness.load_scenario(path)
         except harness.ScenarioError as exc:
             assert exc.errors and all(isinstance(e, str) and e for e in exc.errors)
+            _assert_message_shape(exc.errors, str(path), raw)
+
+
+def _schema_keys(rule) -> set[str]:
+    if isinstance(rule, dict):
+        return {key.rstrip("?") for key in rule}.union(*map(_schema_keys, rule.values()))
+    if isinstance(rule, (list, tuple)):
+        return set().union(*map(_schema_keys, rule))
+    return set()
+
+
+def _assert_message_shape(errors: list[str], file_path: str, raw: dict) -> None:
+    """Each message is reported once, under the file path or under a field
+    path that starts at a top-level schema key and never repeats a key."""
+    assert len(set(errors)) == len(errors), errors
+    keys = _schema_keys(harness.SCHEMA)
+    # An unknown key is arbitrary text, so its message is matched whole; its
+    # field path is that of the object holding it.
+    unknown = {}
+    for path in _paths(raw):
+        if isinstance(_at(raw, path), dict):
+            field = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:]
+            for key in _at(raw, path):
+                name = f"{field}.{key}" if path else key
+                unknown[f"{name}: unknown key"] = [k for k in path if isinstance(k, str)]
+    for message in errors:
+        if message.startswith(f"{file_path}: "):
+            continue
+        if message in unknown:
+            segments = unknown[message]
+            if not segments:
+                continue
+        else:
+            segments = [seg for seg in re.split(r"\.|\[\d+\]", message.partition(": ")[0]) if seg]
+        assert segments[0] in harness.SCHEMA, message
+        assert set(segments) <= keys and len(set(segments)) == len(segments), message
 
 
 class TestFits:
@@ -587,11 +666,25 @@ class TestCli:
         assert code == 1
         assert "NOT admissible" in out
 
-    def test_check_bad_file(self, tmp_path, capsys):
-        code = cli.main(["check", str(_write(tmp_path, "{nope"))])
-        out = capsys.readouterr().out
+    @pytest.mark.parametrize("command", ["check", "times", "spectrum", "simulate", "verify"])
+    @pytest.mark.parametrize(
+        "content",
+        [None, "{nope", b"\xff\xfe{}", '{"name": "x"}'],
+        ids=["missing", "invalid-json", "non-utf8", "schema"],
+    )
+    def test_rejected_file_exits_2(self, tmp_path, capsys, command, content):
+        path = tmp_path / "scenario.json"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        elif content is not None:
+            path.write_text(content)
+        out_args = ["--out", str(tmp_path / "run")] if command in ("simulate", "verify") else []
+        code = cli.main([command, str(path), *out_args])
+        captured = capsys.readouterr()
         assert code == 2
-        assert "scenario rejected" in out
+        assert captured.out.startswith("error: scenario rejected (")
+        assert captured.err == ""
+        assert not (tmp_path / "run").exists()
 
     def test_times_table(self, capsys):
         code = cli.main(["times", str(SCENARIOS / "damped_wave.json")])
