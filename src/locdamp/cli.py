@@ -8,7 +8,8 @@ decay envelopes).
 Exit 1 means ``check`` found the system inadmissible or ``verify`` found an
 envelope violation.  Exit 2 means rejected input, handled in ``main`` alone:
 a rejected scenario file prints one line per problem, anything else (a bad
-option, a system ``times`` cannot use, a run the solver refuses) one line.
+option, a system ``times`` cannot use, a run the solver refuses, an
+``--out`` that cannot be written) one line.
 """
 
 from __future__ import annotations
@@ -157,13 +158,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     # ScenarioError is a ValueError, so it goes first.  A run can still reject
     # a loaded scenario: edge guard band, zero data, box bumps to calibrate.
+    # The loader turns its own OSError into a ScenarioError, so an OSError
+    # here comes from writing the outputs.
     try:
         return args.fn(args)
     except harness.ScenarioError as exc:
         print(f"error: scenario rejected ({len(exc.errors)} problem(s))")
         for msg in exc.errors:
             print(f"  - {msg}")
-    except (ValueError, BoundaryError, MatrixExpError) as exc:
+    except (ValueError, BoundaryError, MatrixExpError, OSError) as exc:
         print(f"error: {exc}")
     return 2
 

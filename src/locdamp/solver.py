@@ -247,7 +247,7 @@ class InitialDataSpec:
         for b in self.bumps:
             if not 0 <= b.component < n:
                 raise ValueError(
-                    f"bump.component: index {b.component} out of range for {n} components"
+                    f"component: index {b.component} out of range for {n} components"
                 )
             out[b.component] += b.profile(xs)
         return out
@@ -358,4 +358,6 @@ def run(
         rows.append(_norm_row(w, grid, eigs.basis))
 
     times = [k * grid.dt for k in steps]
-    return Trajectory.from_rows(times, rows, grid=grid, eigs=eigs, final_w=w)
+    return Trajectory.from_rows(
+        times, rows, n_cells=grid.n_cells, grid=grid, eigs=eigs, final_w=w
+    )

@@ -10,6 +10,7 @@ solution that the localized-damping envelopes are calibrated against.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -159,7 +160,12 @@ class NormSeries:
     """Sampled norm history of a characteristic field.
 
     Bands split at wavenumber 1 (high band strict); ``comp_l2`` holds the
-    physical components, shape ``(n, len(times))``.
+    physical components, shape ``(n, len(times))``.  The low band is kept
+    as its modes: ``low_modes`` stacks each sample's real-FFT bins with
+    xi <= 1, shape ``(len(times), n, n_low)`` with ``n_low`` about
+    ``L / 2 pi + 1`` for a box of length ``L``, and ``n_cells`` is the grid
+    size they were taken on.  Its sup, ``linf_low``, is synthesized from
+    them on first read, so runs that never read it never pay for it.
     """
 
     times: np.ndarray
@@ -167,7 +173,8 @@ class NormSeries:
     l2_high: np.ndarray
     l2_low: np.ndarray
     linf: np.ndarray
-    linf_low: np.ndarray
+    low_modes: np.ndarray
+    n_cells: int
     l1: np.ndarray
     comp_l2: np.ndarray
 
@@ -175,59 +182,73 @@ class NormSeries:
     def n_components(self) -> int:
         return self.comp_l2.shape[0]
 
+    @functools.cached_property
+    def linf_low(self) -> np.ndarray:
+        """Sup over cells of the pointwise norm of the low band, per sample."""
+        return np.array([low_band_sup(c, self.n_cells) for c in self.low_modes])
+
     @classmethod
     def from_rows(cls, times: Sequence[float], rows: Sequence[dict], **extra):
-        """Stack ``field_norms`` rows, one per sample time."""
+        """Stack ``field_norms`` rows, one per sample time; ``extra`` holds
+        ``n_cells`` and the fields of a subclass."""
         return cls(
             times=np.array(times),
             l2_total=np.array([r["l2_total"] for r in rows]),
             l2_high=np.array([r["l2_high"] for r in rows]),
             l2_low=np.array([r["l2_low"] for r in rows]),
             linf=np.array([r["linf"] for r in rows]),
-            linf_low=np.array([r["linf_low"] for r in rows]),
+            low_modes=np.stack([r["low_modes"] for r in rows]),
             l1=np.array([r["l1"] for r in rows]),
             comp_l2=np.column_stack([r["comp_l2"] for r in rows]),
             **extra,
         )
 
 
-def freq_split(w: np.ndarray, dx: float) -> tuple[float, float, float]:
-    """(high, low, low-band sup) of a characteristic field.
+def freq_split(w: np.ndarray, dx: float) -> tuple[float, float, np.ndarray]:
+    """(high, low, low modes) of a characteristic field.
 
     The split is at wavenumber 1, high band strict; energies follow the
-    real-FFT Parseval weights so the two bands sum to the total.
+    real-FFT Parseval weights so the two bands sum to the total.  The low
+    modes are the real-FFT bins with xi <= 1, a prefix since xi increases.
     """
     m = w.shape[1]
     what = np.fft.rfft(w, axis=1)
     nf = what.shape[1]
     xi = 2.0 * np.pi * np.arange(nf) / (m * dx)
-    weights = np.full(nf, 2.0)
-    weights[0] = 1.0
-    if m % 2 == 0:
-        weights[-1] = 1.0
-    power = np.sum(np.abs(what) ** 2, axis=0)
     high = xi > 1.0
+    low = ~high
+    # Parseval weights: every bin but the zero bin and, for even m, the
+    # Nyquist bin stands for a conjugate pair
+    power = np.sum(np.abs(what) ** 2, axis=0)
+    power[1:nf - 1 + m % 2] *= 2.0
     scale = dx / m
-    l2_high = float(np.sqrt(scale * np.sum(weights * power * high)))
-    l2_low = float(np.sqrt(scale * np.sum(weights * power * ~high)))
-    w_low = np.fft.irfft(what * ~high, n=m, axis=1)
-    linf_low = float(np.sqrt(np.sum(w_low ** 2, axis=0)).max())
-    return l2_high, l2_low, linf_low
+    l2_high = float(np.sqrt(scale * np.sum(power * high)))
+    l2_low = float(np.sqrt(scale * np.sum(power * low)))
+    # a copy, so the row does not keep the whole spectrum alive
+    return l2_high, l2_low, what[:, :np.count_nonzero(low)].copy()
+
+
+def low_band_sup(low_modes: np.ndarray, n_cells: int) -> float:
+    """Sup over ``n_cells`` cells of the pointwise norm of the field whose
+    real-FFT bins are ``low_modes`` followed by zeros."""
+    w_low = np.fft.irfft(low_modes, n=n_cells, axis=1)
+    return float(np.sqrt(np.sum(w_low ** 2, axis=0).max()))
 
 
 def field_norms(w: np.ndarray, dx: float, basis: np.ndarray) -> dict[str, object]:
     """One ``NormSeries`` row of the characteristic field ``w`` on cells
     of width ``dx``; ``basis`` maps it to physical components.  The basis
     is orthogonal, so pointwise norms are taken on ``w`` directly."""
-    point = np.sqrt(np.sum(w ** 2, axis=0))
-    l2_high, l2_low, linf_low = freq_split(w, dx)
+    sq = w ** 2
+    point = np.sqrt(np.sum(sq, axis=0))
+    l2_high, l2_low, low_modes = freq_split(w, dx)
     u = basis @ w
     return {
-        "l2_total": float(np.sqrt(np.sum(w ** 2) * dx)),
+        "l2_total": float(np.sqrt(np.sum(sq) * dx)),
         "l2_high": l2_high,
         "l2_low": l2_low,
         "linf": float(point.max()),
-        "linf_low": linf_low,
+        "low_modes": low_modes,
         "l1": float(point.sum() * dx),
         "comp_l2": np.sqrt(np.sum(u ** 2, axis=1) * dx),
     }
@@ -299,4 +320,4 @@ def fullspace_evolve(
                 props.append((inc, prop))
             what = np.einsum("kij,jk->ik", prop, what)
         rows.append(field_norms(np.fft.irfft(what, n=m, axis=1), dx, eigs.basis))
-    return NormSeries.from_rows(t_list, rows)
+    return NormSeries.from_rows(t_list, rows, n_cells=m)

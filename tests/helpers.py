@@ -73,6 +73,17 @@ def eigenbasis_symbol(sys: HyperbolicSystem, eigs: EigenStructure, xi: float) ->
     return -1j * float(xi) * np.diag(eigs.lambdas) - source_matrix(sys, eigs)
 
 
+def eager_linf_low(w: np.ndarray, dx: float) -> float:
+    """Sup of the pointwise norm of the xi <= 1 band of ``w``, computed
+    eagerly: the whole spectrum with the high band zeroed, transformed
+    back on every cell."""
+    m = w.shape[1]
+    what = np.fft.rfft(w, axis=1)
+    high = 2.0 * np.pi * np.arange(what.shape[1]) / (m * dx) > 1.0
+    w_low = np.fft.irfft(what * ~high, n=m, axis=1)
+    return float(np.sqrt(np.sum(w_low ** 2, axis=0)).max())
+
+
 def spectral_abscissa(m) -> float:
     """Largest real part over the spectrum."""
     return float(np.linalg.eigvals(np.asarray(m, dtype=complex)).real.max())

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import locdamp
+from helpers import eager_linf_low
 from locdamp import cli, harness, solver, spectral
 from locdamp.chartimes import UndampedRegion
 from locdamp.model import EigenStructure
@@ -650,6 +651,62 @@ class TestExport:
         assert blob["shifts"] == [-1, 1]
 
 
+class TestLazyLowBandSup:
+    """``linf_low`` is synthesized from the stored low modes on first read:
+    bit-equal to transforming the whole masked spectrum back at each
+    sample, and never paid for by runs that do not read it."""
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.json")))
+    def test_equals_eager_formula(self, name, monkeypatch):
+        eager = []
+        refs = []
+        split, cal = spectral.freq_split, harness.calibrate
+
+        def recording_split(w, dx):
+            eager.append(eager_linf_low(w, dx))
+            return split(w, dx)
+
+        def recording_calibrate(*args, **kwargs):
+            out = cal(*args, **kwargs)
+            refs.append(out.ref)
+            return out
+
+        monkeypatch.setattr(spectral, "freq_split", recording_split)
+        monkeypatch.setattr(harness, "calibrate", recording_calibrate)
+        result = harness.run_scenario(harness.load_scenario(SCENARIOS / f"{name}.json"))
+        lazy = np.concatenate([result.series.linf_low, *(r.linf_low for r in refs)])
+        assert len(refs) == (result.scenario.kind == "verify-envelope")
+        assert np.array_equal(lazy, np.array(eager))
+
+    @pytest.mark.parametrize(
+        "name",
+        sorted(
+            p.stem
+            for p in SCENARIOS.glob("*.json")
+            if harness.load_scenario(p).kind in ("conservation-probe", "fullspace")
+        ),
+    )
+    def test_runs_that_do_not_read_it_never_synthesize_it(self, name, monkeypatch, tmp_path):
+        calls = []
+        irfft = np.fft.irfft
+
+        def counting_irfft(*args, **kwargs):
+            calls.append(1)
+            return irfft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft", counting_irfft)
+        result = harness.run_scenario(harness.load_scenario(SCENARIOS / f"{name}.json"))
+        harness.export(result, tmp_path / "run")
+        n_samples = result.series.times.size
+        # fullspace_evolve brings each sample back to the grid once; the
+        # norm layer adds no transform of its own
+        evolved = n_samples if result.scenario.kind == "fullspace" else 0
+        assert len(calls) == evolved
+        first = result.series.linf_low
+        assert result.series.linf_low is first
+        assert len(calls) == evolved + n_samples
+
+
 class TestCli:
     def test_check_ok(self, capsys):
         code = cli.main(["check", str(SCENARIOS / "probe_scalar.json")])
@@ -769,6 +826,20 @@ class TestCli:
             f"wrote {out_dir / 'norms.csv'}",
             f"wrote {out_dir / 'summary.json'}",
         ]
+
+    @pytest.mark.parametrize(
+        "command, scenario", [("simulate", "probe_scalar"), ("verify", "damped_wave")]
+    )
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, command, scenario):
+        taken = tmp_path / "taken.txt"
+        taken.write_text("keep\n")
+        code = cli.main([command, str(SCENARIOS / f"{scenario}.json"), "--out", str(taken)])
+        captured = capsys.readouterr()
+        assert code == 2
+        [line] = captured.out.splitlines()
+        assert line.startswith("error: ") and str(taken) in line
+        assert captured.err == ""
+        assert taken.read_text() == "keep\n"
 
     def test_verify_wrong_kind(self, capsys):
         code = cli.main(["verify", str(SCENARIOS / "probe_scalar.json")])

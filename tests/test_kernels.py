@@ -266,6 +266,23 @@ WINDOW_CASES = {
 }
 
 
+# (spans, shifts) on 200 cells with a 3-cell guard band: data whose window
+# starts in a band, or leaves one band and reaches the other
+GUARD_CASES = {
+    "starts_in_left_band": ([(0, 6)], [1, 2]),
+    "starts_in_right_band": ([(194, 200)], [-2, -1]),
+    "leaves_left_band_reaches_right": ([(2, 10)], [3, 5]),
+}
+
+
+def _relax_full_walk(v, damp_half, runs, lo, hi):
+    """Half-relaxation that tests every mask run against the window."""
+    for a, b in runs:
+        if a < hi and lo < b:
+            a, b = max(a, min(lo, b - 2)), min(b, max(hi, a + 2))
+            v[:, a:b] = damp_half @ v[:, a:b]
+
+
 class TestWindowedKernel:
     """Compactly supported data, where the kernel works on a window only."""
 
@@ -311,6 +328,37 @@ class TestWindowedKernel:
         )
         assert code == code_o > 0
         assert np.array_equal(vk, vo)
+
+    @pytest.mark.parametrize("stripes", [1, 32])
+    @pytest.mark.parametrize("case", sorted(GUARD_CASES))
+    def test_window_starting_at_guard_band_trips_with_oracle(self, case, stripes):
+        # the guard scans an edge band only while the window meets it
+        spans, shifts = GUARD_CASES[case]
+        rng = np.random.default_rng(5500 + stripes)
+        m = 200
+        v = _compact(rng, 2, m, spans)
+        tol = 1e-14 * np.abs(v).max()
+        code, vk, code_o, vo = _both(
+            v, np.array(shifts), _contractive_half_step(rng, 2), _stripe_mask(m, stripes),
+            200, 1, 3, tol,
+        )
+        assert code == code_o > 0
+        assert np.array_equal(vk, vo)
+
+    @pytest.mark.parametrize("stripes", [1, 3, 32])
+    def test_relax_bisect_matches_full_walk(self, stripes):
+        rng = np.random.default_rng(7000 + stripes)
+        m, n = 200, 3
+        runs = kernels._mask_runs(_stripe_mask(m, stripes))
+        stops = [b for _, b in runs]
+        damp_half = _contractive_half_step(rng, n)
+        for lo in range(m + 1):
+            for hi in sorted({min(lo + d, m) for d in (0, 1, 2, 5, 23, m)}):
+                v = _compact(rng, n, m, [(lo, hi)])
+                walked = v.copy()
+                kernels._relax(v, damp_half, runs, stops, lo, hi)
+                _relax_full_walk(walked, damp_half, runs, lo, hi)
+                assert np.array_equal(v, walked), (lo, hi)
 
     @pytest.mark.parametrize("steps", [1, 7, 40])
     @pytest.mark.parametrize("shifts", [[3, -1, 1], [-2, -1, -3], [1, 2, 0]])

@@ -30,7 +30,7 @@ from locdamp.solver import (
     run,
     sample_steps,
 )
-from locdamp.spectral import freq_split, fullspace_evolve
+from locdamp.spectral import freq_split, fullspace_evolve, low_band_sup
 
 
 class TestRationalShifts:
@@ -252,6 +252,14 @@ class TestBump:
         )
         with pytest.raises(ValueError, match="out of range"):
             data.sample(np.zeros(4), 2)
+
+    def test_sample_names_the_component_field(self):
+        data = InitialDataSpec(
+            bumps=(Bump(kind="box", component=3, center=0.0, width=1.0),)
+        )
+        with pytest.raises(ValueError) as err:
+            data.sample(np.zeros(4), 2)
+        assert str(err.value) == "component: index 3 out of range for 2 components"
 
 
 class TestPureTransport:
@@ -556,17 +564,17 @@ class TestFreqSplit:
         m, dx = 256, 0.25
         x = dx * np.arange(m)
         w = np.sin(2.0 * np.pi * 5.0 * x / (m * dx))[None, :]
-        l2_high, l2_low, linf_low = freq_split(w, dx)
+        l2_high, l2_low, low_modes = freq_split(w, dx)
         assert l2_high <= 1e-12 * l2_low
-        assert linf_low == pytest.approx(1.0, rel=1e-6)
+        assert low_band_sup(low_modes, m) == pytest.approx(1.0, rel=1e-6)
 
     def test_pure_high_mode(self):
         m, dx = 256, 0.25
         x = dx * np.arange(m)
         w = np.sin(2.0 * np.pi * 50.0 * x / (m * dx))[None, :]
-        l2_high, l2_low, linf_low = freq_split(w, dx)
+        l2_high, l2_low, low_modes = freq_split(w, dx)
         assert l2_low <= 1e-12 * l2_high
-        assert linf_low <= 1e-12
+        assert low_band_sup(low_modes, m) <= 1e-12
 
     def test_parseval_total(self):
         rng = np.random.default_rng(11)

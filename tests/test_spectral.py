@@ -200,7 +200,7 @@ def _full_spectrum_oracle(sys, x, u0, times):
             ]
         )
         rows.append(field_norms(np.fft.ifft(evolved, axis=1).real, dx, eigs.basis))
-    return NormSeries.from_rows(times, rows)
+    return NormSeries.from_rows(times, rows, n_cells=x.size)
 
 
 class TestFullspaceEvolve:
