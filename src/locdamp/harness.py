@@ -577,18 +577,6 @@ def write_csv(series: NormSeries, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def summarize(result: ScenarioResult) -> dict[str, Any]:
     """Flat summary of everything a reader needs without the CSV."""
     s = result.scenario
@@ -646,7 +634,7 @@ def summarize(result: ScenarioResult) -> dict[str, Any]:
                 "probe_within_one_stride": p.within_one_stride,
             }
         )
-    return _jsonable(out)
+    return out
 
 
 def export(result: ScenarioResult, out_dir: str | Path) -> tuple[Path, Path]:

@@ -157,7 +157,8 @@ def coupling_check_eigvec(a, b, eigs: EigenStructure | None = None) -> bool:
 
 def coupling_check_rank(a, b) -> bool:
     """Coupling via the stacked reachability block [B; BA; ...; BA^(n-1)]:
-    holds iff that stack has full column rank."""
+    holds iff that stack has full column rank.  Singular values up to
+    ``RANK_PIVOT_RTOL`` times the largest entry count as zero."""
     a, b = _as_pair(a, b)
     n = a.shape[0]
     blocks = []
@@ -166,31 +167,8 @@ def coupling_check_rank(a, b) -> bool:
         blocks.append(cur)
         cur = cur @ a
     stack = np.vstack(blocks)
-    return _rank(stack) == n
-
-
-def _rank(m: np.ndarray) -> int:
-    """Row-elimination rank with pivots measured against the matrix scale."""
-    work = m.astype(float).copy()
-    rows, cols = work.shape
-    scale = float(np.abs(work).max())
-    if scale == 0.0:
-        return 0
-    tol = RANK_PIVOT_RTOL * scale
-    rank = 0
-    for col in range(cols):
-        if rank >= rows:
-            break
-        pivot_row = rank + int(np.argmax(np.abs(work[rank:, col])))
-        pivot = work[pivot_row, col]
-        if abs(pivot) <= tol:
-            continue
-        work[[rank, pivot_row]] = work[[pivot_row, rank]]
-        work[rank] /= pivot
-        below = work[rank + 1:, col].copy()
-        work[rank + 1:] -= np.outer(below, work[rank])
-        rank += 1
-    return rank
+    tol = RANK_PIVOT_RTOL * float(np.abs(stack).max())
+    return int(np.linalg.matrix_rank(stack, tol=tol)) == n
 
 
 def source_matrix(sys: HyperbolicSystem, eigs: EigenStructure | None = None) -> np.ndarray:

@@ -63,7 +63,7 @@ def _set(section: str, **values):
 
 # (id, edit, message): runs that reject a stepping scenario or a fullspace one.
 STEPPING_REJECTIONS = [
-    ("edge", _long_run, "initial data would reach the edge guard band before t_final; enlarge the domain"),
+    ("edge", _long_run, "mass reached the edge guard band near t = 15.23; enlarge the domain or shorten the run"),
     ("box", _box_bumps, "calibrate: reference calibration needs gaussian bumps"),
     ("zero", _zero_amplitudes, "initial data is zero on the grid"),
 ]
