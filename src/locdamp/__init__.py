@@ -15,7 +15,6 @@ from locdamp.chartimes import (
     geometric_ratio_holds,
     residence_time,
     sharp_delay,
-    sharp_delay_table,
     sup_undamped_measure,
     residence_bound,
     horizon_bounds,
@@ -100,7 +99,6 @@ __all__ = [
     "run",
     "run_scenario",
     "sharp_delay",
-    "sharp_delay_table",
     "coupling_check_eigvec",
     "coupling_check_rank",
     "source_matrix",

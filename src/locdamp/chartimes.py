@@ -13,7 +13,7 @@ are all cross-checkable against brute-force scans built from nothing but
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -245,66 +245,46 @@ def sharp_delay(
     return float(t) - sup
 
 
-def sharp_delay_table(
-    eigs: "EigenStructure",
-    region: UndampedRegion,
-    t_values: Iterable[float],
-    scan: ScanSpec | None = None,
-) -> list[tuple[float, float, float]]:
-    """Rows ``(t, sup, t - sup)`` for a grid of times."""
-    rows = []
-    for t in t_values:
-        sup, _ = sup_undamped_measure(eigs, region, float(t), scan)
-        rows.append((float(t), sup, float(t) - sup))
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # closed forms
 # ---------------------------------------------------------------------------
 
 
-def _group_speeds(lambdas: Sequence[float]) -> dict[str, list[float]]:
-    arr = np.asarray(lambdas, dtype=float)
+def _sign_groups(
+    eigs: "EigenStructure", region: UndampedRegion
+) -> list[tuple[float, list[float]]]:
+    """``(total_length * sum of 1/|lam|, ascending |lam|)`` for each
+    nonempty sign group of the speeds, leftward movers first."""
+    arr = np.asarray(eigs.lambdas, dtype=float)
     if np.any(arr == 0.0):
         raise ValueError("characteristic speed must be nonzero")
-    return {
-        "negative": sorted(abs(v) for v in arr if v < 0),
-        "positive": sorted(abs(v) for v in arr if v > 0),
-    }
-
-
-def _group_sums(lambdas: Sequence[float], width: float) -> dict[str, float]:
-    groups = _group_speeds(lambdas)
-    return {
-        name: width * sum(1.0 / s for s in speeds)
-        for name, speeds in groups.items()
-    }
+    width = region.total_length
+    groups = (sorted(abs(v) for v in arr if v < 0), sorted(abs(v) for v in arr if v > 0))
+    return [(width * sum(1.0 / s for s in speeds), speeds) for speeds in groups if speeds]
 
 
 def residence_bound(eigs: "EigenStructure", region: UndampedRegion) -> float:
     """Upper bound on the undamped-residence union: the larger of the two
     sign-group sums of (stripe width / speed) over all stripes."""
-    sums = _group_sums(eigs.lambdas, region.total_length)
-    return max(sums["negative"], sums["positive"])
+    return max(total for total, _ in _sign_groups(eigs, region))
 
 
-def _attaining_groups(eigs: "EigenStructure", region: UndampedRegion) -> list[list[float]]:
-    sums = _group_sums(eigs.lambdas, region.total_length)
-    groups = _group_speeds(eigs.lambdas)
-    top = max(sums.values())
-    out = []
-    for name in ("negative", "positive"):
-        if groups[name] and sums[name] >= top * (1.0 - GROUP_TIE_RTOL):
-            out.append(groups[name])
-    return out
+def _attaining_groups(
+    eigs: "EigenStructure", region: UndampedRegion
+) -> tuple[float, list[list[float]]]:
+    """The residence bound and the speeds of each sign group whose total
+    attains it within ``GROUP_TIE_RTOL``."""
+    groups = _sign_groups(eigs, region)
+    top = max(total for total, _ in groups)
+    return top, [speeds for total, speeds in groups if total >= top * (1.0 - GROUP_TIE_RTOL)]
 
 
 def geometric_ratio_holds(eigs: "EigenStructure", region: UndampedRegion) -> bool:
     """True when consecutive speed ratios are equal (within 1e-12 relative)
     in a sign group attaining the delay bound.  Groups with two or fewer
     members satisfy the condition vacuously."""
-    for speeds in _attaining_groups(eigs, region):
+    _, attaining = _attaining_groups(eigs, region)
+    for speeds in attaining:
         if len(speeds) <= 2:
             return True
         ratios = [speeds[i + 1] / speeds[i] for i in range(len(speeds) - 1)]
@@ -321,8 +301,7 @@ class HorizonBounds:
     """Bounds on the conservation horizon (the last time up to which some
     energy parcel can remain entirely undamped)."""
 
-    slow_pair_lower: float
-    slow_pair_lower_defined: bool
+    slow_pair_lower: float | None
     exact_three_speed: float | None
     upper: float
 
@@ -332,21 +311,14 @@ def horizon_bounds(eigs: "EigenStructure", region: UndampedRegion) -> HorizonBou
 
     The lower bound chains the two slowest same-sign speeds through the
     stripe; the exact value exists for three same-sign speeds; the upper
-    bound is the delay bound itself.  With fewer than two same-sign speeds
-    the lower bound is reported as 0 with ``slow_pair_lower_defined=False``.
+    bound is the delay bound itself.  Without two same-sign speeds in an
+    attaining group there is no lower bound, and it is ``None``.
     """
     if len(region.stripes) != 1:
         raise ValueError("horizon_bounds: defined for a single-stripe region")
     width = region.total_length
-    upper = residence_bound(eigs, region)
-    attaining = _attaining_groups(eigs, region)
-
-    slow_pair_lower = 0.0
-    slow_pair_defined = False
-    for speeds in attaining:
-        if len(speeds) >= 2:
-            slow_pair_defined = True
-            slow_pair_lower = max(slow_pair_lower, width / speeds[0] + width / speeds[1])
+    upper, attaining = _attaining_groups(eigs, region)
+    pairs = [width / speeds[0] + width / speeds[1] for speeds in attaining if len(speeds) >= 2]
 
     exact: float | None = None
     n = len(np.asarray(eigs.lambdas))
@@ -359,8 +331,7 @@ def horizon_bounds(eigs: "EigenStructure", region: UndampedRegion) -> HorizonBou
             else:
                 exact = upper - geo.t_lambda
     return HorizonBounds(
-        slow_pair_lower=slow_pair_lower,
-        slow_pair_lower_defined=slow_pair_defined,
+        slow_pair_lower=max(pairs) if pairs else None,
         exact_three_speed=exact,
         upper=upper,
     )

@@ -21,7 +21,7 @@ import sys as _sys
 import numpy as np
 
 from locdamp import harness
-from locdamp.chartimes import sharp_delay_table, residence_bound, horizon_bounds
+from locdamp.chartimes import horizon_bounds, residence_bound, sup_undamped_measure
 from locdamp.model import diagonalize, validate_system
 from locdamp.solver import BoundaryError
 from locdamp.spectral import MatrixExpError, gamma_estimate
@@ -63,18 +63,18 @@ def _cmd_times(args: argparse.Namespace) -> int:
     tb = residence_bound(eigs, region)
     grid = _parse_grid(args.t_grid) if args.t_grid else np.linspace(0.0, 2.0 * tb, 9)
     bounds = horizon_bounds(eigs, region) if len(region.stripes) == 1 else None
-    table = sharp_delay_table(eigs, region, grid)
+    rows = [(float(t), sup_undamped_measure(eigs, region, float(t))[0]) for t in grid]
     print(f"scenario: {scenario.name}")
     print(f"residence delay bound: {tb:.17g}")
     if bounds is not None:
-        if bounds.slow_pair_lower_defined:
+        if bounds.slow_pair_lower is not None:
             print(f"conservation horizon lower bound: {bounds.slow_pair_lower:.17g}")
         if bounds.exact_three_speed is not None:
             print(f"conservation horizon exact: {bounds.exact_three_speed:.17g}")
         print(f"conservation horizon upper bound: {bounds.upper:.17g}")
     print(f"{'t':>24} {'sup_undamped':>24} {'delay':>24}")
-    for t, sup, delay in table:
-        print(f"{t:>24.17g} {sup:>24.17g} {delay:>24.17g}")
+    for t, sup in rows:
+        print(f"{t:>24.17g} {sup:>24.17g} {t - sup:>24.17g}")
     return 0
 
 

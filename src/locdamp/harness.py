@@ -375,23 +375,26 @@ class EnvelopeReport:
         return not self.violations
 
 
-def verify_envelope(
-    traj: solver.Trajectory,
-    region: UndampedRegion,
-    cal: EnvelopeCalibration,
-) -> EnvelopeReport:
-    """Check both decay envelopes, each delayed by the residence bound.
+def verify_envelope(traj: solver.Trajectory, cal: EnvelopeCalibration) -> EnvelopeReport:
+    """Check both decay envelopes, each delayed by the residence bound of
+    the stripes the run simulated (``traj.grid.region``).
 
     High band: energy above wavenumber one under C * exp(-gamma (t - tau)).
     Low band: sup of the smoothed field under C_low (t - tau)^(-1/2) times
     the initial integral.  Times earlier than one sampling stride past the
     delay are exempt; a 5% multiplicative slack absorbs discretisation.
+    A constant or initial norm that is not finite would make every bound
+    vacuous, so it is refused.
     """
-    tb = residence_bound(traj.eigs, region)
-    times = traj.times
-    stride_dt = float(times[1] - times[0]) if times.size > 1 else 0.0
     l2_0 = float(traj.l2_total[0])
     l1_0 = float(traj.l1[0])
+    values = {"c_high": cal.c_high, "c_low": cal.c_low, "l2_0": l2_0, "l1_0": l1_0}
+    bad = [name for name, v in values.items() if not math.isfinite(v)]
+    if bad:
+        raise ValueError(f"verify: not finite: {', '.join(bad)}")
+    tb = residence_bound(traj.eigs, traj.grid.region)
+    times = traj.times
+    stride_dt = float(times[1] - times[0]) if times.size > 1 else 0.0
     floor_high = NORM_FLOOR_RTOL * l2_0
     floor_low = NORM_FLOOR_RTOL * l1_0
 
@@ -469,16 +472,15 @@ def probe_prediction(
     return comp, lam, t_pred
 
 
-def conservation_probe(
-    traj: solver.Trajectory, region: UndampedRegion, data: solver.InitialDataSpec
-) -> ProbeReport:
-    """Measure the loss-free plateau and the onset of decay.
+def conservation_probe(traj: solver.Trajectory, data: solver.InitialDataSpec) -> ProbeReport:
+    """Measure the loss-free plateau and the onset of decay, against the
+    onset predicted on the stripes the run simulated (``traj.grid.region``).
 
     ``plateau_min`` is the worst energy ratio up to the predicted onset;
     ``onset`` the first sampled time with total energy below 99% of its
     initial value (inf if never).
     """
-    comp, lam, t_pred = probe_prediction(traj.eigs, region, data)
+    comp, lam, t_pred = probe_prediction(traj.eigs, traj.grid.region, data)
     times = traj.times
     stride_dt = float(times[1] - times[0]) if times.size > 1 else 0.0
     ratio = traj.l2_total / traj.l2_total[0]
@@ -533,12 +535,12 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
         eigs=eigs,
     )
     if scenario.kind == "conservation-probe":
-        probe = conservation_probe(traj, scenario.region, scenario.data)
+        probe = conservation_probe(traj, scenario.data)
         return ScenarioResult(scenario, validation, traj, None, None, probe)
 
     scan = gamma_estimate(sys, eigs=eigs)
     cal = calibrate(sys, scenario.data, traj.times, scan.gamma, eigs=eigs)
-    envelope = verify_envelope(traj, scenario.region, cal)
+    envelope = verify_envelope(traj, cal)
     return ScenarioResult(scenario, validation, traj, scan, envelope, None)
 
 

@@ -19,7 +19,7 @@ SYMMETRY_RTOL = 1e-12
 EIGEN_GAP_RTOL = 1e-9
 ZERO_SPEED_RTOL = 1e-9
 COUPLING_KERNEL_RTOL = 1e-10
-RANK_PIVOT_RTOL = 1e-10
+RANK_RTOL = 1e-10
 SIGN_CONVENTION_EPS = 1e-12
 
 
@@ -158,7 +158,7 @@ def coupling_check_eigvec(a, b, eigs: EigenStructure | None = None) -> bool:
 def coupling_check_rank(a, b) -> bool:
     """Coupling via the stacked reachability block [B; BA; ...; BA^(n-1)]:
     holds iff that stack has full column rank.  Singular values up to
-    ``RANK_PIVOT_RTOL`` times the largest entry count as zero."""
+    ``RANK_RTOL`` times the largest entry count as zero."""
     a, b = _as_pair(a, b)
     n = a.shape[0]
     blocks = []
@@ -167,7 +167,7 @@ def coupling_check_rank(a, b) -> bool:
         blocks.append(cur)
         cur = cur @ a
     stack = np.vstack(blocks)
-    tol = RANK_PIVOT_RTOL * float(np.abs(stack).max())
+    tol = RANK_RTOL * float(np.abs(stack).max())
     return int(np.linalg.matrix_rank(stack, tol=tol)) == n
 
 

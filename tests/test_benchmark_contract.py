@@ -32,10 +32,12 @@ def test_every_traced_layer_resolves():
     tracer = tracing.Tracer()
     with tracing.patched(tracer, tracing.layer_table()) as missing:
         assert missing == []
-        harness.run_scenario(harness.load_scenario(ROOT / "scenarios" / "probe_scalar.json"))
-    # the kernel's counter reads its positional arguments
+        for name in ("probe_scalar", "fullspace_damped_wave"):
+            harness.run_scenario(harness.load_scenario(ROOT / "scenarios" / f"{name}.json"))
+    # the kernel's and the reference's counters read their positional arguments
     layers = tracing.totals(tracer.take())
     assert layers["kernels.advance"].counts["cell_updates"] > 0
+    assert layers["spectral.reference"].counts["sample_times"] > 0
     assert {"solver.run", "solver.grid", "solver.norms"} <= layers.keys()
 
 

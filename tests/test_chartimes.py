@@ -16,7 +16,6 @@ from locdamp.chartimes import (
     geometric_ratio_holds,
     residence_time,
     sharp_delay,
-    sharp_delay_table,
     sup_undamped_measure,
     residence_bound,
     horizon_bounds,
@@ -271,7 +270,6 @@ class TestThreeSpeedGeometry:
 class TestHorizonBounds:
     def test_overlap_triple(self):
         b = horizon_bounds(eigs_of(3, 2, 1), CENTERED)
-        assert b.slow_pair_lower_defined
         assert b.slow_pair_lower == pytest.approx(3.0, rel=1e-12)
         assert b.exact_three_speed == pytest.approx(10.0 / 3.0, rel=1e-12)
         assert b.upper == pytest.approx(11.0 / 3.0, rel=1e-12)
@@ -323,9 +321,20 @@ class TestHorizonBounds:
 
     def test_single_speed_has_no_chained_bound(self):
         b = horizon_bounds(eigs_of(1.0), CENTERED)
-        assert not b.slow_pair_lower_defined
+        assert b.slow_pair_lower is None
         assert b.exact_three_speed is None
         assert b.upper == pytest.approx(2.0, rel=1e-12)
+
+    def test_tied_sign_groups_both_attain(self):
+        # 2/3 + 2/1.5 = 2/1: the leftward pair ties the lone rightward speed
+        b = horizon_bounds(eigs_of(-3, -1.5, 1), CENTERED)
+        assert b.upper == pytest.approx(2.0, rel=1e-12)
+        assert b.slow_pair_lower == pytest.approx(2.0, rel=1e-12)
+
+    def test_pair_outside_the_attaining_group_gives_no_bound(self):
+        b = horizon_bounds(eigs_of(-3, -1.5, 0.5), CENTERED)
+        assert b.upper == pytest.approx(4.0, rel=1e-12)
+        assert b.slow_pair_lower is None
 
     def test_multi_stripe_rejected(self):
         reg = UndampedRegion(stripes=((0.0, 1.0), (2.0, 3.0)))
@@ -370,9 +379,10 @@ class TestSharpDelay:
         assert d_fine == pytest.approx(4.0 / 9.0, abs=2e-3)
 
     def test_table_rows_consistent(self):
+        # the rows of `locdamp times`: the sup grows with t, delay = t - sup
         eigs = eigs_of(2, 1)
-        rows = sharp_delay_table(eigs, CENTERED, [0.0, 1.0, 2.0, 4.0, 8.0])
-        sups = [r[1] for r in rows]
+        ts = [0.0, 1.0, 2.0, 4.0, 8.0]
+        sups = [sup_undamped_measure(eigs, CENTERED, t)[0] for t in ts]
         assert sups == sorted(sups)
-        for t, sup, delay in rows:
-            assert delay == pytest.approx(t - sup, abs=1e-12)
+        for t, sup in zip(ts, sups):
+            assert sharp_delay(eigs, CENTERED, t) == t - sup

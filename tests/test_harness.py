@@ -455,8 +455,8 @@ class TestCalibrate:
         assert cal.gamma == 0.5
 
     def test_horizon_past_the_one_shot_guard(self):
-        # t_max * 4 pi / sigma = 240 * 4 pi / 0.25 exceeds the 1e4 norm guard
-        # of a single exponential; late high bands sit at round-off and
+        # t_max * 4 pi / sigma = 240 * 4 pi / 0.25 puts a single exponential's
+        # argument norm above 1e4; late high bands sit at round-off and
         # must not inflate the constant
         scenario = harness.load_scenario(SCENARIOS / "damped_wave.json")
         short = harness.calibrate(scenario.system, scenario.data, np.linspace(0.0, 8.0, 17), 0.5)
@@ -488,12 +488,29 @@ class TestVerifyEnvelope:
         starved = dataclasses.replace(
             cal, c_high=cal.c_high / 50.0, c_low=cal.c_low / 50.0
         )
-        report = harness.verify_envelope(traj, scenario.region, starved)
+        report = harness.verify_envelope(traj, starved)
         assert not report.ok
         bands = {v.band for v in report.violations}
         assert bands == {"high", "low"}
         for v in report.violations:
             assert v.measured > v.allowed
+
+    def test_delay_read_from_simulated_stripes(self, tmp_path):
+        # 3999 cells snap the file's stripe (-1, 1) to a width of 1.99050
+        raw = json.loads((SCENARIOS / "damped_wave.json").read_text())
+        raw["domain"]["n_cells"] = 3999
+        result = harness.run_scenario(harness.load_scenario(_write(tmp_path, raw)))
+        assert result.series.grid.region.total_length == pytest.approx(1.99050, abs=5e-6)
+        assert result.envelope.residence_bound == pytest.approx(1.99050, abs=5e-6)
+        assert result.envelope.ok
+
+    @pytest.mark.parametrize("field", ["c_high", "c_low"])
+    def test_non_finite_constant_refused(self, damped_wave_result, field):
+        _, result = damped_wave_result
+        constants = {"c_high": 1.0, "c_low": 1.0, field: math.nan}
+        cal = harness.EnvelopeCalibration(gamma=0.5, ref=result.series, **constants)
+        with pytest.raises(ValueError, match=f"^verify: not finite: {field}$"):
+            harness.verify_envelope(result.series, cal)
 
     def test_checks_start_one_stride_past_delay(self, damped_wave_result):
         scenario, result = damped_wave_result
@@ -511,6 +528,14 @@ class TestProbe:
         comp, lam, t_pred = harness.probe_prediction(eigs, s.region, s.data)
         assert comp == 0 and lam == 1.0
         assert t_pred == pytest.approx(1.9, rel=1e-12)
+
+    def test_prediction_read_from_simulated_stripe(self, tmp_path):
+        # 1333 cells move the right edge of the stripe from 1 to 1.00375
+        raw = json.loads((SCENARIOS / "probe_321.json").read_text())
+        raw["domain"]["n_cells"] = 1333
+        p = harness.run_scenario(harness.load_scenario(_write(tmp_path, raw))).probe
+        assert p.t_pred == pytest.approx(1.90375, abs=5e-6)
+        assert p.within_one_stride
 
     def test_prediction_requires_characteristic_basis(self):
         eigs = EigenStructure.from_speeds([1.0])
@@ -589,8 +614,7 @@ class TestFullspaceScenario:
         assert np.array_equal(harness.run_scenario(s).series.times, traj.times)
 
     def test_long_horizon_completes(self, tmp_path):
-        # one exponential over t = 450 would exceed the norm guard; the
-        # reference advances by 18.75 per sample instead
+        # the reference advances by 18.75 per sample
         raw = json.loads((SCENARIOS / "fullspace_damped_wave.json").read_text())
         raw["domain"] = {"x_min": -512.0, "x_max": 512.0, "n_cells": 8192}
         raw["time"] = {"t_final": 450.0, "stride": 150}
@@ -598,6 +622,20 @@ class TestFullspaceScenario:
         assert series.times.tolist() == [18.75 * k for k in range(25)]
         assert np.all(np.isfinite(np.vstack([series.l2_total, series.l2_high, series.comp_l2])))
         assert np.all(np.diff(series.l2_total) <= 1e-12 * series.l2_total.max())
+
+    def test_long_stride_completes(self, tmp_path):
+        # one propagator over all 400 time units, argument norm about 1.4e4
+        raw = json.loads((SCENARIOS / "fullspace_damped_wave.json").read_text())
+        raw["time"] = {"t_final": 400.0, "stride": 40000}
+        series = harness.run_scenario(harness.load_scenario(_write(tmp_path, raw))).series
+        assert series.times.tolist() == [0.0, 400.0]
+        assert np.all(np.isfinite(np.vstack([series.l2_total, series.l2_high, series.l2_low,
+                                             series.linf, series.l1, series.comp_l2])))
+        assert np.all(np.diff(series.l2_total) <= 0.0)
+        raw["time"]["stride"] = 8
+        fine = harness.run_scenario(harness.load_scenario(_write(tmp_path, raw))).series
+        for name in ("l2_total", "l1", "linf"):
+            assert getattr(series, name)[-1] == pytest.approx(getattr(fine, name)[-1], rel=1e-10)
 
 
 class TestPublicNames:
@@ -649,6 +687,24 @@ class TestExport:
             "coupling_rank",
         }
         assert blob["shifts"] == [-1, 1]
+
+
+class TestDefaultResolution:
+    # 200 cells across the narrowest stripe is the shipped n_cells of each
+    @pytest.mark.parametrize(
+        "name", ["probe_scalar", "probe_321", "probe_421", "damped_wave", "three_speed_321"]
+    )
+    def test_default_cell_count_matches_shipped(self, tmp_path, name):
+        raw = json.loads((SCENARIOS / f"{name}.json").read_text())
+        del raw["domain"]["n_cells"]
+        shipped = harness.load_scenario(SCENARIOS / f"{name}.json")
+        default = harness.load_scenario(_write(tmp_path, raw))
+        assert default.n_cells is None
+        outputs = []
+        for label, scenario in (("shipped", shipped), ("default", default)):
+            files = harness.export(harness.run_scenario(scenario), tmp_path / label)
+            outputs.append([f.read_bytes() for f in files])
+        assert outputs[0] == outputs[1]
 
 
 class TestLazyLowBandSup:
@@ -845,6 +901,45 @@ class TestCli:
         code = cli.main(["verify", str(SCENARIOS / "probe_scalar.json")])
         assert code == 2
         assert "verify-envelope" in capsys.readouterr().out
+
+    def test_verify_violations_exit_1(self, monkeypatch, capsys):
+        original = harness.calibrate
+
+        def starved(*args, **kw):
+            cal = original(*args, **kw)
+            return dataclasses.replace(cal, c_high=cal.c_high / 50.0, c_low=cal.c_low / 50.0)
+
+        monkeypatch.setattr(harness, "calibrate", starved)
+        code = cli.main(["verify", str(SCENARIOS / "damped_wave.json")])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        head = next(i for i, l in enumerate(lines) if l.startswith("VIOLATIONS: "))
+        listed = lines[head + 1:]
+        assert int(lines[head].split()[1]) == len(listed) > 0
+        assert all(re.fullmatch(r"  t=\S+ band=(high|low) measured=\S+ allowed=\S+", l) for l in listed)
+
+    def test_verify_non_finite_constants_exit_2(self, tmp_path, capsys):
+        # squared fields overflow at this amplitude, so a constant is NaN
+        raw = json.loads((SCENARIOS / "damped_wave.json").read_text())
+        for bump in raw["initial_data"]["bumps"]:
+            bump["amplitude"] = 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main(["verify", str(_write(tmp_path, raw))])
+        [line] = capsys.readouterr().out.splitlines()
+        assert code == 2
+        assert line.startswith("error: verify: not finite: ") and "c_low" in line
+
+    def test_probe_outside_simulated_stripe_exits_2(self, tmp_path, capsys):
+        # 1408 cells snap the stripe's left edge from -1 to -0.99858, past
+        # the left end of the box
+        raw = _good_raw()
+        raw["domain"]["n_cells"] = 1408
+        code = cli.main(["simulate", str(_write(tmp_path, raw)), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "error: probe: initial data must lie inside a single stripe"
+        ]
+        assert not (tmp_path / "run").exists()
 
     def test_verify_passes(self, tmp_path, capsys):
         out_dir = tmp_path / "run"

@@ -87,8 +87,18 @@ class TestMatrixExp:
         prod = matrix_exp(m) @ matrix_exp(-m)
         assert np.allclose(prod, np.eye(3), atol=1e-12)
 
+    def test_dissipative_symbol_past_norm_1e4(self):
+        # the reference propagator over 400 time units at xi = 25: a
+        # contraction, so squaring it stays accurate at any norm
+        m = 400.0 * symbol(damped_wave_system(), 25.0)
+        assert np.linalg.norm(m) > 1e4
+        got = matrix_exp(m)
+        assert np.abs(got - expm(m)).max() <= 1e-11
+        assert np.linalg.norm(got, 2) <= 1.0 + 1e-12
+
     def test_norm_guard_raises(self):
-        with pytest.raises(MatrixExpError, match="exceeds guard"):
+        # exp(2e4) is not a float: the squaring overflows
+        with pytest.raises(MatrixExpError, match="overflows"):
             matrix_exp(2e4 * np.eye(2))
 
     def test_nonfinite_raises(self):
