@@ -33,7 +33,8 @@ class UndampedRegion:
     """Union of disjoint open stripes on which the damping is switched off.
 
     Stripes are stored sorted left to right and must be pairwise disjoint
-    with positive length.
+    with positive length.  A rejected stripe raises ``ValueError`` naming
+    it (``stripes[1]: ...``); the scenario loader puts the path in front.
     """
 
     stripes: tuple[tuple[float, float], ...]
@@ -41,16 +42,16 @@ class UndampedRegion:
     def __post_init__(self) -> None:
         coerced = tuple((float(a), float(b)) for a, b in self.stripes)
         if not coerced:
-            raise ValueError("region.stripes: at least one stripe is required")
+            raise ValueError("stripes: at least one stripe is required")
         for j, (a, b) in enumerate(coerced):
             if not (np.isfinite(a) and np.isfinite(b)):
-                raise ValueError(f"region.stripes[{j}]: endpoints must be finite")
+                raise ValueError(f"stripes[{j}]: endpoints must be finite")
             if not a < b:
-                raise ValueError(f"region.stripes[{j}]: need a < b, got [{a}, {b}]")
+                raise ValueError(f"stripes[{j}]: need a < b, got [{a}, {b}]")
         for j in range(len(coerced) - 1):
             if not coerced[j][1] < coerced[j + 1][0]:
                 raise ValueError(
-                    f"region.stripes[{j + 1}]: stripes must be sorted and disjoint"
+                    f"stripes[{j + 1}]: stripes must be sorted and disjoint"
                 )
         object.__setattr__(self, "stripes", coerced)
 

@@ -30,7 +30,7 @@ from locdamp.model import (
     diagonalize,
     validate_system,
 )
-from locdamp.spectral import NormSeries, SpectralScan, fullspace_evolve, gamma_estimate
+from locdamp.spectral import NORM_COLUMNS, NormSeries, SpectralScan, fullspace_evolve, gamma_estimate
 
 SCENARIO_KINDS = ("verify-envelope", "conservation-probe", "fullspace")
 # Envelope bookkeeping: multiplicative headroom baked into the calibrated
@@ -85,24 +85,22 @@ class Scenario:
 # and PAIR a ``[left, right]`` pair of finite numbers.  A triple ``(rule,
 # test, message)`` adds a value rule, tried once ``rule`` holds.  A pair
 # ``(rule, build)`` turns a value that passed ``rule`` into
-# ``build(**value)``; a ``ValueError`` from ``build`` names the field.
+# ``build(**value)``; a ``ValueError`` from ``build`` names a field of
+# ``value``, and the walker puts the path of ``value`` in front.
 MATRIX = "matrix"
 PAIR = "pair"
 _BUMP = {"kind": str, "component": int, "center": float, "width": float, "amplitude?": float}
 SCHEMA = {
     "name": str,
     "kind": (str, lambda v: v in SCENARIO_KINDS, f"expected one of {SCENARIO_KINDS}, got {{!r}}"),
-    "system": {"a": MATRIX, "n1": int, "dd": MATRIX},
-    "region": {"stripes": [PAIR]},
+    "system": ({"a": MATRIX, "n1": int, "dd": MATRIX}, HyperbolicSystem),
+    "region": ({"stripes": [PAIR]}, UndampedRegion),
     "domain": {"x_min": float, "x_max": float, "n_cells?": int},
     "time": {
         "t_final": (float, lambda v: v > 0.0, "must be positive"),
         "stride": (int, lambda v: v >= 1, "must be at least 1"),
     },
-    "initial_data": {
-        "bumps": ([(_BUMP, solver.Bump)], bool, "must not be empty"),
-        "basis?": str,
-    },
+    "initial_data": ({"bumps": [(_BUMP, solver.Bump)], "basis?": str}, solver.InitialDataSpec),
 }
 _EXPECTED = {str: "a string", int: "an integer"}
 
@@ -182,9 +180,9 @@ def _check(value: Any, rule: Any, path: str, errors: list[str]) -> Any:
 def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate a scenario file against ``SCHEMA``.
 
-    Unknown keys are rejected, and every problem at any depth is reported
-    once with the path of its field.  The system, region and initial-data
-    constructors then apply their own value rules.
+    Unknown keys are rejected, and every problem at any depth, the value
+    rules of the system, region and initial-data constructors included, is
+    reported once with the path of its field.
     """
     path = Path(path)
     try:
@@ -200,24 +198,21 @@ def load_scenario(path: str | Path) -> Scenario:
     doc = _check(raw, SCHEMA, "", errors)
     if errors:
         raise ScenarioError(errors)
-    try:
-        system = HyperbolicSystem(**doc["system"])
-        region = UndampedRegion(**doc["region"])
-        data = solver.InitialDataSpec(**doc["initial_data"])
-    except ValueError as exc:
-        raise ScenarioError([str(exc)]) from exc
-    for i, b in enumerate(data.bumps):
-        if not 0 <= b.component < system.n:
-            raise ScenarioError(
-                [f"initial_data.bumps[{i}].component: out of range for {system.n} components"]
-            )
+    system, data = doc["system"], doc["initial_data"]
+    errors = [
+        f"initial_data.bumps[{i}].component: out of range for {system.n} components"
+        for i, b in enumerate(data.bumps)
+        if not 0 <= b.component < system.n
+    ]
+    if errors:
+        raise ScenarioError(errors)
 
     domain, time = doc["domain"], doc["time"]
     return Scenario(
         name=doc["name"],
         kind=doc["kind"],
         system=system,
-        region=region,
+        region=doc["region"],
         x_min=domain["x_min"],
         x_max=domain["x_max"],
         n_cells=domain.get("n_cells"),
@@ -332,9 +327,7 @@ def calibrate(
     mid = 0.5 * (lo + hi)
     x = (mid - 0.5 * length) + dx_ref * np.arange(m)
 
-    samples = data.sample(x, sys.n)
-    u0 = samples if data.basis == "physical" else eigs.basis @ samples
-    ref = fullspace_evolve(sys, x, u0, [0.0, *t_pos], eigs=eigs)
+    ref = _reference(sys, data, x, [0.0, *t_pos], eigs)
 
     l2_0 = float(ref.l2_total[0])
     l1_0 = float(ref.l1[0])
@@ -548,9 +541,21 @@ def _run_fullspace(scenario: Scenario, eigs: EigenStructure) -> NormSeries:
     grid = solver.build_grid(eigs, scenario.region, scenario.x_min, scenario.x_max, scenario.n_cells)
     steps = solver.sample_steps(scenario.t_final, grid.dt, scenario.stride)
     x = grid.x_min + grid.dx * np.arange(grid.n_cells)
-    samples = scenario.data.sample(x, scenario.system.n)
-    u0 = samples if scenario.data.basis == "physical" else eigs.basis @ samples
-    return fullspace_evolve(scenario.system, x, u0, [k * grid.dt for k in steps], eigs=eigs)
+    return _reference(scenario.system, scenario.data, x, [k * grid.dt for k in steps], eigs)
+
+
+def _reference(
+    sys: HyperbolicSystem,
+    data: solver.InitialDataSpec,
+    x: np.ndarray,
+    times: list[float],
+    eigs: EigenStructure,
+) -> NormSeries:
+    """Constant-damping reference run of ``data`` sampled on the uniform
+    grid ``x``, given in either basis, mapped to physical components."""
+    samples = data.sample(x, sys.n)
+    u0 = samples if data.basis == "physical" else eigs.basis @ samples
+    return fullspace_evolve(sys, x, u0, times, eigs=eigs)
 
 
 def _fmt(value: float) -> str:
@@ -558,24 +563,13 @@ def _fmt(value: float) -> str:
 
 
 def write_csv(series: NormSeries, path: Path) -> None:
-    """Norm history as CSV; floats at full precision so reruns are
-    byte-identical."""
-    n = series.n_components
-    header = ["t", "l2_total", "l2_high", "l2_low", "linf", "l1"] + [
-        f"comp_{k + 1}" for k in range(n)
-    ]
-    lines = [",".join(header)]
-    for i, t in enumerate(series.times):
-        row = [
-            _fmt(float(t)),
-            _fmt(float(series.l2_total[i])),
-            _fmt(float(series.l2_high[i])),
-            _fmt(float(series.l2_low[i])),
-            _fmt(float(series.linf[i])),
-            _fmt(float(series.l1[i])),
-        ]
-        row.extend(_fmt(float(series.comp_l2[k, i])) for k in range(n))
-        lines.append(",".join(row))
+    """Norm history as CSV: ``t``, the ``NORM_COLUMNS`` and one ``comp_k``
+    per component; floats at full precision so reruns are byte-identical."""
+    header = ["t", *NORM_COLUMNS, *(f"comp_{k + 1}" for k in range(series.n_components))]
+    table = np.column_stack(
+        [series.times, *(getattr(series, name) for name in NORM_COLUMNS), series.comp_l2.T]
+    )
+    lines = [",".join(header), *(",".join(map(_fmt, row)) for row in table.tolist())]
     path.write_text("\n".join(lines) + "\n")
 
 

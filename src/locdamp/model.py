@@ -44,6 +44,8 @@ class HyperbolicSystem:
     ``a`` is the n-by-n velocity matrix, ``n1`` counts the leading undamped
     components, and ``dd`` is the damping acting on the rest.  ``dd`` need
     not be symmetric; its coercivity is measured through the symmetric part.
+    A rejected value raises ``ValueError`` naming the field (``n1: ...``);
+    the scenario loader puts the field's path in front.
     """
 
     a: np.ndarray
@@ -51,15 +53,15 @@ class HyperbolicSystem:
     dd: np.ndarray
 
     def __post_init__(self) -> None:
-        a = _as_matrix(self.a, "system.a")
-        dd = _as_matrix(self.dd, "system.dd")
+        a = _as_matrix(self.a, "a")
+        dd = _as_matrix(self.dd, "dd")
         n = a.shape[0]
         n1 = int(self.n1)
         if not 0 <= n1 < n:
-            raise ValueError(f"system.n1: need 0 <= n1 < {n}, got {n1}")
+            raise ValueError(f"n1: need 0 <= n1 < {n}, got {n1}")
         if dd.shape[0] != n - n1:
             raise ValueError(
-                f"system.dd: expected shape ({n - n1}, {n - n1}), got {dd.shape}"
+                f"dd: expected shape ({n - n1}, {n - n1}), got {dd.shape}"
             )
         a.flags.writeable = False
         dd.flags.writeable = False

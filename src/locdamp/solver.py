@@ -27,8 +27,6 @@ from locdamp.spectral import NormSeries, field_norms, matrix_exp
 SPEED_DENOMINATOR_MAX = 1000
 SPEED_RATIONAL_RTOL = 1e-9
 SPEED_LCM_MAX = 10_000
-# Stripe edges may move at most half a cell when snapped to the grid.
-SNAP_MAX_FRACTION = 0.5
 # Cells per narrowest stripe when no resolution is requested.
 DEFAULT_CELLS_PER_STRIPE = 200
 # Mass in the edge guard band above this fraction of the initial sup-norm
@@ -150,8 +148,6 @@ def build_grid(
                 f"stripe [{a}, {b}] is narrower than a cell at this resolution"
             )
         snapped.append((sa, sb))
-    if snap_err > SNAP_MAX_FRACTION * dx * (1.0 + 1e-12):
-        raise GridError("stripe snapping exceeded half a cell")  # unreachable via round
     try:
         snapped_region = UndampedRegion(stripes=tuple(snapped))
     except ValueError as exc:
@@ -227,16 +223,18 @@ class Bump:
 @dataclass(frozen=True)
 class InitialDataSpec:
     """Sum of bumps, given either on physical components or directly on
-    characteristic (eigenbasis) components."""
+    characteristic (eigenbasis) components.  A rejected value raises
+    ``ValueError`` naming the field (``basis: ...``); the scenario loader
+    puts the field's path in front."""
 
     bumps: tuple[Bump, ...]
     basis: str = "physical"
 
     def __post_init__(self) -> None:
         if not self.bumps:
-            raise ValueError("initial_data.bumps: at least one bump is required")
+            raise ValueError("bumps: at least one bump is required")
         if self.basis not in ("physical", "characteristic"):
-            raise ValueError(f"initial_data.basis: unknown basis {self.basis!r}")
+            raise ValueError(f"basis: unknown basis {self.basis!r}")
         object.__setattr__(self, "bumps", tuple(self.bumps))
 
     def support(self) -> tuple[float, float]:

@@ -25,6 +25,11 @@ CURVATURE_XI_MAX = 0.1
 # Initial data must be band-limited: relative spectral mass allowed in the
 # top two frequency bins.
 ALIASING_RTOL = 1e-8
+# The scalar norms of a ``NormSeries``, in the order a norms CSV lists them.
+NORM_COLUMNS = ("l2_total", "l2_high", "l2_low", "linf", "l1")
+# Fields whose sup lies within a factor 2**SCALE_EXPONENT of 1 are squared as
+# they are; see ``_pow2_normalize``.
+SCALE_EXPONENT = 400
 
 
 class MatrixExpError(RuntimeError):
@@ -193,12 +198,8 @@ class NormSeries:
         ``n_cells`` and the fields of a subclass."""
         return cls(
             times=np.array(times),
-            l2_total=np.array([r["l2_total"] for r in rows]),
-            l2_high=np.array([r["l2_high"] for r in rows]),
-            l2_low=np.array([r["l2_low"] for r in rows]),
-            linf=np.array([r["linf"] for r in rows]),
+            **{name: np.array([r[name] for r in rows]) for name in NORM_COLUMNS},
             low_modes=np.stack([r["low_modes"] for r in rows]),
-            l1=np.array([r["l1"] for r in rows]),
             comp_l2=np.column_stack([r["comp_l2"] for r in rows]),
             **extra,
         )
@@ -228,22 +229,38 @@ def freq_split(w: np.ndarray, dx: float) -> tuple[float, float, np.ndarray]:
     return l2_high, l2_low, what[:, :np.count_nonzero(low)].copy()
 
 
+def _pow2_normalize(w: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(w / 2**e, e)``, with ``e`` the binary exponent of the sup of
+    ``|w|`` when that sup lies outside [2**-SCALE_EXPONENT,
+    2**SCALE_EXPONENT], where squaring ``w`` could overflow or underflow;
+    ``(w, 0)`` otherwise.  Dividing by a power of two is exact, so norms
+    taken on the result and multiplied by ``2**e`` scale exactly with the
+    data."""
+    sup = float(np.abs(w).max())
+    if sup == 0.0 or 2.0 ** -SCALE_EXPONENT <= sup <= 2.0 ** SCALE_EXPONENT:
+        return w, 0
+    e = int(np.frexp(sup)[1])
+    return np.ldexp(w, -e), e
+
+
 def low_band_sup(low_modes: np.ndarray, n_cells: int) -> float:
     """Sup over ``n_cells`` cells of the pointwise norm of the field whose
     real-FFT bins are ``low_modes`` followed by zeros."""
-    w_low = np.fft.irfft(low_modes, n=n_cells, axis=1)
-    return float(np.sqrt(np.sum(w_low ** 2, axis=0).max()))
+    w_low, e = _pow2_normalize(np.fft.irfft(low_modes, n=n_cells, axis=1))
+    return float(np.ldexp(np.sqrt(np.sum(w_low ** 2, axis=0).max()), e))
 
 
 def field_norms(w: np.ndarray, dx: float, basis: np.ndarray) -> dict[str, object]:
     """One ``NormSeries`` row of the characteristic field ``w`` on cells
     of width ``dx``; ``basis`` maps it to physical components.  The basis
-    is orthogonal, so pointwise norms are taken on ``w`` directly."""
+    is orthogonal, so pointwise norms are taken on ``w`` directly.  The
+    row scales exactly with ``w`` by powers of two (``_pow2_normalize``)."""
+    w, e = _pow2_normalize(w)
     sq = w ** 2
     point = np.sqrt(np.sum(sq, axis=0))
     l2_high, l2_low, low_modes = freq_split(w, dx)
     u = basis @ w
-    return {
+    row = {
         "l2_total": float(np.sqrt(np.sum(sq) * dx)),
         "l2_high": l2_high,
         "l2_low": l2_low,
@@ -252,6 +269,13 @@ def field_norms(w: np.ndarray, dx: float, basis: np.ndarray) -> dict[str, object
         "l1": float(point.sum() * dx),
         "comp_l2": np.sqrt(np.sum(u ** 2, axis=1) * dx),
     }
+    if e:
+        for name in NORM_COLUMNS:
+            row[name] = float(np.ldexp(row[name], e))
+        row["comp_l2"] = np.ldexp(row["comp_l2"], e)
+        # complex bins scale through their real and imaginary parts
+        row["low_modes"] = np.ldexp(low_modes.view(np.float64), e).view(low_modes.dtype)
+    return row
 
 
 def fullspace_evolve(

@@ -1,15 +1,20 @@
-"""The package names the benchmark under ``perfbench/`` relies on.
+"""The package names and outputs the benchmark under ``perfbench/`` relies on.
 
 The tracer skips a layer whose module or attribute is gone and reports it
 as missing instead of failing, so a refactor that renames a traced
 function would otherwise only show as an empty row in a benchmark report.
-The benchmark's modules are loaded from their files, unchanged.
+The correctness gate reads only the exported files, so a change to the
+CSV or summary schema or values would otherwise only show when the
+benchmark runs.  The benchmark's modules are loaded from their files,
+unchanged.
 """
 
 import importlib.util
 import math
 import sys
 from pathlib import Path
+
+import pytest
 
 from locdamp import harness
 
@@ -45,3 +50,18 @@ def test_micro_layers_run():
     values = _perfbench("micro").run_all(ROOT)
     assert values
     assert all(math.isfinite(v) and v > 0.0 for v in values.values())
+
+
+@pytest.fixture(scope="module")
+def gate_and_reference():
+    gate = _perfbench("gate")
+    return gate, gate.load_reference()
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in (ROOT / "scenarios").glob("*.json")))
+def test_shipped_outputs_pass_the_gate(gate_and_reference, tmp_path, name):
+    gate, reference = gate_and_reference
+    result = harness.run_scenario(harness.load_scenario(ROOT / "scenarios" / f"{name}.json"))
+    csv_path, summary_path = harness.export(result, tmp_path)
+    check = gate.check_output(reference.get(f"shipped/{name}"), csv_path, summary_path)
+    assert check.ok, check.problems
