@@ -20,7 +20,7 @@ import numpy as np
 from locdamp import kernels
 from locdamp.chartimes import UndampedRegion
 from locdamp.model import EigenStructure, HyperbolicSystem, diagonalize, source_matrix
-from locdamp.spectral import NormSeries, field_norms, matrix_exp
+from locdamp.spectral import NormSeries, field_norms, matrix_exp, unit_scale
 
 # Rational reconstruction of speed ratios: denominator cap, acceptance
 # tolerance, and the largest admissible common grid refinement.
@@ -298,7 +298,8 @@ def run(
     grid = build_grid(eigs, region, x_min, x_max, n_cells)
     steps = sample_steps(t_final, grid.dt, stride)
 
-    u0 = data.sample(grid.centers, sys.n)
+    # step data with sup in [1/2, 1), so the bits do not depend on its scale
+    u0, e0 = unit_scale(data.sample(grid.centers, sys.n))
     if data.basis == "characteristic":
         w = np.ascontiguousarray(u0, dtype=np.float64)
     else:
@@ -325,5 +326,6 @@ def run(
 
     times = [k * grid.dt for k in steps]
     return Trajectory.from_rows(
-        times, rows, n_cells=grid.n_cells, grid=grid, eigs=eigs, final_w=w
+        times, rows, exponent=e0, n_cells=grid.n_cells, grid=grid, eigs=eigs,
+        final_w=np.ldexp(w, e0, out=w),
     )

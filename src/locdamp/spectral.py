@@ -2,15 +2,20 @@
 
 With the damping active everywhere, each spatial frequency evolves
 independently under a small complex matrix.  This module provides that
-matrix, a scaling-and-squaring exponential for it, the decay-rate scan
-(uniform rate at high frequency, diffusive curvature at low frequency),
-and a pseudospectral evolver on a periodic box used as the reference
-solution that the localized-damping envelopes are calibrated against.
+matrix, a scaling-and-squaring exponential for whole stacks of them (a
+degree-20 Taylor polynomial evaluated by Paterson–Stockmeyer on a
+batch-last layout), the decay-rate scan (uniform rate at high frequency,
+diffusive curvature at low frequency), and a pseudospectral evolver on a
+periodic box used as the reference solution that the localized-damping
+envelopes are calibrated against.  The evolver takes a sample's band
+norms from the spectrum it evolves and transforms back to the grid once,
+for the pointwise norms.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -18,8 +23,18 @@ import numpy as np
 
 from locdamp.model import EigenStructure, HyperbolicSystem, diagonalize, source_matrix
 
-TAYLOR_TERMS = 20
-SCALING_THETA = 0.5
+TAYLOR_DEGREE = 20
+# Paterson–Stockmeyer block size.  It divides the degree, so the top block
+# is the scalar 1/20! and costs no product.
+PS_BLOCK = 4
+# Scaled arguments have Frobenius norm at most this, so the Taylor
+# remainder is below 1/21! (about 2e-20).
+SCALING_THETA = 1.0
+# Matrix entries per pass of the exponential (1024 matrices of 2 x 2), so
+# that its temporaries, about ten stacks of one pass, do not grow with the
+# stack and stay in cache.
+EXP_CHUNK_ENTRIES = 4096
+_TAYLOR_COEFFS = np.array([1.0 / math.factorial(j) for j in range(TAYLOR_DEGREE + 1)])
 # Low-frequency window for the diffusive-curvature fit.
 CURVATURE_XI_MAX = 0.1
 # Initial data must be band-limited: relative spectral mass allowed in the
@@ -53,34 +68,74 @@ def matrix_exp(m) -> np.ndarray:
     arr = np.asarray(m, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"matrix_exp: expected a square matrix, got shape {arr.shape}")
-    return _matrix_exp_batch(arr[None])[0]
+    return _matrix_exp_batch(arr[:, :, None])[:, :, 0]
+
+
+def _batch_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[:, :, j] @ b[:, :, j]`` for every ``j`` of two batch-last
+    ``(n, n, k)`` stacks, as ``n`` broadcast multiply-adds: for the small
+    ``n`` of a symbol this is several times faster than ``matmul`` on a
+    ``(k, n, n)`` stack."""
+    out = a[:, :1] * b[:1]
+    for j in range(1, a.shape[1]):
+        out += a[:, j:j + 1] * b[j:j + 1]
+    return out
 
 
 def _matrix_exp_batch(ms: np.ndarray) -> np.ndarray:
-    """Scaling-and-squaring exponential of a (k, n, n) stack.
+    """Scaling-and-squaring exponential of a batch-last ``(n, n, k)`` stack.
 
-    Scales every matrix by the same power of two chosen from the largest
-    Frobenius norm, runs a 20-term Horner Taylor evaluation, and squares
-    back.  A non-finite argument is refused, and so is a result that
-    overflows in the squaring.
+    Scales every matrix by the same power of two ``2**-s``, the least that
+    brings the largest Frobenius norm to ``SCALING_THETA`` = 1 or below,
+    so the degree-20 Taylor polynomial is exact to within 1/21!.  Then
+    evaluates it and squares ``s`` times (``_taylor_squared``), a pass of
+    ``EXP_CHUNK_ENTRIES`` matrix entries at a time.  A non-finite
+    argument is refused, and so is a result that overflows in the
+    squaring.
     """
     ms = np.asarray(ms, dtype=complex)
-    norms = np.sqrt(np.sum(np.abs(ms) ** 2, axis=(-2, -1)))
+    norms = np.sqrt(np.sum(ms.real ** 2 + ms.imag ** 2, axis=(0, 1)))
     nmax = float(norms.max()) if norms.size else 0.0
     if not np.isfinite(nmax):
         raise MatrixExpError("matrix norm is not finite")
     s = 0 if nmax <= SCALING_THETA else int(np.ceil(np.log2(nmax / SCALING_THETA)))
-    x = ms / (2.0 ** s)
-    n = ms.shape[-1]
-    eye = np.broadcast_to(np.eye(n, dtype=complex), ms.shape)
-    p = eye + x / TAYLOR_TERMS
-    for j in range(TAYLOR_TERMS - 1, 0, -1):
-        p = eye + (x / j) @ p
+    out = np.empty_like(ms)
+    step = max(1, EXP_CHUNK_ENTRIES // ms.shape[0] ** 2)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(s):
-            p = p @ p
-    if not np.isfinite(p).all():
+        for lo in range(0, ms.shape[-1], step):
+            chunk = slice(lo, lo + step)
+            out[:, :, chunk] = _taylor_squared(ms[:, :, chunk] / 2.0 ** s, s)
+    if not np.isfinite(out).all():
         raise MatrixExpError("matrix exponential overflows: result is not finite")
+    return out
+
+
+def _taylor_squared(x: np.ndarray, s: int) -> np.ndarray:
+    """The degree-20 Taylor polynomial of exp at a batch-last stack ``x``,
+    squared ``s`` times.  Evaluated by Paterson–Stockmeyer: the powers
+    X^2, X^3, X^4, then Horner in X^4 over blocks of four coefficients, 7
+    products in place of Horner's 20."""
+    powers = [x]
+    for _ in range(PS_BLOCK - 1):
+        powers.append(_batch_matmul(powers[-1], x))
+    top = powers.pop()
+    diag = np.arange(x.shape[0])
+
+    def add_block(p: np.ndarray, i: int) -> np.ndarray:
+        # p + sum of c[q*i + j] X^j over j < q, in place, for block size q
+        c = _TAYLOR_COEFFS[PS_BLOCK * i:PS_BLOCK * (i + 1)]
+        for cj, xj in zip(c[1:], powers):
+            p += cj * xj
+        p[diag, diag] += c[0]
+        return p
+
+    n_blocks = TAYLOR_DEGREE // PS_BLOCK
+    p = add_block(_TAYLOR_COEFFS[-1] * top, n_blocks - 1)
+    for i in range(n_blocks - 2, -1, -1):
+        p = add_block(_batch_matmul(p, top), i)
+    del powers, top  # the squarings need only p
+    for _ in range(s):
+        p = _batch_matmul(p, p)
     return p
 
 
@@ -193,27 +248,26 @@ class NormSeries:
         return np.array([low_band_sup(c, self.n_cells) for c in self.low_modes])
 
     @classmethod
-    def from_rows(cls, times: Sequence[float], rows: Sequence[dict], **extra):
-        """Stack ``field_norms`` rows, one per sample time; ``extra`` holds
-        ``n_cells`` and the fields of a subclass."""
-        return cls(
-            times=np.array(times),
-            **{name: np.array([r[name] for r in rows]) for name in NORM_COLUMNS},
-            low_modes=np.stack([r["low_modes"] for r in rows]),
-            comp_l2=np.column_stack([r["comp_l2"] for r in rows]),
-            **extra,
-        )
+    def from_rows(cls, times: Sequence[float], rows: Sequence[dict], *, exponent: int = 0, **extra):
+        """Stack ``field_norms`` rows, one per sample time, taken on a field
+        ``2**exponent`` times smaller than the one the series describes
+        (``scale_row``); ``extra`` holds ``n_cells`` and the fields of a
+        subclass."""
+        columns = {name: np.array([r[name] for r in rows]) for name in NORM_COLUMNS}
+        columns["low_modes"] = np.stack([r["low_modes"] for r in rows])
+        columns["comp_l2"] = np.column_stack([r["comp_l2"] for r in rows])
+        return cls(times=np.array(times), **scale_row(columns, exponent), **extra)
 
 
-def freq_split(w: np.ndarray, dx: float) -> tuple[float, float, np.ndarray]:
-    """(high, low, low modes) of a characteristic field.
+def freq_split(what: np.ndarray, n_cells: int, dx: float) -> tuple[float, float, np.ndarray]:
+    """(high, low, low modes) of a characteristic field on ``n_cells``
+    cells of width ``dx``, given by its real FFT along the cells, ``what``.
 
     The split is at wavenumber 1, high band strict; energies follow the
     real-FFT Parseval weights so the two bands sum to the total.  The low
     modes are the real-FFT bins with xi <= 1, a prefix since xi increases.
     """
-    m = w.shape[1]
-    what = np.fft.rfft(w, axis=1)
+    m = n_cells
     nf = what.shape[1]
     xi = 2.0 * np.pi * np.arange(nf) / (m * dx)
     high = xi > 1.0
@@ -229,18 +283,48 @@ def freq_split(w: np.ndarray, dx: float) -> tuple[float, float, np.ndarray]:
     return l2_high, l2_low, what[:, :np.count_nonzero(low)].copy()
 
 
+def _ldexp(a: np.ndarray, e: int) -> np.ndarray:
+    """``a * 2**e`` for a real or complex array; complex entries scale
+    through their real and imaginary parts."""
+    if not e:
+        return a
+    if np.iscomplexobj(a):
+        a = np.ascontiguousarray(a)
+        return np.ldexp(a.view(np.float64), e).view(a.dtype)
+    return np.ldexp(a, e)
+
+
+def unit_scale(w: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(w / 2**e, e)`` with ``e`` the binary exponent of the sup of
+    ``|w|``, so the result's sup lies in [1/2, 1); ``(w, 0)`` for a zero
+    field.  Dividing by a power of two is exact, so a linear evolution of
+    the result is that of ``w`` scaled by ``2**-e``, the same bits whatever
+    the data's scale."""
+    e = int(np.frexp(float(np.abs(w).max()))[1])
+    return _ldexp(w, -e), e
+
+
 def _pow2_normalize(w: np.ndarray) -> tuple[np.ndarray, int]:
-    """``(w / 2**e, e)``, with ``e`` the binary exponent of the sup of
-    ``|w|`` when that sup lies outside [2**-SCALE_EXPONENT,
-    2**SCALE_EXPONENT], where squaring ``w`` could overflow or underflow;
-    ``(w, 0)`` otherwise.  Dividing by a power of two is exact, so norms
-    taken on the result and multiplied by ``2**e`` scale exactly with the
-    data."""
+    """``unit_scale(w)`` when the sup of ``|w|`` lies outside
+    [2**-SCALE_EXPONENT, 2**SCALE_EXPONENT], where squaring ``w`` could
+    overflow or underflow; ``(w, 0)`` otherwise."""
     sup = float(np.abs(w).max())
     if sup == 0.0 or 2.0 ** -SCALE_EXPONENT <= sup <= 2.0 ** SCALE_EXPONENT:
         return w, 0
-    e = int(np.frexp(sup)[1])
-    return np.ldexp(w, -e), e
+    return unit_scale(w)
+
+
+def scale_row(row: dict[str, object], e: int) -> dict[str, object]:
+    """A norm row of a field, or the stacked rows of a series, rescaled in
+    place for that field times ``2**e``: every norm and the low modes."""
+    if e:
+        for name in NORM_COLUMNS:
+            row[name] = np.ldexp(row[name], e)
+        for name in ("comp_l2", "low_modes"):
+            # complex bins scale through their real and imaginary parts
+            parts = row[name].view(np.float64)
+            np.ldexp(parts, e, out=parts)
+    return row
 
 
 def low_band_sup(low_modes: np.ndarray, n_cells: int) -> float:
@@ -250,17 +334,18 @@ def low_band_sup(low_modes: np.ndarray, n_cells: int) -> float:
     return float(np.ldexp(np.sqrt(np.sum(w_low ** 2, axis=0).max()), e))
 
 
-def field_norms(w: np.ndarray, dx: float, basis: np.ndarray) -> dict[str, object]:
-    """One ``NormSeries`` row of the characteristic field ``w`` on cells
-    of width ``dx``; ``basis`` maps it to physical components.  The basis
-    is orthogonal, so pointwise norms are taken on ``w`` directly.  The
-    row scales exactly with ``w`` by powers of two (``_pow2_normalize``)."""
-    w, e = _pow2_normalize(w)
+def _field_row(
+    w: np.ndarray, bands: tuple[float, float, np.ndarray], dx: float, basis: np.ndarray
+) -> dict[str, object]:
+    """The norm row of ``w`` from ``bands``, the ``freq_split`` of its real
+    FFT along the cells, and ``w`` itself for the rest.  Taking the split
+    rather than the spectrum lets the spectrum go before the row's own
+    temporaries are made."""
     sq = w ** 2
     point = np.sqrt(np.sum(sq, axis=0))
-    l2_high, l2_low, low_modes = freq_split(w, dx)
+    l2_high, l2_low, low_modes = bands
     u = basis @ w
-    row = {
+    return {
         "l2_total": float(np.sqrt(np.sum(sq) * dx)),
         "l2_high": l2_high,
         "l2_low": l2_low,
@@ -269,13 +354,26 @@ def field_norms(w: np.ndarray, dx: float, basis: np.ndarray) -> dict[str, object
         "l1": float(point.sum() * dx),
         "comp_l2": np.sqrt(np.sum(u ** 2, axis=1) * dx),
     }
-    if e:
-        for name in NORM_COLUMNS:
-            row[name] = float(np.ldexp(row[name], e))
-        row["comp_l2"] = np.ldexp(row["comp_l2"], e)
-        # complex bins scale through their real and imaginary parts
-        row["low_modes"] = np.ldexp(low_modes.view(np.float64), e).view(low_modes.dtype)
-    return row
+
+
+def field_norms(w: np.ndarray, dx: float, basis: np.ndarray) -> dict[str, object]:
+    """One ``NormSeries`` row of the characteristic field ``w`` on cells
+    of width ``dx``; ``basis`` maps it to physical components.  The basis
+    is orthogonal, so pointwise norms are taken on ``w`` directly.  The
+    row scales exactly with ``w`` by powers of two (``_pow2_normalize``)."""
+    w, e = _pow2_normalize(w)
+    bands = freq_split(np.fft.rfft(w, axis=1), w.shape[1], dx)
+    return scale_row(_field_row(w, bands, dx, basis), e)
+
+
+def _spectrum_norms(what: np.ndarray, n_cells: int, dx: float, basis: np.ndarray) -> dict[str, object]:
+    """``field_norms`` of the field on ``n_cells`` cells whose real FFT is
+    ``what``: the band norms come from ``what``, and one transform back
+    to the grid serves the rest.  The grid field is freed on return, before
+    the evolver builds its next propagator."""
+    w, e = _pow2_normalize(np.fft.irfft(what, n=n_cells, axis=1))
+    bands = freq_split(_ldexp(what, -e), n_cells, dx)
+    return scale_row(_field_row(w, bands, dx, basis), e)
 
 
 def fullspace_evolve(
@@ -294,7 +392,9 @@ def fullspace_evolve(
     non-negative and non-decreasing.  Increments that agree within
     ``tol = 4 * spacing(max(times))`` share one propagator and increments
     at or under ``tol`` are not stepped, so the j-th sample is evolved
-    over a time within ``j * tol`` of its own.  The grid must be uniform
+    over a time within ``j * tol`` of its own.  Each sample's band norms
+    and low modes are read off the evolved spectrum; one inverse FFT gives
+    the total, pointwise and component norms.  The grid must be uniform
     and the data nonzero and band-limited: spectral mass in the top two
     bins beyond 1e-8 of the peak is rejected as aliased.
     """
@@ -315,8 +415,11 @@ def fullspace_evolve(
     if eigs is None:
         eigs = diagonalize(sys.a)
 
+    # evolve data with sup in [1/2, 1), so the bits do not depend on its scale
+    u0, e0 = unit_scale(u0)
     m = x.size
     what = np.fft.rfft(eigs.basis.T @ u0, axis=1)
+    del u0  # the evolution needs only the spectrum
     xi = 2.0 * np.pi * np.fft.rfftfreq(m, d=dx)
 
     # The top two bins of the full spectrum: the two highest rfft bins for
@@ -328,7 +431,8 @@ def fullspace_evolve(
             "fullspace: initial data is not resolved on this grid (top-bin spectral mass)"
         )
 
-    e_all = _symbol_stack(sys, eigs, xi)
+    # batch-last (n, n, bins), the layout of _matrix_exp_batch
+    e_all = np.ascontiguousarray(np.moveaxis(_symbol_stack(sys, eigs, xi), 0, -1))
 
     tol = 4.0 * float(np.spacing(t_list[-1]))
     props: list[tuple[float, np.ndarray]] = []
@@ -342,6 +446,6 @@ def fullspace_evolve(
             if prop is None:
                 prop = _matrix_exp_batch(e_all * inc)
                 props.append((inc, prop))
-            what = np.einsum("kij,jk->ik", prop, what)
-        rows.append(field_norms(np.fft.irfft(what, n=m, axis=1), dx, eigs.basis))
-    return NormSeries.from_rows(t_list, rows, n_cells=m)
+            what = np.einsum("ijk,jk->ik", prop, what)
+        rows.append(_spectrum_norms(what, m, dx, eigs.basis))
+    return NormSeries.from_rows(t_list, rows, exponent=e0, n_cells=m)

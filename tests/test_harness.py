@@ -748,11 +748,18 @@ class TestLazyLowBandSup:
     def test_equals_eager_formula(self, name, monkeypatch):
         eager = []
         refs = []
-        split, cal = spectral.freq_split, harness.calibrate
+        split, rescale, cal = spectral.freq_split, spectral.scale_row, harness.calibrate
 
-        def recording_split(w, dx):
-            eager.append(eager_linf_low(w, dx))
-            return split(w, dx)
+        def recording_split(what, n_cells, dx):
+            eager.append(eager_linf_low(what, n_cells, dx))
+            return split(what, n_cells, dx)
+
+        def recording_rescale(row, e):
+            # a row, or the stacked rows of a run, taken on the field over
+            # 2**e; so were the eager sups recorded for them
+            k = np.size(row["l2_total"])
+            eager[-k:] = [math.ldexp(v, e) for v in eager[-k:]]
+            return rescale(row, e)
 
         def recording_calibrate(*args, **kwargs):
             out = cal(*args, **kwargs)
@@ -760,6 +767,7 @@ class TestLazyLowBandSup:
             return out
 
         monkeypatch.setattr(spectral, "freq_split", recording_split)
+        monkeypatch.setattr(spectral, "scale_row", recording_rescale)
         monkeypatch.setattr(harness, "calibrate", recording_calibrate)
         result = harness.run_scenario(harness.load_scenario(SCENARIOS / f"{name}.json"))
         lazy = np.concatenate([result.series.linf_low, *(r.linf_low for r in refs)])

@@ -110,6 +110,53 @@ class TestMatrixExp:
             matrix_exp(np.zeros((2, 3)))
 
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def _reference_stack(name, m, dx, inc):
+    """What the reference exponentiates: the eigenbasis symbols of a
+    shipped system at the real-FFT frequencies of ``m`` cells of width
+    ``dx``, times the increment ``inc``, batch-last."""
+    sys = harness.load_scenario(SCENARIOS / f"{name}.json").system
+    xi = 2.0 * np.pi * np.fft.rfftfreq(m, d=dx)
+    return np.moveaxis(spectral._symbol_stack(sys, diagonalize(sys.a), xi) * inc, 0, -1)
+
+
+class TestMatrixExpBatch:
+    """The batched exponential on real reference stacks, against scipy's
+    ``expm`` matrix by matrix."""
+
+    @pytest.mark.parametrize(
+        "name, m, dx, inc",
+        [
+            ("damped_wave", 4096, 0.125, 10.0),  # 2049 bins
+            ("damped_wave", 8192, 0.125, 150.0),  # 4097 bins, long horizon
+            ("three_speed_321", 2048, 0.0625, 7.0),  # 3 x 3, 1025 bins
+        ],
+    )
+    def test_matches_scipy_on_reference_stacks(self, name, m, dx, inc, monkeypatch):
+        ms = _reference_stack(name, m, dx, inc)
+        multiplied = []
+        original = spectral._batch_matmul
+        monkeypatch.setattr(
+            spectral,
+            "_batch_matmul",
+            lambda a, b: multiplied.append(a.shape[-1]) or original(a, b),
+        )
+        got = spectral._matrix_exp_batch(ms)
+        # squarings: the least s with every Frobenius norm over 2**s at most 1
+        norm = float(np.sqrt(np.sum(np.abs(ms) ** 2, axis=(0, 1))).max())
+        s = max(0, int(np.ceil(np.log2(norm))))
+        # matrix products per matrix of the stack
+        assert sum(multiplied) <= (8 + s) * ms.shape[-1]
+        # the propagators are contractions, and each squaring at most
+        # doubles their rounding error
+        tol = 2.0 ** s * np.finfo(float).eps
+        assert got.shape == ms.shape
+        for j in range(ms.shape[-1]):
+            assert np.abs(got[:, :, j] - expm(ms[:, :, j])).max() <= tol, j
+
+
 class TestAbscissa:
     def test_damped_wave_high_frequency_plateau(self):
         # eigenvalues of the 2x2 symbol solve z^2 + z + xi^2 = 0, so the
@@ -228,6 +275,42 @@ class TestFullspaceEvolve:
         want = _full_spectrum_oracle(sys, x, u0, times)
         for name in ("l2_total", "l2_high", "l2_low", "linf", "linf_low", "l1", "comp_l2"):
             assert np.allclose(getattr(got, name), getattr(want, name), rtol=1e-12, atol=0.0), name
+
+    @pytest.mark.parametrize("m", [256, 255])
+    @pytest.mark.parametrize(
+        "make_sys, centers",
+        [(damped_wave_system, [-1.0, 1.0]), (three_speed_system, [-1.0, 0.0, 1.5])],
+    )
+    def test_spectrum_side_row_matches_the_grid_row(self, m, make_sys, centers, monkeypatch):
+        # A sample's band norms and low modes are read off the evolved
+        # spectrum; ``field_norms`` of its inverse FFT takes them from a
+        # forward FFT of the grid values instead.
+        seen = []
+        original = spectral._spectrum_norms
+
+        def recording_row(what, n_cells, dx, basis):
+            row = original(what, n_cells, dx, basis)
+            seen.append((what, dx, basis, row))
+            return row
+
+        monkeypatch.setattr(spectral, "_spectrum_norms", recording_row)
+        x = -32.0 + 0.25 * np.arange(m)
+        times = [0.0, 0.7, 1.4, 3.0, 5.5, 20.0]
+        fullspace_evolve(make_sys(), x, _gaussian_data(x, centers), times)
+        monkeypatch.undo()
+        assert len(seen) == len(times)
+        rows = [row for *_, row in seen]
+        grid_rows = [
+            field_norms(np.fft.irfft(what, n=m, axis=1), dx, basis) for what, dx, basis, _ in seen
+        ]
+        for name in ("l2_total", "linf", "l1"):
+            assert [r[name] for r in rows] == [g[name] for g in grid_rows], name
+        for r, g in zip(rows, grid_rows):
+            assert np.array_equal(r["comp_l2"], g["comp_l2"])
+        for name in ("l2_high", "l2_low", "low_modes"):
+            got = np.array([r[name] for r in rows])
+            want = np.array([g[name] for g in grid_rows])
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), name
 
     @pytest.mark.parametrize("m, checked", [(256, 2), (255, 1)])
     def test_aliasing_guard_reads_the_top_full_spectrum_bins(self, m, checked):
