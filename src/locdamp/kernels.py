@@ -2,36 +2,23 @@
 
 Each split step is half-relax (masked cells only), a shift of every row
 by a whole number of cells with zero inflow, an edge-band guard, then the
-second half-relax.  The relaxation is applied to each contiguous run of
-the mask as one matrix product; a stripe mask has at most one run more
-than it has stripes.
+second half-relax.
 
 Work is confined to the light cone of the initial nonzero columns: the
 kernel keeps a half-open column window outside which ``v`` is exactly
 zero, relaxes and shifts only inside it, and widens it after each shift
 by the largest left and right shift.  A field that fills the domain gives
-the full-width window.  The relaxation visits only the mask runs that
-meet the window, found by bisection on the run ends, and the guard scans
-an edge band only once the window reaches it: outside the window every
-entry is zero and cannot trip it.
+the full-width window.  A half-relaxation is one matrix product over the
+whole window, written back on its damped cells only; a column rounds
+the same in any product of two or more columns, so this gives the bits
+of a product over the damped cells alone.  The guard scans an edge
+band only once the window reaches it: outside the window every entry is
+zero and cannot trip it.
 """
 
 from __future__ import annotations
 
-import bisect
-
 import numpy as np
-
-
-def _mask_runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Half-open ``(start, stop)`` index ranges of the nonzero runs of ``mask``."""
-    on = mask != 0
-    bounds = (np.flatnonzero(on[1:] != on[:-1]) + 1).tolist()
-    if on[0]:
-        bounds.insert(0, 0)
-    if on[-1]:
-        bounds.append(on.size)
-    return list(zip(bounds[::2], bounds[1::2]))
 
 
 def _nonzero_window(v: np.ndarray) -> tuple[int, int]:
@@ -41,27 +28,16 @@ def _nonzero_window(v: np.ndarray) -> tuple[int, int]:
     return (int(cols[0]), int(cols[-1]) + 1) if cols.size else (0, 0)
 
 
-def _relax(
-    v: np.ndarray,
-    damp_half: np.ndarray,
-    runs: list[tuple[int, int]],
-    stops: list[int],
-    lo: int,
-    hi: int,
-) -> None:
-    """Half-relax the part of each mask run that meets the window ``[lo, hi)``;
-    ``stops`` holds the run ends, so the first run ending past ``lo`` is
-    found by bisection."""
-    for k in range(bisect.bisect_right(stops, lo), len(runs)):
-        a, b = runs[k]
-        if a >= hi:
-            break
+def _relax(v: np.ndarray, damp_half: np.ndarray, damped: np.ndarray, lo: int, hi: int) -> None:
+    """Half-relax the damped cells of the window ``[lo, hi)`` in one product."""
+    if hi - lo < 2:
+        if lo == hi:
+            return
         # numpy hands a one-column product to BLAS's matrix-vector code,
-        # which rounds unlike the same column of a wider product, so keep
-        # two columns where the run has them; the extra one lies outside
-        # the window and is zero
-        a, b = max(a, min(lo, b - 2)), min(b, max(hi, a + 2))
-        v[:, a:b] = damp_half @ v[:, a:b]
+        # which rounds unlike the same column of a wider product, so widen
+        # the window into a zero column at whichever end the grid allows
+        lo, hi = (lo, hi + 1) if hi < v.shape[1] else (lo - 1, hi)
+    np.copyto(v[:, lo:hi], damp_half @ v[:, lo:hi], where=damped[lo:hi])
 
 
 def advance(
@@ -81,8 +57,8 @@ def advance(
     magnitude (checked after the shift, before the second half-relax).
     """
     m = v.shape[1]
-    runs = _mask_runs(mask) if apply_damping else []
-    stops = [b for _, b in runs]
+    damped = mask != 0
+    relax = bool(apply_damping) and bool(damped.any())
     moves = [int(s) for s in shifts]
     row_shifts = [(i, s) for i, s in enumerate(moves) if s != 0]
     grow_left, grow_right = min(0, *moves), max(0, *moves)
@@ -92,7 +68,8 @@ def advance(
     lo, hi = _nonzero_window(v)
 
     for step in range(int(n_steps)):
-        _relax(v, damp_half, runs, stops, lo, hi)
+        if relax:
+            _relax(v, damp_half, damped, lo, hi)
 
         # copy the window to its shifted place, clipped to the domain, and
         # zero the window cells the copy left behind
@@ -115,5 +92,6 @@ def advance(
         ):
             return step + 1
 
-        _relax(v, damp_half, runs, stops, lo, hi)
+        if relax:
+            _relax(v, damp_half, damped, lo, hi)
     return 0

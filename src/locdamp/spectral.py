@@ -94,17 +94,23 @@ def _matrix_exp_batch(ms: np.ndarray) -> np.ndarray:
     squaring.
     """
     ms = np.asarray(ms, dtype=complex)
-    norms = np.sqrt(np.sum(ms.real ** 2 + ms.imag ** 2, axis=(0, 1)))
-    nmax = float(norms.max()) if norms.size else 0.0
-    if not np.isfinite(nmax):
-        raise MatrixExpError("matrix norm is not finite")
-    s = 0 if nmax <= SCALING_THETA else int(np.ceil(np.log2(nmax / SCALING_THETA)))
+    peak = float(np.abs(ms).max()) if ms.size else 0.0
+    if not np.isfinite(peak):
+        raise MatrixExpError("matrix is not finite")
+    s = 0
+    if peak:
+        # the norms of the entries over 2**e, the binary exponent of the
+        # largest: an exact division, so the squares cannot overflow
+        e = int(np.frexp(peak)[1])
+        unit = _ldexp(ms, -e)
+        nmax = float(np.sqrt(np.sum(unit.real ** 2 + unit.imag ** 2, axis=(0, 1))).max())
+        s = max(0, e + int(np.ceil(np.log2(nmax / SCALING_THETA))))
     out = np.empty_like(ms)
     step = max(1, EXP_CHUNK_ENTRIES // ms.shape[0] ** 2)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, ms.shape[-1], step):
             chunk = slice(lo, lo + step)
-            out[:, :, chunk] = _taylor_squared(ms[:, :, chunk] / 2.0 ** s, s)
+            out[:, :, chunk] = _taylor_squared(_ldexp(ms[:, :, chunk], -s), s)
     if not np.isfinite(out).all():
         raise MatrixExpError("matrix exponential overflows: result is not finite")
     return out
@@ -274,7 +280,8 @@ def freq_split(what: np.ndarray, n_cells: int, dx: float) -> tuple[float, float,
     low = ~high
     # Parseval weights: every bin but the zero bin and, for even m, the
     # Nyquist bin stands for a conjugate pair
-    power = np.sum(np.abs(what) ** 2, axis=0)
+    power = np.abs(what)
+    power = np.sum(np.square(power, out=power), axis=0)
     power[1:nf - 1 + m % 2] *= 2.0
     scale = dx / m
     l2_high = float(np.sqrt(scale * np.sum(power * high)))
@@ -308,7 +315,7 @@ def _pow2_normalize(w: np.ndarray) -> tuple[np.ndarray, int]:
     """``unit_scale(w)`` when the sup of ``|w|`` lies outside
     [2**-SCALE_EXPONENT, 2**SCALE_EXPONENT], where squaring ``w`` could
     overflow or underflow; ``(w, 0)`` otherwise."""
-    sup = float(np.abs(w).max())
+    sup = float(max(w.max(), -w.min()))
     if sup == 0.0 or 2.0 ** -SCALE_EXPONENT <= sup <= 2.0 ** SCALE_EXPONENT:
         return w, 0
     return unit_scale(w)
@@ -341,18 +348,20 @@ def _field_row(
     FFT along the cells, and ``w`` itself for the rest.  Taking the split
     rather than the spectrum lets the spectrum go before the row's own
     temporaries are made."""
-    sq = w ** 2
-    point = np.sqrt(np.sum(sq, axis=0))
+    sq = np.square(w)
+    l2_total = float(np.sqrt(np.sum(sq) * dx))
+    point = np.sum(sq, axis=0)
+    np.sqrt(point, out=point)
     l2_high, l2_low, low_modes = bands
     u = basis @ w
     return {
-        "l2_total": float(np.sqrt(np.sum(sq) * dx)),
+        "l2_total": l2_total,
         "l2_high": l2_high,
         "l2_low": l2_low,
         "linf": float(point.max()),
         "low_modes": low_modes,
         "l1": float(point.sum() * dx),
-        "comp_l2": np.sqrt(np.sum(u ** 2, axis=1) * dx),
+        "comp_l2": np.sqrt(np.sum(np.square(u, out=u), axis=1) * dx),
     }
 
 

@@ -101,6 +101,16 @@ class TestMatrixExp:
         with pytest.raises(MatrixExpError, match="overflows"):
             matrix_exp(2e4 * np.eye(2))
 
+    @pytest.mark.parametrize(
+        "m",
+        [-1e200 * np.eye(2), -1e160 * np.diag([0.0, 1.0])],
+        ids=["minus_1e200_identity", "minus_1e160_diag"],
+    )
+    def test_against_scipy_past_square_root_of_float_range(self, m):
+        # entries whose squares overflow: the norm that sets the squaring
+        # count is taken on the entries over a power of two
+        assert np.array_equal(matrix_exp(m), expm(m))
+
     def test_nonfinite_raises(self):
         with pytest.raises(MatrixExpError, match="not finite"):
             matrix_exp(np.array([[np.inf, 0.0], [0.0, 0.0]]))
