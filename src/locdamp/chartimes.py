@@ -4,10 +4,11 @@ Everything in this module is exact interval arithmetic on backward
 characteristics.  A component travelling at speed ``lam`` observed at
 ``(x0, t0)`` spent a (possibly empty) time window inside each undamped
 stripe; unions of those windows over all components measure for how long
-the damping was inactive along the history of a point.  The closed forms
+the damping was inactive along the history of a point; its supremum over
+points is exact, taken at the measure's breakpoints.  The closed forms
 (delay bound, conservation-horizon bounds, three-speed abutment geometry)
-are all cross-checkable against brute-force scans built from nothing but
-``crossing_window``.
+are all cross-checkable against that supremum and ``undamped_union``,
+built from nothing but ``crossing_window``.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover
     from locdamp.model import EigenStructure
 
-# Scan defaults: spatial step is the narrowest stripe width divided by this.
-SCAN_STEPS_PER_STRIPE = 400
 # Relative tolerance deciding the geometric (borderline) three-speed case.
 GEOMETRIC_RTOL = 1e-12
 # Relative tolerance for "both sign groups attain the delay bound" ties.
@@ -155,40 +154,29 @@ def undamped_union(
 
 
 # ---------------------------------------------------------------------------
-# vectorised scan machinery
+# exact supremum over observation points
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScanSpec:
-    """Spatial scan parameters for the brute-force sup search."""
+def _breakpoints(lambdas: np.ndarray, region: UndampedRegion, t: float) -> np.ndarray:
+    """Ascending x at which the union measure at time ``t`` can change slope.
 
-    x_min: float
-    x_max: float
-    step: float
-
-    def grid(self) -> np.ndarray:
-        if self.step <= 0:
-            raise ValueError("scan.step: must be positive")
-        n = int(np.floor((self.x_max - self.x_min) / self.step)) + 1
-        if n < 2:
-            raise ValueError("scan: empty spatial range")
-        return self.x_min + self.step * np.arange(n)
-
-
-def default_scan(
-    eigs: "EigenStructure", region: UndampedRegion, t: float
-) -> ScanSpec:
-    """Auto-sized scan: region bounds widened by the largest reachable
-    distance plus one region length of padding."""
-    lo, hi = region.bounds
-    vmax = float(np.max(np.abs(np.asarray(eigs.lambdas, dtype=float))))
-    pad = vmax * max(t, 0.0) + region.total_length
-    return ScanSpec(
-        x_min=lo - pad,
-        x_max=hi + pad,
-        step=region.min_width / SCAN_STEPS_PER_STRIPE,
-    )
+    Every window endpoint is the time ``t - (x - e) / lam`` at which the
+    speed-``lam`` characteristic from ``x`` passes a stripe edge ``e``,
+    clamped to ``[0, t]``.  It kinks where it reaches ``t`` (``x = e``) or 0
+    (``x = e + lam t``), and two endpoints trade order where two
+    characteristics from ``x`` pass their edges at the same time in
+    ``[0, t]``.  Between breakpoints the measure is linear in x and beyond
+    the outermost it is constant, so its sup is attained at one of them.
+    """
+    e, lam = (m.ravel() for m in np.meshgrid(np.ravel(region.stripes), lambdas))
+    i, j = np.triu_indices(e.size, k=1)
+    keep = lam[i] != lam[j]
+    i, j = i[keep], j[keep]
+    back = (e[i] - e[j]) / (lam[j] - lam[i])  # how long before t they pass
+    meet = (back >= 0.0) & (back <= t)
+    cross = e[i][meet] + lam[i][meet] * back[meet]
+    return np.unique(np.concatenate([e, e + lam * t, cross]))
 
 
 def _union_measures(
@@ -211,38 +199,29 @@ def _union_measures(
 
 
 def sup_undamped_measure(
-    eigs: "EigenStructure",
-    region: UndampedRegion,
-    t: float,
-    scan: ScanSpec | None = None,
+    eigs: "EigenStructure", region: UndampedRegion, t: float
 ) -> tuple[float, float]:
-    """Brute-force supremum over x of the union measure at time ``t``.
+    """Supremum over x of the union measure at time ``t``, exact up to
+    rounding: the sweep evaluated at every breakpoint of the measure.
 
-    Returns ``(sup, arg_x)``; on ties the smallest grid x wins.  This is the
+    Returns ``(sup, arg_x)``; on ties the smallest x wins.  This is the
     oracle the closed forms are checked against, so it deliberately knows
-    nothing about them.
+    nothing about them: the breakpoints are generic window geometry.
     """
-    if scan is None:
-        scan = default_scan(eigs, region, t)
-    xs = scan.grid()
     lambdas = np.asarray(eigs.lambdas, dtype=float)
+    xs = _breakpoints(lambdas, region, float(t))
     measures = _union_measures(lambdas, region, xs, float(t))
     idx = int(np.argmax(measures))  # argmax returns the first (smallest x) tie
     return float(measures[idx]), float(xs[idx])
 
 
-def sharp_delay(
-    eigs: "EigenStructure",
-    region: UndampedRegion,
-    t: float,
-    scan: ScanSpec | None = None,
-) -> float:
+def sharp_delay(eigs: "EigenStructure", region: UndampedRegion, t: float) -> float:
     """Effective dissipation time ``t - sup_x |union(x, t)|``.
 
     Zero while some point's whole history is covered by crossing windows;
     grows towards ``t - residence_bound`` once every window has saturated.
     """
-    sup, _ = sup_undamped_measure(eigs, region, t, scan)
+    sup, _ = sup_undamped_measure(eigs, region, t)
     return float(t) - sup
 
 

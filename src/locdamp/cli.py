@@ -8,8 +8,9 @@ decay envelopes).
 Exit 1 means ``check`` found the system inadmissible or ``verify`` found an
 envelope violation.  Exit 2 means rejected input, handled in ``main`` alone:
 a rejected scenario file prints one line per problem, anything else (a bad
-option, a system ``times`` cannot use, a run the solver refuses, an
-``--out`` that cannot be written) one line.
+option, a system ``times`` cannot use, a run the solver refuses, a ``verify``
+horizon with no sample past the delay, an ``--out`` that cannot be written)
+one line.
 """
 
 from __future__ import annotations
@@ -103,10 +104,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if scenario.kind != "verify-envelope":
         raise ValueError(f"scenario kind is {scenario.kind!r}; verify needs 'verify-envelope'")
     result = harness.run_scenario(scenario)
-    if args.out:
-        harness.export(result, args.out)
     env = result.envelope
     assert env is not None
+    if env.n_checked == 0:
+        stride = result.series.times[1] - result.series.times[0]
+        raise ValueError(
+            f"verify: no sample time to check: t_final {scenario.t_final:.12g} ends "
+            f"before the delay {env.residence_bound:.12g} plus one stride {stride:.12g}"
+        )
+    if args.out:
+        harness.export(result, args.out)
     print(f"scenario: {scenario.name}")
     print(f"delay bound: {env.residence_bound:.12g}  rate: {env.gamma:.12g}")
     print(f"constants: high {env.c_high:.12g}  low {env.c_low:.12g}")

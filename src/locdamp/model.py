@@ -6,6 +6,8 @@ symmetry, distinct nonzero propagation speeds, a coercive damped block, and
 the coupling condition (no transport eigenvector hides inside the damping
 kernel).  The coupling condition is computed by two independent routes,
 eigenvector screening and a reachability-style rank test, which must agree.
+Every tolerance is relative to the largest entry or speed, so no verdict
+depends on the units of ``a`` or of the damping.
 Eigendecompositions come from numpy's symmetric eigensolver (``eigh``).
 """
 
@@ -32,9 +34,16 @@ def _as_matrix(m, name: str) -> np.ndarray:
     return arr
 
 
+def _unit_scaled(m: np.ndarray) -> np.ndarray:
+    """``m`` divided by its largest entry magnitude, so that a relative
+    tolerance reads the same in any units; a zero matrix stays zero."""
+    scale = float(np.abs(m).max())
+    return m / scale if scale > 0.0 else m
+
+
 def _is_symmetric(a: np.ndarray) -> bool:
-    scale = max(1.0, float(np.abs(a).max()))
-    return bool(np.abs(a - a.T).max() <= SYMMETRY_RTOL * scale)
+    a = _unit_scaled(a)
+    return bool(np.abs(a - a.T).max() <= SYMMETRY_RTOL)
 
 
 @dataclass(frozen=True)
@@ -141,16 +150,17 @@ def _as_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     b = _as_matrix(b, "damping matrix")
     if b.shape != a.shape:
         raise ValueError(f"damping matrix: expected shape {a.shape}, got {b.shape}")
-    return a, b
+    return _unit_scaled(a), _unit_scaled(b)
 
 
 def coupling_check_eigvec(a, b, eigs: EigenStructure | None = None) -> bool:
     """Coupling via eigenvector screening: every transport eigenvector must
-    be moved by the damping matrix ``b``."""
+    be moved by the damping matrix ``b``, by more than ``COUPLING_KERNEL_RTOL``
+    times its Frobenius norm."""
     a, b = _as_pair(a, b)
     if eigs is None:
         eigs = diagonalize(a)
-    tol = COUPLING_KERNEL_RTOL * max(1.0, float(np.linalg.norm(b)))
+    tol = COUPLING_KERNEL_RTOL * float(np.linalg.norm(b))
     for k in range(eigs.n):
         if np.linalg.norm(b @ eigs.basis[:, k]) <= tol:
             return False
@@ -237,7 +247,7 @@ def validate_system(sys: HyperbolicSystem) -> ValidationReport:
     if symmetric:
         eigs = diagonalize(a)
         lam = eigs.lambdas
-        scale = max(1.0, float(np.abs(lam).max()))
+        scale = float(np.abs(lam).max())
         gaps = np.diff(lam)
         distinct = bool(gaps.size == 0 or gaps.min() > EIGEN_GAP_RTOL * scale)
         checks.append(

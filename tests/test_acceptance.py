@@ -21,7 +21,6 @@ from helpers import (
 )
 from locdamp import harness
 from locdamp.chartimes import (
-    ScanSpec,
     UndampedRegion,
     sharp_delay,
     sup_undamped_measure,
@@ -257,13 +256,12 @@ def test_criterion_08_three_speed_residence_landmarks():
     with Criterion(8, "speeds (3,2,1) residence landmarks") as c:
         eigs = EigenStructure.from_speeds([1.0, 2.0, 3.0])
         region = UndampedRegion.centered(1.0)
-        scan = ScanSpec(-5.0, 15.0, 0.002)
 
-        sup4, arg4 = sup_undamped_measure(eigs, region, 4.0, scan)
+        sup4, arg4 = sup_undamped_measure(eigs, region, 4.0)
         c.check(f"sup at t=4 is 10/3 (got {sup4:.6f})", abs(sup4 - 10.0 / 3.0) <= 0.01)
         c.check(f"argmax at t=4 is x=3 (got {arg4:.4f})", abs(arg4 - 3.0) <= 0.05)
 
-        delay = sharp_delay(eigs, region, 10.0 / 3.0, scan)
+        delay = sharp_delay(eigs, region, 10.0 / 3.0)
         c.check(
             f"delay at t=10/3 is 4/9 (got {delay:.6f})", abs(delay - 4.0 / 9.0) <= 0.01
         )
@@ -272,7 +270,7 @@ def test_criterion_08_three_speed_residence_landmarks():
         c.check(f"residence bound 11/3 (got {tb:.12f})", abs(tb - 11.0 / 3.0) <= 1e-9)
         saturated = None
         for t in np.arange(5.5, 6.5001, 0.05):
-            sup, _ = sup_undamped_measure(eigs, region, float(t), scan)
+            sup, _ = sup_undamped_measure(eigs, region, float(t))
             if sup >= tb * (1.0 - 1e-9):
                 saturated = float(t)
                 break

@@ -969,6 +969,17 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().out.splitlines() == ["error: verify: not finite: c_low"]
 
+    def test_verify_with_nothing_to_check_exits_2(self, tmp_path, capsys):
+        # the horizon 4 ends before the delay 4.5: no sample time is checked
+        out_dir = tmp_path / "run"
+        code = cli.main(["verify", str(SCENARIOS / "stripes_two.json"), "--out", str(out_dir)])
+        assert code == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "error: verify: no sample time to check: t_final 4 ends before "
+            "the delay 4.5 plus one stride 0.05"
+        ]
+        assert not out_dir.exists()
+
     def test_probe_outside_simulated_stripe_exits_2(self, tmp_path, capsys):
         # 1408 cells snap the stripe's left edge from -1 to -0.99858, past
         # the left end of the box
@@ -1069,11 +1080,8 @@ def _non_finite(node, key=None) -> list:
 class TestEndToEndFuzz:
     """Perturbed copies of the shipped scenarios through all five
     subcommands, in-process: every run exits 0, 1 or 2 without a traceback,
-    and every exported value is finite but a probe onset that never came.
-
-    Not asserted yet: that ``verify`` never passes having checked 0
-    samples.  A shipped scenario does so today, and its fix changes a
-    benchmark input.
+    every exported value is finite but a probe onset that never came, and
+    a passing ``verify`` has checked at least one sample time.
     """
 
     @settings(
@@ -1084,7 +1092,7 @@ class TestEndToEndFuzz:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(data=st.data())
-    def test_subcommands_exit_cleanly_with_finite_outputs(self, tmp_path, data):
+    def test_subcommands_exit_cleanly_with_finite_outputs(self, tmp_path, capsys, data):
         shipped = data.draw(st.sampled_from(sorted(SCENARIOS.glob("*.json"))))
         raw = json.loads(shipped.read_text())
         raw["time"]["t_final"] *= data.draw(st.floats(0.1, 1.5))
@@ -1102,8 +1110,14 @@ class TestEndToEndFuzz:
         out = tmp_path / "run"
         shutil.rmtree(out, ignore_errors=True)
         for argv in (["check", path], ["times", path], ["spectrum", path],
-                     ["simulate", path, "--out", str(out)], ["verify", path]):
+                     ["simulate", path, "--out", str(out)]):
             assert cli.main(argv) in (0, 1, 2), argv
+        capsys.readouterr()
+        code = cli.main(["verify", path])
+        assert code in (0, 1, 2)
+        if code == 0:
+            checked = re.search(r"^checked (\d+) sample times", capsys.readouterr().out, re.M)
+            assert checked is not None and int(checked.group(1)) > 0
         if (out / harness.SUMMARY_NAME).exists():
             summary = json.loads((out / harness.SUMMARY_NAME).read_text())
             assert _non_finite(summary) in ([], [("probe_onset", math.inf)]), summary

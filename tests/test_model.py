@@ -265,3 +265,27 @@ class TestValidation:
         rep = validate_system(three_speed_system())
         assert rep.ok
         assert rep.eigs.lambdas == pytest.approx([1.0, 2.0, 3.0], abs=1e-12)
+
+    @pytest.mark.parametrize("dd", [1e-11, 1e-20, 1e160])
+    def test_damping_strength_does_not_decide_admissibility(self, dd):
+        # the tolerances are relative to the matrices' own size: a damping
+        # constant far from 1 is admissible, and a huge one overflows nothing
+        sys = damped_wave_system()
+        rep = validate_system(HyperbolicSystem(a=sys.a, n1=sys.n1, dd=np.array([[dd]])))
+        assert rep.ok, rep.checks
+
+    def test_slow_speeds_are_nonzero(self):
+        sys = three_speed_system()
+        rep = validate_system(HyperbolicSystem(a=sys.a * 1e-9, n1=sys.n1, dd=sys.dd))
+        assert rep.ok, rep.checks
+
+    def test_verdicts_do_not_depend_on_units(self):
+        # scaling a or dd by a power of two scales every tolerance with it
+        rng = np.random.default_rng(7)
+        for i in range(300):
+            sys = random_valid_system(rng, uncoupled=i % 3 == 0)
+            base = [c.passed for c in validate_system(sys).checks]
+            for k in (-40, 40):
+                for sa, sd in ((2.0**k, 1.0), (1.0, 2.0**k)):
+                    scaled = HyperbolicSystem(a=sys.a * sa, n1=sys.n1, dd=sys.dd * sd)
+                    assert [c.passed for c in validate_system(scaled).checks] == base, (i, k)
