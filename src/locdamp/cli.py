@@ -49,6 +49,8 @@ def _parse_grid(spec: str) -> np.ndarray:
     start, stop, step = (float(p) for p in parts)
     if not all(math.isfinite(v) for v in (start, stop, step)):
         raise ValueError("--t-grid: start, stop and step must be finite")
+    if start < 0:
+        raise ValueError("--t-grid: start must not be negative")
     if step <= 0 or stop < start:
         raise ValueError("--t-grid: need stop >= start and step > 0")
     n = int(np.floor((stop - start) / step + 1e-9)) + 1

@@ -231,7 +231,10 @@ class NormSeries:
     xi <= 1, shape ``(len(times), n, n_low)`` with ``n_low`` about
     ``L / 2 pi + 1`` for a box of length ``L``, and ``n_cells`` is the grid
     size they were taken on.  Its sup, ``linf_low``, is synthesized from
-    them on first read, so runs that never read it never pay for it.
+    them on first read, so runs that never read it never pay for it;
+    the reference calibration reads it, while the envelope check
+    synthesizes single samples, only where a bound on the modes does not
+    settle them.
     """
 
     times: np.ndarray
@@ -250,7 +253,8 @@ class NormSeries:
 
     @functools.cached_property
     def linf_low(self) -> np.ndarray:
-        """Sup over cells of the pointwise norm of the low band, per sample."""
+        """Sup over cells of the pointwise norm of the low band, per sample:
+        one ``low_band_sup`` per sample, all at once."""
         return np.array([low_band_sup(c, self.n_cells) for c in self.low_modes])
 
     @classmethod

@@ -26,6 +26,9 @@ from locdamp.solver import Bump, InitialDataSpec, Trajectory
 from locdamp.spectral import NormSeries
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ENVELOPE_SCENARIOS = sorted(
+    p.stem for p in SCENARIOS.glob("*.json") if harness.load_scenario(p).kind == "verify-envelope"
+)
 
 
 def _good_raw() -> dict:
@@ -802,6 +805,79 @@ class TestLazyLowBandSup:
         assert result.series.linf_low is first
         assert len(calls) == evolved + n_samples
 
+    @pytest.mark.parametrize("name", ENVELOPE_SCENARIOS)
+    def test_check_synthesizes_only_unsettled_samples(self, name, monkeypatch):
+        # the trajectory's sups are synthesized only where the bound on the
+        # stored modes does not settle a checked sample, and on the shipped
+        # scenarios it settles every one
+        calls = []
+        sup = harness.low_band_sup
+
+        def counting_sup(modes, n_cells):
+            calls.append(n_cells)
+            return sup(modes, n_cells)
+
+        monkeypatch.setattr(harness, "low_band_sup", counting_sup)
+        harness.run_scenario(harness.load_scenario(SCENARIOS / f"{name}.json"))
+        assert calls == []
+
+
+class TestLowBandBound:
+    """``_low_band_bound`` bounds the synthesized low-band sup from above,
+    so a check it settles is the check the sup would make."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(16, 5000),
+        n=st.integers(1, 4),
+        nyquist=st.booleans(),
+        aligned=st.booleans(),
+        k=st.integers(-1000, 1000),
+    )
+    def test_bound_is_above_sup(self, seed, m, n, nyquist, aligned, k):
+        rng = np.random.default_rng(seed)
+        full = m // 2 + 1
+        n_low = full if nyquist else int(rng.integers(1, full))
+        modes = rng.standard_normal((n, n_low)) + 1j * rng.standard_normal((n, n_low))
+        if aligned:
+            # every bin in phase at one cell, where the bound is attained
+            j = int(rng.integers(0, m))
+            modes = np.abs(modes) * np.exp(-2j * np.pi * j * np.arange(n_low) / m)
+        modes = np.ldexp(modes.view(float), k).view(complex)
+        bound = harness._low_band_bound(modes, m)
+        assert math.isfinite(bound)
+        assert bound >= spectral.low_band_sup(modes, m)
+
+    @pytest.fixture(scope="class")
+    def envelope_runs(self):
+        runs = {}
+        for name in ENVELOPE_SCENARIOS:
+            scenario = harness.load_scenario(SCENARIOS / f"{name}.json")
+            result = harness.run_scenario(scenario)
+            cal = harness.calibrate(
+                scenario.system, scenario.data, result.series.times, result.scan.gamma
+            )
+            runs[name] = (result.series, cal)
+        return runs
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5, 0.1, 1e-3])
+    @pytest.mark.parametrize("name", ENVELOPE_SCENARIOS)
+    def test_verdicts_equal_exhaustive_check(self, envelope_runs, monkeypatch, name, scale):
+        traj, cal = envelope_runs[name]
+        starved = dataclasses.replace(cal, c_low=cal.c_low * scale)
+        report = harness.verify_envelope(traj, starved)
+        # with a bound that settles nothing, the check synthesizes the sup
+        # at every checked sample
+        monkeypatch.setattr(harness, "_low_band_bound", lambda modes, n_cells: math.inf)
+        exhaustive = harness.verify_envelope(traj, starved)
+        assert report.n_checked == exhaustive.n_checked
+        assert report.violations == exhaustive.violations
+        low = [v for v in exhaustive.violations if v.band == "low"]
+        assert [v.measured for v in low] == [
+            float(traj.linf_low[np.flatnonzero(traj.times == v.t)[0]]) for v in low
+        ]
+
 
 class TestCli:
     def test_check_ok(self, capsys):
@@ -868,6 +944,12 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 2
         assert out.splitlines()[-1] == "error: --t-grid: start, stop and step must be finite"
+
+    def test_times_negative_start_exits_2(self, capsys):
+        code = cli.main(["times", str(SCENARIOS / "damped_wave.json"), "--t-grid=-2:1:1"])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert out.splitlines() == ["error: --t-grid: start must not be negative"]
 
     @pytest.mark.parametrize(
         "a, message",
