@@ -36,6 +36,7 @@ from locdamp.spectral import (
     SpectralScan,
     fullspace_evolve,
     gamma_estimate,
+    low_band_bound,
     low_band_sup,
 )
 
@@ -375,36 +376,6 @@ class EnvelopeReport:
         return not self.violations
 
 
-def _low_band_bound(low_modes: np.ndarray, n_cells: int) -> float:
-    """An upper bound on ``low_band_sup(low_modes, n_cells)`` read off the
-    modes, without a transform back to the grid.
-
-    Component i of the synthesized field is (1/m) times the sum of c_0,
-    2 Re(c_k e^(2 pi i j k / m)) over the paired bins and, when the prefix
-    holds the Nyquist bin of an even m, +-c_N; so its magnitude is at most
-    B_i = (|c_0| + 2 sum |c_k| + |c_N|) / m, and the pointwise norm at most
-    hypot(B_i).  Each |c_k| is divided by m before the sums and the
-    components are combined with ``math.hypot``, so the bound neither
-    overflows nor underflows at amplitudes of 2**+-1000.
-
-    It is returned times a margin for rounding on both sides, in units of
-    eps = 2**-53: the transform's passes, at most log2 m of them, each
-    perturb an output component by a few eps times B_i, taken as 8 per
-    factor of two of m; the sums of n_low nonnegative terms can lower the
-    bound by n_low eps, and the norm over n components adds n eps.
-    Doubling their sum covers the second-order terms.
-    """
-    n, n_low = low_modes.shape
-    m = int(n_cells)
-    weights = np.full(n_low, 2.0)
-    weights[0] = 1.0
-    if 2 * (n_low - 1) == m:
-        weights[-1] = 1.0
-    per_component = (np.abs(low_modes) / m) @ weights
-    margin = 1.0 + 2.0 ** -52 * (8.0 * math.log2(m) + n_low + n + 8.0)
-    return math.hypot(*per_component) * margin
-
-
 def verify_envelope(traj: solver.Trajectory, cal: EnvelopeCalibration) -> EnvelopeReport:
     """Check both decay envelopes, each delayed by the residence bound of
     the stripes the run simulated (``traj.grid.region``).
@@ -414,7 +385,7 @@ def verify_envelope(traj: solver.Trajectory, cal: EnvelopeCalibration) -> Envelo
     the initial integral.  Times earlier than one sampling stride past the
     delay are exempt; a 5% multiplicative slack absorbs discretisation.
     The low-band sup is synthesized (``low_band_sup``) only at checked
-    samples where ``_low_band_bound``, read off the stored modes, does not
+    samples where ``low_band_bound``, read off the stored modes, does not
     already settle the check, so the verdicts and measured values are
     those of the sup at every checked sample.
     A constant or initial norm that is not finite would make every bound
@@ -447,7 +418,7 @@ def verify_envelope(traj: solver.Trajectory, cal: EnvelopeCalibration) -> Envelo
         allowed_low = cal.c_low * l1_0 / math.sqrt(lag)
         limit_low = max(floor_low, allowed_low * ENVELOPE_SLACK)
         modes = traj.low_modes[i]
-        if _low_band_bound(modes, traj.n_cells) > limit_low:
+        if low_band_bound(modes, traj.n_cells) > limit_low:
             measured_low = low_band_sup(modes, traj.n_cells)
             if measured_low > limit_low:
                 violations.append(Violation(float(t), "low", measured_low, allowed_low))

@@ -1,21 +1,21 @@
-"""The stepping kernel: masked relaxation, integer-cell shifts, edge guard.
+"""The stepping kernel: masked half-relaxation, integer-cell shifts, edge guard.
 
 Each split step is half-relax (masked cells only), a shift of every row
 by a whole number of cells with zero inflow, an edge-band guard, then the
-second half-relax.  Within one call the second half of a step and the
-first half of the next act on the same cells with the same matrix, so
-they run as one full relaxation ``D = damp_half @ damp_half``: a call of
-k steps relaxes k + 1 times, half, k - 1 full, half.  The guard still
-follows every shift.
+second half-relax.
 
 Work is confined to the light cone of the initial nonzero columns: the
 kernel keeps a half-open column window outside which ``v`` is exactly
 zero, relaxes and shifts only inside it, and widens it after each shift
 by the largest left and right shift.  A field that fills the domain gives
-the full-width window.  A relaxation is one matrix product over the
+the full-width window.  A half-relaxation is one matrix product over the
 whole window, written back on its damped cells only; a column rounds
 the same in any product of two or more columns, so this gives the bits
-of a product over the damped cells alone.  The guard scans an edge
+of a product over the damped cells alone.  A step's second half and the
+next step's first act on the same window, so within one call they run
+as two products back to back with one write-back: a column of a product
+depends only on the same column of its input, so the damped columns come
+out as two write-backs would leave them.  The guard scans an edge
 band only once the window reaches it: outside the window every entry is
 zero and cannot trip it.
 """
@@ -32,9 +32,11 @@ def _nonzero_window(v: np.ndarray) -> tuple[int, int]:
     return (int(cols[0]), int(cols[-1]) + 1) if cols.size else (0, 0)
 
 
-def _relax(v: np.ndarray, damp: np.ndarray, damped: np.ndarray, lo: int, hi: int) -> None:
-    """Apply ``damp`` to the damped cells of the window ``[lo, hi)`` in one
-    product."""
+def _relax(
+    v: np.ndarray, damp_half: np.ndarray, damped: np.ndarray, lo: int, hi: int, halves: int = 1
+) -> None:
+    """Half-relax the damped cells of the window ``[lo, hi)`` ``halves``
+    times, one product each, and write them back once."""
     if hi - lo < 2:
         if lo == hi:
             return
@@ -42,7 +44,10 @@ def _relax(v: np.ndarray, damp: np.ndarray, damped: np.ndarray, lo: int, hi: int
         # which rounds unlike the same column of a wider product, so widen
         # the window into a zero column at whichever end the grid allows
         lo, hi = (lo, hi + 1) if hi < v.shape[1] else (lo - 1, hi)
-    np.copyto(v[:, lo:hi], damp @ v[:, lo:hi], where=damped[lo:hi])
+    w = v[:, lo:hi]
+    for _ in range(halves):
+        w = damp_half @ w
+    np.copyto(v[:, lo:hi], w, where=damped[lo:hi])
 
 
 def advance(
@@ -59,7 +64,7 @@ def advance(
 
     Returns 0 on completion, or the 1-based step index at which some entry
     within ``guard_cells`` of either edge exceeded ``guard_tol >= 0`` in
-    magnitude (checked after the shift, before the next relaxation).
+    magnitude (checked after the shift, before the second half-relax).
     """
     m = v.shape[1]
     damped = mask != 0
@@ -72,12 +77,10 @@ def advance(
     right = v[:, m - guard:]
     lo, hi = _nonzero_window(v)
     n_steps = int(n_steps)
-    damp, damp_full = damp_half, damp_half @ damp_half
 
     for step in range(n_steps):
-        if relax:
-            _relax(v, damp, damped, lo, hi)
-            damp = damp_full
+        if relax and step == 0:
+            _relax(v, damp_half, damped, lo, hi)
 
         # copy the window to its shifted place, clipped to the domain, and
         # zero the window cells the copy left behind
@@ -100,6 +103,8 @@ def advance(
         ):
             return step + 1
 
-    if relax and n_steps > 0:
-        _relax(v, damp_half, damped, lo, hi)
+        if relax:
+            # this step's second half and, but after the last step, the
+            # next step's first
+            _relax(v, damp_half, damped, lo, hi, 2 if step + 1 < n_steps else 1)
     return 0

@@ -822,32 +822,9 @@ class TestLazyLowBandSup:
         assert calls == []
 
 
-class TestLowBandBound:
-    """``_low_band_bound`` bounds the synthesized low-band sup from above,
-    so a check it settles is the check the sup would make."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        m=st.integers(16, 5000),
-        n=st.integers(1, 4),
-        nyquist=st.booleans(),
-        aligned=st.booleans(),
-        k=st.integers(-1000, 1000),
-    )
-    def test_bound_is_above_sup(self, seed, m, n, nyquist, aligned, k):
-        rng = np.random.default_rng(seed)
-        full = m // 2 + 1
-        n_low = full if nyquist else int(rng.integers(1, full))
-        modes = rng.standard_normal((n, n_low)) + 1j * rng.standard_normal((n, n_low))
-        if aligned:
-            # every bin in phase at one cell, where the bound is attained
-            j = int(rng.integers(0, m))
-            modes = np.abs(modes) * np.exp(-2j * np.pi * j * np.arange(n_low) / m)
-        modes = np.ldexp(modes.view(float), k).view(complex)
-        bound = harness._low_band_bound(modes, m)
-        assert math.isfinite(bound)
-        assert bound >= spectral.low_band_sup(modes, m)
+class TestLowBandShortcut:
+    """The envelope check skips ``low_band_sup`` where ``low_band_bound``
+    settles a sample, so its verdicts are those of the sup everywhere."""
 
     @pytest.fixture(scope="class")
     def envelope_runs(self):
@@ -869,7 +846,7 @@ class TestLowBandBound:
         report = harness.verify_envelope(traj, starved)
         # with a bound that settles nothing, the check synthesizes the sup
         # at every checked sample
-        monkeypatch.setattr(harness, "_low_band_bound", lambda modes, n_cells: math.inf)
+        monkeypatch.setattr(harness, "low_band_bound", lambda modes, n_cells: math.inf)
         exhaustive = harness.verify_envelope(traj, starved)
         assert report.n_checked == exhaustive.n_checked
         assert report.violations == exhaustive.violations

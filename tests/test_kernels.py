@@ -1,18 +1,14 @@
 """The stepping kernel against a fancy-index oracle, plus direct semantics.
 
-The oracle damps all masked cells in one gathered matrix product, with
-adjacent half-relaxations merged into one full relaxation as the kernel
-merges them, and shifts every whole row with ``np.roll``; the kernel
-damps the light cone of the initial nonzero columns in one product,
-written back on the masked cells, and shifts only that window by slice
-assignment.  A column rounds the same in any product of two or more
-columns, so the two agree bit for bit, on the shipped scenarios, on
-stripe masks and on random, fragmented masks alike.  A second oracle
-takes the split step literally, two half-relaxations per step: the
-kernel stays within ``MERGE_RTOL`` of it and trips the guard at the same
-step.  Physical invariants (lossless transport conserves energy,
-contractive damping never adds any) are property-tested on random
-compact data.
+The oracle damps all masked cells in one gathered matrix product and
+shifts every whole row with ``np.roll``; the kernel damps the light cone
+of the initial nonzero columns in one product, written back on the masked
+cells, and shifts only that window by slice assignment.  A column rounds
+the same in any product of two or more columns, so the two agree bit for
+bit, on the shipped scenarios, on stripe masks and on random, fragmented
+masks alike.  Physical invariants (lossless transport
+conserves energy, contractive damping never adds any) are property-tested
+on random compact data.
 """
 
 from pathlib import Path
@@ -51,74 +47,36 @@ def _run_shipped(name):
     )
 
 
-def _roll_rows(v, shifts):
-    """Shift every row by its whole number of cells with zero inflow."""
-    m = v.shape[1]
-    for i, s in enumerate(int(s) for s in shifts):
-        if s == 0:
-            continue
-        if abs(s) >= m:
-            v[i, :] = 0.0
-            continue
-        v[i, :] = np.roll(v[i, :], s)
-        if s > 0:
-            v[i, :s] = 0.0
-        else:
-            v[i, s:] = 0.0
-
-
-def _guard_tripped(v, guard_cells, guard_tol):
-    m = v.shape[1]
-    guard = min(int(guard_cells), m)
-    if guard == 0:
-        return False
-    band = np.abs(np.concatenate([v[:, :guard], v[:, m - guard:]], axis=1))
-    return band.max() > guard_tol
-
-
 def oracle_advance(v, shifts, damp_half, mask, n_steps, apply_damping, guard_cells, guard_tol):
-    """Reference stepper: gathered damping over the whole mask, rolled rows.
-
-    Adjacent half-relaxations are merged as the kernel merges them: the
-    half step before the first shift, the full step ``damp_half @
-    damp_half`` between shifts, the half step after the last one."""
+    """Reference stepper: gathered damping over the whole mask, rolled rows."""
+    n, m = v.shape
     active = mask.astype(bool)
-    damp_full = damp_half @ damp_half
+    guard = min(int(guard_cells), m)
 
-    def relax(d):
-        if apply_damping:
-            v[:, active] = d @ v[:, active]
+    def half_damp():
+        v[:, active] = damp_half @ v[:, active]
 
     for step in range(int(n_steps)):
-        relax(damp_half if step == 0 else damp_full)
-        _roll_rows(v, shifts)
-        if _guard_tripped(v, guard_cells, guard_tol):
-            return step + 1
-    if int(n_steps) > 0:
-        relax(damp_half)
-    return 0
-
-
-# The merged schedule reorders the rounding of the literal split step;
-# it may move the field by this much of its sup.
-MERGE_RTOL = 1e-14
-
-
-def halves_oracle_advance(v, shifts, damp_half, mask, n_steps, apply_damping, guard_cells, guard_tol):
-    """The split step taken literally: every step half-relaxes before and
-    after its shift, the schedule the merged kernel reorders."""
-    active = mask.astype(bool)
-
-    def relax():
         if apply_damping:
-            v[:, active] = damp_half @ v[:, active]
-
-    for step in range(int(n_steps)):
-        relax()
-        _roll_rows(v, shifts)
-        if _guard_tripped(v, guard_cells, guard_tol):
-            return step + 1
-        relax()
+            half_damp()
+        for i in range(n):
+            s = int(shifts[i])
+            if s == 0:
+                continue
+            if abs(s) >= m:
+                v[i, :] = 0.0
+                continue
+            v[i, :] = np.roll(v[i, :], s)
+            if s > 0:
+                v[i, :s] = 0.0
+            else:
+                v[i, s:] = 0.0
+        if guard > 0:
+            band = np.abs(np.concatenate([v[:, :guard], v[:, m - guard:]], axis=1))
+            if band.max() > guard_tol:
+                return step + 1
+        if apply_damping:
+            half_damp()
     return 0
 
 
@@ -208,40 +166,6 @@ class TestAgainstOracle:
             )
             assert code == code_o > 0
             assert np.array_equal(vk, vo)
-            # merging the half-relaxations moves no guard trip
-            vh = v.copy()
-            assert halves_oracle_advance(vh, shifts, damp_half, mask, 80, apply_damping, 3, tol) == code
-            assert np.abs(vk - vh).max() <= MERGE_RTOL * np.abs(vh).max()
-
-
-def _micro_load(n=3, m=8000, dt=0.01, seed=7):
-    """A random field filling 3 x 8000 cells, nonzero shifts of up to 3
-    cells, damping on the outer thirds by ``exp(-dt/2 S)`` for a symmetric
-    positive definite ``S``."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal((n, m))
-    shifts = rng.integers(-3, 4, size=n)
-    shifts[shifts == 0] = 1
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    s = q @ np.diag(rng.uniform(0.5, 2.0, size=n)) @ q.T
-    s = 0.5 * (s + s.T)
-    damp_half = np.ascontiguousarray(matrix_exp(-0.5 * dt * s).real)
-    mask = np.zeros(m, dtype=np.uint8)
-    mask[: m // 3] = mask[-(m // 3):] = 1
-    return v, shifts, damp_half, mask
-
-
-class TestMergedRelaxation:
-    """The kernel against the split step taken literally: merging the
-    half-relaxations between shifts moves the field by rounding only."""
-
-    @pytest.mark.parametrize("steps", [1, 2, 300, 1200])
-    def test_micro_load_within_rounding(self, steps):
-        v, shifts, damp_half, mask = _micro_load()
-        vk, vh = v.copy(), v.copy()
-        assert kernels.advance(vk, shifts, damp_half, mask, steps, 1, 0, 1e-14) == 0
-        assert halves_oracle_advance(vh, shifts, damp_half, mask, steps, 1, 0, 1e-14) == 0
-        assert np.abs(vk - vh).max() <= MERGE_RTOL * np.abs(vh).max()
 
 
 class TestKernelSemantics:
@@ -416,31 +340,34 @@ class TestWindowedKernel:
         damped = _stripe_mask(m, stripes) != 0
         damp_half = _contractive_half_step(rng, n)
 
-        def oracle(v):
+        def oracle(v, halves):
             out = v.copy()
-            out[:, damped] = damp_half @ v[:, damped]
+            for _ in range(halves):
+                out[:, damped] = damp_half @ out[:, damped]
             return out
 
         # windows of width 0 and at least 2 on a field that is nonzero
-        # everywhere: only their damped cells change, as the oracle has them
-        for lo in range(m + 1):
-            for hi in sorted({min(lo + d, m) for d in (0, 2, 5, 23, m)}):
-                if hi - lo == 1:
-                    continue
-                v = rng.standard_normal((n, m))
+        # everywhere, relaxed once or twice with one write-back: only their
+        # damped cells change, as the oracle has them
+        for halves in (1, 2):
+            for lo in range(m + 1):
+                for hi in sorted({min(lo + d, m) for d in (0, 2, 5, 23, m)}):
+                    if hi - lo == 1:
+                        continue
+                    v = rng.standard_normal((n, m))
+                    relaxed = v.copy()
+                    kernels._relax(relaxed, damp_half, damped, lo, hi, halves)
+                    hit = damped.copy()
+                    hit[:lo] = hit[hi:] = False
+                    assert np.array_equal(relaxed[:, ~hit], v[:, ~hit]), (lo, hi, halves)
+                    assert np.array_equal(relaxed[:, hit], oracle(v, halves)[:, hit]), (lo, hi, halves)
+            # a one-column window at either end of the grid, the field zero
+            # outside it: the kernel widens it into a zero column
+            for col in (0, m - 1):
+                v = _compact(rng, n, m, [(col, col + 1)])
                 relaxed = v.copy()
-                kernels._relax(relaxed, damp_half, damped, lo, hi)
-                hit = damped.copy()
-                hit[:lo] = hit[hi:] = False
-                assert np.array_equal(relaxed[:, ~hit], v[:, ~hit]), (lo, hi)
-                assert np.array_equal(relaxed[:, hit], oracle(v)[:, hit]), (lo, hi)
-        # a one-column window at either end of the grid, the field zero
-        # outside it: the kernel widens it into a zero column
-        for col in (0, m - 1):
-            v = _compact(rng, n, m, [(col, col + 1)])
-            relaxed = v.copy()
-            kernels._relax(relaxed, damp_half, damped, col, col + 1)
-            assert np.array_equal(relaxed, oracle(v)), col
+                kernels._relax(relaxed, damp_half, damped, col, col + 1, halves)
+                assert np.array_equal(relaxed, oracle(v, halves)), (col, halves)
 
     @pytest.mark.parametrize("steps", [1, 7, 40])
     @pytest.mark.parametrize("shifts", [[3, -1, 1], [-2, -1, -3], [1, 2, 0]])

@@ -4,10 +4,13 @@ Matrix exponentials are cross-checked against scipy.linalg.expm; decay
 rates against closed-form eigenvalues of small symbols.
 """
 
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from helpers import (
@@ -24,6 +27,8 @@ from locdamp.spectral import (
     field_norms,
     fullspace_evolve,
     gamma_estimate,
+    low_band_bound,
+    low_band_sup,
     matrix_exp,
     symbol,
 )
@@ -268,6 +273,63 @@ def _full_spectrum_oracle(sys, x, u0, times):
         )
         rows.append(field_norms(np.fft.ifft(evolved, axis=1).real, dx, eigs.basis))
     return NormSeries.from_rows(times, rows, n_cells=x.size)
+
+
+def _low_modes(rng, m, n, n_low, aligned):
+    """Random low modes of ``n`` components; ``aligned`` puts every bin in
+    phase at one cell, where ``low_band_bound`` is attained."""
+    modes = rng.standard_normal((n, n_low)) + 1j * rng.standard_normal((n, n_low))
+    if aligned:
+        j = int(rng.integers(0, m))
+        modes = np.abs(modes) * np.exp(-2j * np.pi * j * np.arange(n_low) / m)
+    return modes
+
+
+# primes up to 131 071, which pocketfft transforms by Bluestein's algorithm
+# (a single bin at a prime m gave the largest rounding excess measured)
+BLUESTEIN_PRIMES = [17, 211, 1861, 1931, 4999, 8191, 65521, 131071]
+
+
+class TestLowBandBound:
+    """``low_band_bound`` bounds the synthesized low-band sup from above,
+    so a check it settles is the check the sup would make."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(16, 5000),
+        n=st.integers(1, 4),
+        nyquist=st.booleans(),
+        aligned=st.booleans(),
+        k=st.integers(-1000, 1000),
+    )
+    def test_bound_is_above_sup(self, seed, m, n, nyquist, aligned, k):
+        rng = np.random.default_rng(seed)
+        full = m // 2 + 1
+        n_low = full if nyquist else int(rng.integers(1, full))
+        modes = _low_modes(rng, m, n, n_low, aligned)
+        modes = np.ldexp(modes.view(float), k).view(complex)
+        bound = low_band_bound(modes, m)
+        assert math.isfinite(bound)
+        assert bound >= low_band_sup(modes, m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.sampled_from(BLUESTEIN_PRIMES),
+        n=st.integers(1, 3),
+        width=st.sampled_from(["one", "two", "some", "all"]),
+    )
+    def test_sup_just_over_the_limit_is_not_settled(self, seed, m, n, width):
+        # a check whose limit sits one float below the synthesized sup is a
+        # violation, so the bound must not settle it, also at a prime m
+        # with the bound attained
+        rng = np.random.default_rng(seed)
+        full = m // 2 + 1
+        n_low = {"one": 1, "two": 2, "some": int(rng.integers(3, 200)), "all": full}[width]
+        modes = _low_modes(rng, m, n, n_low, aligned=True)
+        limit = math.nextafter(low_band_sup(modes, m), 0.0)
+        assert low_band_bound(modes, m) > limit
 
 
 class TestFullspaceEvolve:
