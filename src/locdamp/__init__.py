@@ -8,17 +8,12 @@ exact-shift solver to test the delayed decay envelopes end to end.
 
 from locdamp.chartimes import (
     CharacteristicWindow,
-    ThreeSpeedGeometry,
-    HorizonBounds,
     UndampedRegion,
+    conservation_horizon,
     crossing_window,
-    geometric_ratio_holds,
-    residence_time,
     sharp_delay,
     sup_undamped_measure,
     residence_bound,
-    horizon_bounds,
-    three_speed_geometry,
     undamped_union,
 )
 from locdamp.harness import (
@@ -27,8 +22,6 @@ from locdamp.harness import (
     ScenarioError,
     calibrate,
     conservation_probe,
-    fit_decay_rate,
-    fit_loglog_slope,
     load_scenario,
     run_scenario,
     verify_envelope,
@@ -59,7 +52,6 @@ from locdamp.spectral import (
     fullspace_evolve,
     gamma_estimate,
     matrix_exp,
-    symbol,
 )
 
 __version__ = "0.1.0"
@@ -78,24 +70,19 @@ __all__ = [
     "Scenario",
     "ScenarioError",
     "SpectralScan",
-    "HorizonBounds",
-    "ThreeSpeedGeometry",
     "Trajectory",
     "UndampedRegion",
     "build_grid",
     "calibrate",
+    "conservation_horizon",
     "conservation_probe",
     "crossing_window",
     "diagonalize",
-    "fit_decay_rate",
-    "fit_loglog_slope",
     "fullspace_evolve",
     "gamma_estimate",
-    "geometric_ratio_holds",
     "load_scenario",
     "matrix_exp",
     "rational_shifts",
-    "residence_time",
     "run",
     "run_scenario",
     "sharp_delay",
@@ -103,10 +90,7 @@ __all__ = [
     "coupling_check_rank",
     "source_matrix",
     "sup_undamped_measure",
-    "symbol",
     "residence_bound",
-    "horizon_bounds",
-    "three_speed_geometry",
     "undamped_union",
     "validate_system",
     "verify_envelope",

@@ -4,11 +4,13 @@ Everything in this module is exact interval arithmetic on backward
 characteristics.  A component travelling at speed ``lam`` observed at
 ``(x0, t0)`` spent a (possibly empty) time window inside each undamped
 stripe; unions of those windows over all components measure for how long
-the damping was inactive along the history of a point; its supremum over
-points is exact, taken at the measure's breakpoints.  The closed forms
-(delay bound, conservation-horizon bounds, three-speed abutment geometry)
-are all cross-checkable against that supremum and ``undamped_union``,
-built from nothing but ``crossing_window``.
+the damping was inactive along the history of a point.  Two suprema over
+points answer the paper's questions, both exact up to rounding and taken
+at the same breakpoints by the same sweep: the union's measure at a time
+t (the sharp delay) and, once t is past every window, the union's longest
+unbroken run (the conservation horizon: how long energy can hide from the
+damping).  The residence bound caps both.  The tests check them against
+``undamped_union`` on fine grids and against the paper's closed forms.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover
     from locdamp.model import EigenStructure
 
-# Relative tolerance deciding the geometric (borderline) three-speed case.
-GEOMETRIC_RTOL = 1e-12
-# Relative tolerance for "both sign groups attain the delay bound" ties.
-GROUP_TIE_RTOL = 1e-12
+# The horizon is attained where two windows just touch, and rounding of a
+# few ulps of the sweep's time can split them: a run treats a gap of at
+# most this fraction of that time as closed.
+TOUCH_RTOL = 16.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -72,9 +74,6 @@ class UndampedRegion:
     def min_width(self) -> float:
         return min(b - a for a, b in self.stripes)
 
-    def contains(self, x: float) -> bool:
-        return any(a < x < b for a, b in self.stripes)
-
 
 @dataclass(frozen=True)
 class CharacteristicWindow:
@@ -115,16 +114,6 @@ def crossing_window(
     return CharacteristicWindow(t_en=t_en, t_ex=t_ex)
 
 
-def residence_time(
-    lam: float, region: UndampedRegion, x0: float, t0: float
-) -> float:
-    """Total undamped time of one component's history: sum of its stripe
-    windows.  Bounded by ``total_length / |lam|``."""
-    return sum(
-        crossing_window(lam, stripe, x0, t0).length for stripe in region.stripes
-    )
-
-
 def undamped_union(
     eigs: "EigenStructure",
     region: UndampedRegion,
@@ -158,6 +147,13 @@ def undamped_union(
 # ---------------------------------------------------------------------------
 
 
+def _nonzero_speeds(eigs: "EigenStructure") -> np.ndarray:
+    lambdas = np.asarray(eigs.lambdas, dtype=float)
+    if np.any(lambdas == 0.0):
+        raise ValueError("characteristic speed must be nonzero")
+    return lambdas
+
+
 def _breakpoints(lambdas: np.ndarray, region: UndampedRegion, t: float) -> np.ndarray:
     """Ascending x at which the union measure at time ``t`` can change slope.
 
@@ -181,9 +177,11 @@ def _breakpoints(lambdas: np.ndarray, region: UndampedRegion, t: float) -> np.nd
 
 def _union_measures(
     lambdas: np.ndarray, region: UndampedRegion, xs: np.ndarray, t0: float
-) -> np.ndarray:
-    """Union measure of all crossing windows at each x in ``xs`` (vectorised
-    sweep over windows sorted by entry time)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Union measure of all crossing windows at each x in ``xs``, and the
+    union's longest unbroken run there (one vectorised sweep over windows
+    sorted by entry time).  A run bridges gaps of at most ``TOUCH_RTOL *
+    t0``; the measure bridges none."""
     windows = [
         crossing_window(lam, stripe, xs, t0) for lam in lambdas for stripe in region.stripes
     ]
@@ -195,7 +193,10 @@ def _union_measures(
     run_end = np.maximum.accumulate(e, axis=0)
     prev = np.vstack([np.full((1, s.shape[1]), -np.inf), run_end[:-1]])
     contrib = np.clip(e - np.maximum(s, prev), 0.0, None)
-    return contrib.sum(axis=0)
+    # runs start ascending, so the latest start so far is the running max
+    start = np.where(s > prev + TOUCH_RTOL * t0, s, -np.inf)
+    runs = run_end - np.maximum.accumulate(start, axis=0)
+    return contrib.sum(axis=0), runs.max(axis=0)
 
 
 def sup_undamped_measure(
@@ -204,13 +205,11 @@ def sup_undamped_measure(
     """Supremum over x of the union measure at time ``t``, exact up to
     rounding: the sweep evaluated at every breakpoint of the measure.
 
-    Returns ``(sup, arg_x)``; on ties the smallest x wins.  This is the
-    oracle the closed forms are checked against, so it deliberately knows
-    nothing about them: the breakpoints are generic window geometry.
+    Returns ``(sup, arg_x)``; on ties the smallest x wins.
     """
     lambdas = np.asarray(eigs.lambdas, dtype=float)
     xs = _breakpoints(lambdas, region, float(t))
-    measures = _union_measures(lambdas, region, xs, float(t))
+    measures, _ = _union_measures(lambdas, region, xs, float(t))
     idx = int(np.argmax(measures))  # argmax returns the first (smallest x) tie
     return float(measures[idx]), float(xs[idx])
 
@@ -225,147 +224,43 @@ def sharp_delay(eigs: "EigenStructure", region: UndampedRegion, t: float) -> flo
     return float(t) - sup
 
 
-# ---------------------------------------------------------------------------
-# closed forms
-# ---------------------------------------------------------------------------
-
-
-def _sign_groups(
+def conservation_horizon(
     eigs: "EigenStructure", region: UndampedRegion
-) -> list[tuple[float, list[float]]]:
-    """``(total_length * sum of 1/|lam|, ascending |lam|)`` for each
-    nonempty sign group of the speeds, leftward movers first."""
-    arr = np.asarray(eigs.lambdas, dtype=float)
-    if np.any(arr == 0.0):
-        raise ValueError("characteristic speed must be nonzero")
-    width = region.total_length
-    groups = (sorted(abs(v) for v in arr if v < 0), sorted(abs(v) for v in arr if v > 0))
-    return [(width * sum(1.0 / s for s in speeds), speeds) for speeds in groups if speeds]
+) -> tuple[float, float]:
+    """How long energy can stay undamped: the sup over x of the longest
+    unbroken run in the union of a point's crossing windows, exact up to
+    rounding, for any stripes and speeds.
+
+    Once t is past every window of a point, each window ends a fixed
+    ``(x - e) / lam`` before t, so the union moves rigidly with t and its
+    runs no longer depend on it.  Each run end is then linear in x, and
+    the order of the ends changes only at a stripe edge or where two
+    characteristics from x pass their edges at the same time: the finite
+    ``_breakpoints`` at t = inf.  The sweep evaluates the runs there, at a
+    t past every window of every one of them.
+
+    Returns ``(horizon, arg_x)``; on ties the smallest x wins.
+    """
+    lambdas = _nonzero_speeds(eigs)
+    xs = _breakpoints(lambdas, region, np.inf)
+    xs = xs[np.isfinite(xs)]
+    # Edges are among the xs, so every window of an x ends at most
+    # 2 max|xs| / min|lam| before t.
+    t = 4.0 * float(np.abs(xs).max()) / float(np.abs(lambdas).min())
+    _, runs = _union_measures(lambdas, region, xs, t)
+    idx = int(np.argmax(runs))
+    return float(runs[idx]), float(xs[idx])
+
+
+# ---------------------------------------------------------------------------
+# delay bound
+# ---------------------------------------------------------------------------
 
 
 def residence_bound(eigs: "EigenStructure", region: UndampedRegion) -> float:
     """Upper bound on the undamped-residence union: the larger of the two
     sign-group sums of (stripe width / speed) over all stripes."""
-    return max(total for total, _ in _sign_groups(eigs, region))
-
-
-def _attaining_groups(
-    eigs: "EigenStructure", region: UndampedRegion
-) -> tuple[float, list[list[float]]]:
-    """The residence bound and the speeds of each sign group whose total
-    attains it within ``GROUP_TIE_RTOL``."""
-    groups = _sign_groups(eigs, region)
-    top = max(total for total, _ in groups)
-    return top, [speeds for total, speeds in groups if total >= top * (1.0 - GROUP_TIE_RTOL)]
-
-
-def geometric_ratio_holds(eigs: "EigenStructure", region: UndampedRegion) -> bool:
-    """True when consecutive speed ratios are equal (within 1e-12 relative)
-    in a sign group attaining the delay bound.  Groups with two or fewer
-    members satisfy the condition vacuously."""
-    _, attaining = _attaining_groups(eigs, region)
-    for speeds in attaining:
-        if len(speeds) <= 2:
-            return True
-        ratios = [speeds[i + 1] / speeds[i] for i in range(len(speeds) - 1)]
-        if all(
-            abs(r - ratios[0]) <= GEOMETRIC_RTOL * max(abs(r), abs(ratios[0]))
-            for r in ratios[1:]
-        ):
-            return True
-    return False
-
-
-@dataclass(frozen=True)
-class HorizonBounds:
-    """Bounds on the conservation horizon (the last time up to which some
-    energy parcel can remain entirely undamped)."""
-
-    slow_pair_lower: float | None
-    exact_three_speed: float | None
-    upper: float
-
-
-def horizon_bounds(eigs: "EigenStructure", region: UndampedRegion) -> HorizonBounds:
-    """Lower/exact/upper conservation-horizon values for a single stripe.
-
-    The lower bound chains the two slowest same-sign speeds through the
-    stripe; the exact value exists for three same-sign speeds; the upper
-    bound is the delay bound itself.  Without two same-sign speeds in an
-    attaining group there is no lower bound, and it is ``None``.
-    """
-    if len(region.stripes) != 1:
-        raise ValueError("horizon_bounds: defined for a single-stripe region")
+    arr = _nonzero_speeds(eigs)
     width = region.total_length
-    upper, attaining = _attaining_groups(eigs, region)
-    pairs = [width / speeds[0] + width / speeds[1] for speeds in attaining if len(speeds) >= 2]
-
-    exact: float | None = None
-    n = len(np.asarray(eigs.lambdas))
-    for speeds in attaining:
-        if n == 3 and len(speeds) == 3:
-            s3, s2, s1 = speeds  # ascending -> slow, middle, fast
-            geo = three_speed_geometry(s1, s2, s3, width / 2.0)
-            if geo.case == "gap":
-                exact = width / s3 + width / s2
-            else:
-                exact = upper - geo.t_lambda
-    return HorizonBounds(
-        slow_pair_lower=max(pairs) if pairs else None,
-        exact_three_speed=exact,
-        upper=upper,
-    )
-
-
-@dataclass(frozen=True)
-class ThreeSpeedGeometry:
-    """Abutment geometry of three same-sign speeds s1 > s2 > s3 crossing a
-    centered stripe of half-width R, observed along the slow characteristic
-    entering the stripe at time zero.
-
-    ``(x2, t2)`` is where the middle window starts exactly when the slow
-    window ends; ``(x1, t1)`` is where the fast window starts exactly when
-    the middle window ends.  ``t_lambda`` is the middle/fast overlap
-    duration at ``(x2, t2)`` (zero in the gap and geometric cases).
-    """
-
-    s1: float
-    s2: float
-    s3: float
-    R: float
-    x2: float
-    t2: float
-    x1: float
-    t1: float
-    t_lambda: float
-    case: str
-
-
-def three_speed_geometry(
-    s1: float, s2: float, s3: float, R: float
-) -> ThreeSpeedGeometry:
-    s1, s2, s3, R = float(s1), float(s2), float(s3), float(R)
-    if not (s1 > s2 > s3 > 0.0):
-        raise ValueError("three_speed_geometry: need s1 > s2 > s3 > 0")
-    if R <= 0.0:
-        raise ValueError("three_speed_geometry: need R > 0")
-    x2 = R * (s2 + s3) / (s2 - s3)
-    t2 = 2.0 * R * s2 / (s3 * (s2 - s3))
-    x1 = R * (s1 + s2) / (s1 - s2)
-    t1 = 2.0 * R * s1 / (s3 * (s1 - s2))
-    disc = s2 * s2 - s1 * s3
-    tol = GEOMETRIC_RTOL * max(s2 * s2, s1 * s3)
-    if abs(disc) <= tol:
-        case = "geometric"
-        t_lambda = 0.0
-    elif disc > 0.0:
-        case = "overlap"
-        t_lambda = 2.0 * R * disc / (s1 * s2 * (s2 - s3))
-    else:
-        case = "gap"
-        t_lambda = 0.0
-    return ThreeSpeedGeometry(
-        s1=s1, s2=s2, s3=s3, R=R, x2=x2, t2=t2, x1=x1, t1=t1,
-        t_lambda=t_lambda, case=case,
-    )
-
+    groups = (sorted(-v for v in arr if v < 0), sorted(v for v in arr if v > 0))
+    return max(width * sum(1.0 / s for s in speeds) for speeds in groups)

@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Subcommands: ``check`` (admissibility report), ``times`` (residence-time
-table and horizon bounds), ``spectrum`` (decay-rate scan), ``simulate``
-(run a scenario and export CSV + summary), ``verify`` (run and check the
-decay envelopes).
+Subcommands: ``check`` (admissibility report), ``times`` (residence
+bound, conservation horizon and sharp-delay table), ``spectrum``
+(decay-rate scan), ``simulate`` (run a scenario and export CSV +
+summary), ``verify`` (run and check the decay envelopes).
 
 Exit 1 means ``check`` found the system inadmissible or ``verify`` found an
 envelope violation.  Exit 2 means rejected input, handled in ``main`` alone:
@@ -22,7 +22,7 @@ import sys as _sys
 import numpy as np
 
 from locdamp import harness
-from locdamp.chartimes import horizon_bounds, residence_bound, sup_undamped_measure
+from locdamp.chartimes import conservation_horizon, residence_bound, sup_undamped_measure
 from locdamp.model import diagonalize, validate_system
 from locdamp.solver import BoundaryError
 from locdamp.spectral import MatrixExpError, gamma_estimate
@@ -65,16 +65,11 @@ def _cmd_times(args: argparse.Namespace) -> int:
     eigs = diagonalize(scenario.system.a)
     tb = residence_bound(eigs, region)
     grid = _parse_grid(args.t_grid) if args.t_grid else np.linspace(0.0, 2.0 * tb, 9)
-    bounds = horizon_bounds(eigs, region) if len(region.stripes) == 1 else None
+    horizon, _ = conservation_horizon(eigs, region)
     rows = [(float(t), sup_undamped_measure(eigs, region, float(t))[0]) for t in grid]
     print(f"scenario: {scenario.name}")
     print(f"residence delay bound: {tb:.17g}")
-    if bounds is not None:
-        if bounds.slow_pair_lower is not None:
-            print(f"conservation horizon lower bound: {bounds.slow_pair_lower:.17g}")
-        if bounds.exact_three_speed is not None:
-            print(f"conservation horizon exact: {bounds.exact_three_speed:.17g}")
-        print(f"conservation horizon upper bound: {bounds.upper:.17g}")
+    print(f"conservation horizon: {horizon:.17g}")
     print(f"{'t':>24} {'sup_undamped':>24} {'delay':>24}")
     for t, sup in rows:
         print(f"{t:>24.17g} {sup:>24.17g} {t - sup:>24.17g}")
@@ -143,7 +138,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("scenario")
     p.set_defaults(fn=_cmd_check)
 
-    p = sub.add_parser("times", help="residence-time table and horizon bounds")
+    p = sub.add_parser("times", help="residence bound, conservation horizon and delay table")
     p.add_argument("scenario")
     p.add_argument("--t-grid", help="time grid as start:stop:step", default=None)
     p.set_defaults(fn=_cmd_times)

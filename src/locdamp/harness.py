@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -50,7 +50,6 @@ NORM_FLOOR_RTOL = 1e-14
 # The probe's plateau ends when total energy first drops below this
 # fraction of its initial value.
 ONSET_FRACTION = 0.99
-MIN_FIT_POINTS = 10
 # Reference-evolution layout: grid points per gaussian width and the cap
 # on how many trajectory times the calibration re-evaluates.
 REF_POINTS_PER_SIGMA = 4
@@ -228,55 +227,6 @@ def load_scenario(path: str | Path) -> Scenario:
         stride=time["stride"],
         data=data,
     )
-
-
-# ---------------------------------------------------------------------------
-# fits
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FitResult:
-    rate: float
-    log_intercept: float
-    n_points: int
-    max_residual: float
-
-
-def _log_linear_fit(name: str, times, values, t_min, t_max, *, log_time: bool) -> FitResult:
-    """Least squares of log(values) against times, or against log(times)
-    with ``log_time``, over [t_min, t_max]; ``rate`` is the fitted slope."""
-    t = np.asarray(times, dtype=float)
-    v = np.asarray(values, dtype=float)
-    mask = (t >= t_min) & (t <= t_max) & (v > 0.0)
-    if log_time:
-        mask &= t > 0.0
-    if mask.sum() < MIN_FIT_POINTS:
-        raise ValueError(f"{name}: need at least {MIN_FIT_POINTS} points in [{t_min}, {t_max}]")
-    xs = np.log(t[mask]) if log_time else t[mask]
-    logs = np.log(v[mask])
-    slope, intercept = np.polyfit(xs, logs, 1)
-    resid = float(np.max(np.abs(logs - (slope * xs + intercept))))
-    return FitResult(
-        rate=float(slope),
-        log_intercept=float(intercept),
-        n_points=int(mask.sum()),
-        max_residual=resid,
-    )
-
-
-def fit_decay_rate(times, values, t_min: float, t_max: float) -> FitResult:
-    """Exponential-rate fit: least squares on log(values) over [t_min, t_max].
-
-    Positive ``rate`` means decay.  Requires at least 10 usable points.
-    """
-    fit = _log_linear_fit("fit_decay_rate", times, values, t_min, t_max, log_time=False)
-    return replace(fit, rate=-fit.rate)
-
-
-def fit_loglog_slope(times, values, t_min: float, t_max: float) -> FitResult:
-    """Power-law fit: slope of log(values) against log(times)."""
-    return _log_linear_fit("fit_loglog_slope", times, values, t_min, t_max, log_time=True)
 
 
 # ---------------------------------------------------------------------------
@@ -666,11 +616,8 @@ __all__ = [
     "EnvelopeCalibration",
     "EnvelopeReport",
     "ProbeReport",
-    "FitResult",
     "load_scenario",
     "run_scenario",
-    "fit_decay_rate",
-    "fit_loglog_slope",
     "calibrate",
     "verify_envelope",
     "conservation_probe",

@@ -51,14 +51,10 @@ class MatrixExpError(RuntimeError):
     """The argument or its exponential is not finite."""
 
 
-def symbol(sys: HyperbolicSystem, xi: float) -> np.ndarray:
-    """Per-frequency evolution matrix -i*xi*A - B."""
-    return -1j * float(xi) * sys.a - sys.b
-
-
 def _symbol_stack(sys: HyperbolicSystem, eigs: EigenStructure, xi: np.ndarray) -> np.ndarray:
-    """Stack of eigenbasis symbols -i*xi*diag(lambdas) - S, one per entry of
-    ``xi``; each shares its spectrum with ``symbol`` at that frequency."""
+    """Stack of eigenbasis evolution matrices -i*xi*diag(lambdas) - S, one
+    per entry of ``xi``; each shares its spectrum with the physical-basis
+    matrix -i*xi*A - B at that frequency."""
     d = np.diag(eigs.lambdas)
     return -1j * xi[:, None, None] * d - source_matrix(sys, eigs)
 

@@ -1,9 +1,16 @@
 """Shared system builders and independent oracles for the test suite."""
 
+from dataclasses import dataclass, replace
+
 import numpy as np
 
-from locdamp.chartimes import crossing_window
+from locdamp.chartimes import UndampedRegion, crossing_window
 from locdamp.model import EigenStructure, HyperbolicSystem, source_matrix
+
+# Relative tolerance deciding the geometric (borderline) three-speed case,
+# and "both sign groups attain the delay bound" ties, in the closed forms.
+CLOSED_FORM_RTOL = 1e-12
+MIN_FIT_POINTS = 10
 
 # Exact rational orthogonal matrix (columns have squared entries 4/9, 4/9,
 # 1/9), used to manufacture full symmetric systems with chosen speeds.
@@ -67,6 +74,11 @@ def random_valid_system(
     return HyperbolicSystem(a=a, n1=n1, dd=dd)
 
 
+def symbol(sys: HyperbolicSystem, xi: float) -> np.ndarray:
+    """Per-frequency evolution matrix -i*xi*A - B in the physical basis."""
+    return -1j * float(xi) * sys.a - sys.b
+
+
 def eigenbasis_symbol(sys: HyperbolicSystem, eigs: EigenStructure, xi: float) -> np.ndarray:
     """The symbol at one frequency in the transport eigenbasis,
     -i*xi*diag(lambdas) - S, built one frequency at a time."""
@@ -95,8 +107,9 @@ def three_speed_scan_oracle(
     ``x(t) = -R + s3 t`` using only ``crossing_window``.
 
     Independent of the closed forms in ``three_speed_geometry``; used to
-    validate them.  Returns t2/x2, t1/x1 and the middle/fast overlap at the
-    scanned (x2, t2), all accurate to ``resolution`` in time.
+    validate them and ``conservation_horizon``.  Returns t2/x2, t1/x1 and
+    the middle/fast overlap at the scanned (x2, t2), all accurate to
+    ``resolution`` in time.
     """
     stripe = (-R, R)
 
@@ -143,3 +156,159 @@ def three_speed_scan_oracle(
         "x1": x1,
         "t_lambda": max(0.0, w2.t_ex - w1.t_en),
     }
+
+
+# ---------------------------------------------------------------------------
+# the paper's closed forms for one stripe
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ThreeSpeedGeometry:
+    """Abutment geometry of three same-sign speeds s1 > s2 > s3 crossing a
+    centered stripe of half-width R, observed along the slow characteristic
+    entering the stripe at time zero.
+
+    ``(x2, t2)`` is where the middle window starts exactly when the slow
+    window ends; ``(x1, t1)`` is where the fast window starts exactly when
+    the middle window ends.  ``t_lambda`` is the middle/fast overlap
+    duration at ``(x2, t2)`` (zero in the gap and geometric cases).
+    """
+
+    s1: float
+    s2: float
+    s3: float
+    R: float
+    x2: float
+    t2: float
+    x1: float
+    t1: float
+    t_lambda: float
+    case: str
+
+
+def three_speed_geometry(s1: float, s2: float, s3: float, R: float) -> ThreeSpeedGeometry:
+    s1, s2, s3, R = float(s1), float(s2), float(s3), float(R)
+    if not (s1 > s2 > s3 > 0.0):
+        raise ValueError("three_speed_geometry: need s1 > s2 > s3 > 0")
+    if R <= 0.0:
+        raise ValueError("three_speed_geometry: need R > 0")
+    x2 = R * (s2 + s3) / (s2 - s3)
+    t2 = 2.0 * R * s2 / (s3 * (s2 - s3))
+    x1 = R * (s1 + s2) / (s1 - s2)
+    t1 = 2.0 * R * s1 / (s3 * (s1 - s2))
+    disc = s2 * s2 - s1 * s3
+    if abs(disc) <= CLOSED_FORM_RTOL * max(s2 * s2, s1 * s3):
+        case, t_lambda = "geometric", 0.0
+    elif disc > 0.0:
+        case, t_lambda = "overlap", 2.0 * R * disc / (s1 * s2 * (s2 - s3))
+    else:
+        case, t_lambda = "gap", 0.0
+    return ThreeSpeedGeometry(
+        s1=s1, s2=s2, s3=s3, R=R, x2=x2, t2=t2, x1=x1, t1=t1,
+        t_lambda=t_lambda, case=case,
+    )
+
+
+@dataclass(frozen=True)
+class HorizonClosedForms:
+    """The paper's conservation-horizon values for one stripe; ``None``
+    where the closed form does not apply."""
+
+    slow_pair_lower: float | None
+    exact_three_speed: float | None
+    upper: float
+
+
+def horizon_closed_forms(speeds, width: float) -> HorizonClosedForms:
+    """Lower/exact/upper conservation horizon for one stripe of ``width``.
+
+    The upper value is the delay bound, the larger sign-group sum of
+    width / |speed|.  Each sign group attaining it (within
+    ``CLOSED_FORM_RTOL``) with two or more speeds chains its two slowest
+    through the stripe for the lower bound; with all three speeds of a
+    three-speed system it gives the exact value.  That value is the
+    longest run seen from an abutment point: where the middle window
+    starts as the slow one ends (x2; with the middle/fast overlap removed)
+    or, in the gap case, also where the fast window ends as the middle
+    one starts (x1), whose all-three chain is the longer one for speeds
+    such as (2, 4/3, 1).
+    """
+    speeds = [float(v) for v in speeds]
+    groups = [sorted(-v for v in speeds if v < 0), sorted(v for v in speeds if v > 0)]
+    totals = [(width * sum(1.0 / v for v in g), g) for g in groups if g]
+    upper = max(total for total, _ in totals)
+    attaining = [g for total, g in totals if total >= upper * (1.0 - CLOSED_FORM_RTOL)]
+    pairs = [width / g[0] + width / g[1] for g in attaining if len(g) >= 2]
+    exact = None
+    for g in attaining:
+        if len(speeds) == 3 and len(g) == 3:
+            s3, s2, s1 = g  # ascending -> slow, middle, fast
+            geo = three_speed_geometry(s1, s2, s3, width / 2.0)
+            if geo.case == "gap":
+                # at x1 the slow window ends t1 before, the fast one starts
+                # (x1 - R) / s1 before
+                at_x1 = geo.t1 - (geo.x1 - geo.R) / s1
+                exact = max(width / s3 + width / s2, at_x1)
+            else:
+                exact = upper - geo.t_lambda
+    return HorizonClosedForms(max(pairs) if pairs else None, exact, upper)
+
+
+def residence_time(lam: float, region: UndampedRegion, x0: float, t0: float) -> float:
+    """Total undamped time of one component's history: the sum of its
+    stripe windows.  Bounded by ``total_length / |lam|``."""
+    return sum(crossing_window(lam, stripe, x0, t0).length for stripe in region.stripes)
+
+
+def region_contains(region: UndampedRegion, x: float) -> bool:
+    return any(a < x < b for a, b in region.stripes)
+
+
+# ---------------------------------------------------------------------------
+# decay fits
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FitResult:
+    rate: float
+    log_intercept: float
+    n_points: int
+    max_residual: float
+
+
+def _log_linear_fit(name: str, times, values, t_min, t_max, *, log_time: bool) -> FitResult:
+    """Least squares of log(values) against times, or against log(times)
+    with ``log_time``, over [t_min, t_max]; ``rate`` is the fitted slope."""
+    t = np.asarray(times, dtype=float)
+    v = np.asarray(values, dtype=float)
+    mask = (t >= t_min) & (t <= t_max) & (v > 0.0)
+    if log_time:
+        mask &= t > 0.0
+    if mask.sum() < MIN_FIT_POINTS:
+        raise ValueError(f"{name}: need at least {MIN_FIT_POINTS} points in [{t_min}, {t_max}]")
+    xs = np.log(t[mask]) if log_time else t[mask]
+    logs = np.log(v[mask])
+    slope, intercept = np.polyfit(xs, logs, 1)
+    resid = float(np.max(np.abs(logs - (slope * xs + intercept))))
+    return FitResult(
+        rate=float(slope),
+        log_intercept=float(intercept),
+        n_points=int(mask.sum()),
+        max_residual=resid,
+    )
+
+
+def fit_decay_rate(times, values, t_min: float, t_max: float) -> FitResult:
+    """Exponential-rate fit: least squares on log(values) over [t_min, t_max].
+
+    Positive ``rate`` means decay.  Requires at least 10 usable points.
+    """
+    fit = _log_linear_fit("fit_decay_rate", times, values, t_min, t_max, log_time=False)
+    return replace(fit, rate=-fit.rate)
+
+
+def fit_loglog_slope(times, values, t_min: float, t_max: float) -> FitResult:
+    """Power-law fit: slope of log(values) against log(times)."""
+    return _log_linear_fit("fit_loglog_slope", times, values, t_min, t_max, log_time=True)

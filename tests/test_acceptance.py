@@ -14,18 +14,23 @@ import pytest
 
 from helpers import (
     damped_wave_system,
+    fit_decay_rate,
+    fit_loglog_slope,
+    horizon_closed_forms,
     random_valid_system,
     spectral_abscissa,
+    symbol,
+    three_speed_geometry,
     three_speed_scan_oracle,
     three_speed_system,
 )
 from locdamp import harness
 from locdamp.chartimes import (
     UndampedRegion,
+    conservation_horizon,
     sharp_delay,
     sup_undamped_measure,
     residence_bound,
-    three_speed_geometry,
 )
 from locdamp.model import (
     EigenStructure,
@@ -36,7 +41,6 @@ from locdamp.model import (
     validate_system,
 )
 from locdamp.solver import Bump, InitialDataSpec, run
-from locdamp.spectral import symbol
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -171,12 +175,12 @@ def test_criterion_04_reference_decay_fits():
         from locdamp.spectral import gamma_estimate
 
         gamma = gamma_estimate(scenario.system).gamma
-        fit_high = harness.fit_decay_rate(series.times, series.l2_high, 2.0, 20.0)
+        fit_high = fit_decay_rate(series.times, series.l2_high, 2.0, 20.0)
         c.check(
             f"high-band rate {fit_high.rate:.5f} within 10% of scan rate {gamma:.5f}",
             abs(fit_high.rate - gamma) <= 0.1 * gamma,
         )
-        fit_low = harness.fit_loglog_slope(series.times, series.linf_low, 10.0, 100.0)
+        fit_low = fit_loglog_slope(series.times, series.linf_low, 10.0, 100.0)
         c.check(
             f"low-band slope {fit_low.rate:.5f} in [-0.6, -0.4]",
             -0.6 <= fit_low.rate <= -0.4,
@@ -228,7 +232,8 @@ def test_criterion_06_delayed_envelopes(scenario_name):
 
 
 def test_criterion_07_horizon_closed_forms():
-    with Criterion(7, "single-stripe horizon closed forms match scans") as c:
+    label = "single-stripe horizon closed forms match scans and the generic horizon"
+    with Criterion(7, label) as c:
         rng = np.random.default_rng(424242)
         cases = {"overlap": 0, "gap": 0, "geometric": 0}
         for i in range(100):
@@ -249,6 +254,14 @@ def test_criterion_07_horizon_closed_forms():
                     f"triple {i} {field} matches scan",
                     abs(getattr(geo, field) - oracle[field]) <= 1e-5,
                 )
+            exact = horizon_closed_forms((s1, s2, s3), 2.0 * r).exact_three_speed
+            h, _ = conservation_horizon(
+                EigenStructure.from_speeds([s1, s2, s3]), UndampedRegion.centered(r)
+            )
+            c.check(
+                f"triple {i} generic horizon {h!r} matches closed form {exact!r}",
+                abs(h - exact) <= 1e-12 * exact,
+            )
         c.check("both window regimes sampled", cases["overlap"] > 0 and cases["gap"] > 0)
 
 

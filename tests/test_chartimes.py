@@ -1,25 +1,29 @@
 """Residence-time calculus: frozen hand-derived values plus cross-checks
-between the closed forms and the window-level brute-force scans."""
+of the exact suprema against window-level brute-force scans and the
+paper's closed forms."""
 
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import three_speed_scan_oracle
+from helpers import (
+    horizon_closed_forms,
+    region_contains,
+    residence_time,
+    three_speed_geometry,
+    three_speed_scan_oracle,
+)
 from locdamp.chartimes import (
     UndampedRegion,
+    conservation_horizon,
     crossing_window,
-    geometric_ratio_holds,
-    residence_time,
     sharp_delay,
     sup_undamped_measure,
     residence_bound,
-    horizon_bounds,
-    three_speed_geometry,
     undamped_union,
 )
 from locdamp.model import EigenStructure
@@ -32,14 +36,27 @@ def eigs_of(*speeds):
 CENTERED = UndampedRegion.centered(1.0)
 
 
+def random_geometry(rng):
+    """1-4 speeds of either sign and 1-3 stripes inside [-4, 4]."""
+    k = int(rng.integers(1, 5))
+    speeds = rng.uniform(0.3, 4.0, k) * rng.choice([-1.0, 1.0], size=k)
+    edges = np.sort(rng.uniform(-4.0, 4.0, 2 * int(rng.integers(1, 4))))
+    return speeds, UndampedRegion(stripes=tuple(zip(edges[::2], edges[1::2])))
+
+
+def longest_run(eigs, region, x0, t0):
+    ivals, _ = undamped_union(eigs, region, x0, t0)
+    return max(e - s for s, e in ivals) if ivals else 0.0
+
+
 class TestRegion:
     def test_properties(self):
         reg = UndampedRegion(stripes=((0.0, 1.0), (2.0, 4.0)))
         assert reg.total_length == 3.0
         assert reg.bounds == (0.0, 4.0)
         assert reg.min_width == 1.0
-        assert reg.contains(0.5) and reg.contains(3.0)
-        assert not reg.contains(1.5) and not reg.contains(1.0)
+        assert region_contains(reg, 0.5) and region_contains(reg, 3.0)
+        assert not region_contains(reg, 1.5) and not region_contains(reg, 1.0)
 
     def test_rejects_reversed_stripe(self):
         with pytest.raises(ValueError, match="a < b"):
@@ -183,12 +200,8 @@ class TestSupScan:
         # at the returned arg and never exceeds it on a fine grid of x
         rng = np.random.default_rng(61)
         for _ in range(20):
-            k = int(rng.integers(1, 5))
-            eigs = EigenStructure.from_speeds(
-                rng.uniform(0.3, 4.0, k) * rng.choice([-1.0, 1.0], size=k)
-            )
-            edges = np.sort(rng.uniform(-4.0, 4.0, 2 * int(rng.integers(1, 4))))
-            reg = UndampedRegion(stripes=tuple(zip(edges[::2], edges[1::2])))
+            speeds, reg = random_geometry(rng)
+            eigs = EigenStructure.from_speeds(speeds)
             for t in (0.7, 2.5, 9.0):
                 xs = np.linspace(-45.0, 45.0, 2001)
                 measures = np.array([undamped_union(eigs, reg, x, t)[1] for x in xs])
@@ -265,28 +278,41 @@ class TestThreeSpeedGeometry:
             assert o["t_lambda"] == pytest.approx(g.t_lambda, abs=1e-6)
 
 
+def check_closed_forms(speeds, horizon, forms):
+    """The generic horizon on the centered unit stripe is ``horizon``, the
+    closed forms (slow-pair lower, exact three-speed, upper) are ``forms``
+    (``None`` where one does not apply), and the horizon lies between the
+    bounds and meets the exact value, all to 1e-12 relative."""
+    h, _ = conservation_horizon(eigs_of(*speeds), CENTERED)
+    assert h == pytest.approx(horizon, rel=1e-12)
+    b = horizon_closed_forms(speeds, CENTERED.total_length)
+    for value, want in zip((b.slow_pair_lower, b.exact_three_speed, b.upper), forms):
+        assert (value is None) == (want is None)
+        if want is not None:
+            assert value == pytest.approx(want, rel=1e-12)
+    if b.slow_pair_lower is not None:
+        assert b.slow_pair_lower <= h * (1.0 + 1e-12)
+    if b.exact_three_speed is not None:
+        assert h == pytest.approx(b.exact_three_speed, rel=1e-12)
+    assert h <= b.upper * (1.0 + 1e-12)
+    assert b.upper == pytest.approx(residence_bound(eigs_of(*speeds), CENTERED), rel=1e-12)
+
+
 class TestHorizonBounds:
     def test_overlap_triple(self):
-        b = horizon_bounds(eigs_of(3, 2, 1), CENTERED)
-        assert b.slow_pair_lower == pytest.approx(3.0, rel=1e-12)
-        assert b.exact_three_speed == pytest.approx(10.0 / 3.0, rel=1e-12)
-        assert b.upper == pytest.approx(11.0 / 3.0, rel=1e-12)
+        check_closed_forms((3, 2, 1), 10 / 3, (3.0, 10 / 3, 11 / 3))
 
     def test_geometric_triple_exact_meets_upper(self):
-        b = horizon_bounds(eigs_of(4, 2, 1), CENTERED)
-        assert b.exact_three_speed == pytest.approx(3.5, rel=1e-12)
-        assert b.upper == pytest.approx(3.5, rel=1e-12)
+        check_closed_forms((4, 2, 1), 3.5, (3.0, 3.5, 3.5))
 
     def test_gap_triple(self):
-        b = horizon_bounds(eigs_of(6, 2, 1), CENTERED)
-        assert b.exact_three_speed == pytest.approx(3.0, rel=1e-12)
-        assert b.upper == pytest.approx(10.0 / 3.0, rel=1e-12)
+        check_closed_forms((6, 2, 1), 3.0, (3.0, 3.0, 10 / 3))
+        # a gap too, but the chain at the fast/middle abutment is longer
+        check_closed_forms((2, 4 / 3, 1), 4.0, (3.5, 4.0, 4.5))
 
     def test_ordering(self):
-        for speeds in ((3, 2, 1), (4, 2, 1), (6, 2, 1), (5, 2.5, 0.5)):
-            b = horizon_bounds(eigs_of(*speeds), CENTERED)
-            assert b.slow_pair_lower <= b.exact_three_speed + 1e-12
-            assert b.exact_three_speed <= b.upper + 1e-12
+        # lower <= horizon <= upper is asserted for every case here
+        check_closed_forms((5, 2.5, 0.5), 4.9, (4.8, 4.9, 5.2))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -296,59 +322,135 @@ class TestHorizonBounds:
         r=st.builds(Fraction, st.integers(1, 8), st.integers(1, 4)),
     )
     def test_exact_matches_window_scan_on_commensurate_triples(self, speeds, r):
-        # The exact horizon is the longest unbroken stretch of the union of
-        # the three stripe windows seen from the scanned abutment point,
-        # where the middle window starts as the slow one ends.  Small-
-        # fraction speeds keep every overlap or gap far above the scan's
-        # resolution.
+        # The horizon is the longest unbroken stretch of the union of the
+        # three stripe windows seen from one of the two scanned abutment
+        # points: where the middle window starts as the slow one ends
+        # (x2, t2), or as the fast one ends (x1, t1).  Small-fraction speeds
+        # keep every overlap or gap far above the scan's resolution.
         s3, s2, s1 = (float(s) for s in sorted(speeds))
         r = float(r)
-        b = horizon_bounds(eigs_of(s1, s2, s3), UndampedRegion.centered(r))
+        h, _ = conservation_horizon(eigs_of(s1, s2, s3), UndampedRegion.centered(r))
         o = three_speed_scan_oracle(s1, s2, s3, r)
-        windows = sorted(
-            (crossing_window(s, (-r, r), o["x2"], o["t2"]) for s in (s1, s2, s3)),
-            key=lambda w: w.t_en,
-        )
-        longest, start, end = 0.0, windows[0].t_en, windows[0].t_ex
-        for w in windows[1:]:
-            if w.t_en > end + 1e-6:
-                longest, start = max(longest, end - start), w.t_en
-            end = max(end, w.t_ex)
-        longest = max(longest, end - start)
-        assert b.exact_three_speed == pytest.approx(longest, abs=1e-6)
+        longest = 0.0
+        for x0, t0 in ((o["x2"], o["t2"]), (o["x1"], o["t1"])):
+            windows = sorted(
+                (crossing_window(s, (-r, r), x0, t0) for s in (s1, s2, s3)),
+                key=lambda w: w.t_en,
+            )
+            start, end = windows[0].t_en, windows[0].t_ex
+            for w in windows[1:]:
+                if w.t_en > end + 1e-6:
+                    longest, start = max(longest, end - start), w.t_en
+                end = max(end, w.t_ex)
+            longest = max(longest, end - start)
+        assert h == pytest.approx(longest, abs=1e-6)
 
     def test_single_speed_has_no_chained_bound(self):
-        b = horizon_bounds(eigs_of(1.0), CENTERED)
-        assert b.slow_pair_lower is None
-        assert b.exact_three_speed is None
-        assert b.upper == pytest.approx(2.0, rel=1e-12)
+        check_closed_forms((1,), 2.0, (None, None, 2.0))
+        check_closed_forms((-1, 1), 2.0, (None, None, 2.0))
 
     def test_tied_sign_groups_both_attain(self):
         # 2/3 + 2/1.5 = 2/1: the leftward pair ties the lone rightward speed
-        b = horizon_bounds(eigs_of(-3, -1.5, 1), CENTERED)
-        assert b.upper == pytest.approx(2.0, rel=1e-12)
-        assert b.slow_pair_lower == pytest.approx(2.0, rel=1e-12)
+        check_closed_forms((-3, -1.5, 1), 2.0, (2.0, None, 2.0))
 
     def test_pair_outside_the_attaining_group_gives_no_bound(self):
-        b = horizon_bounds(eigs_of(-3, -1.5, 0.5), CENTERED)
-        assert b.upper == pytest.approx(4.0, rel=1e-12)
-        assert b.slow_pair_lower is None
-
-    def test_multi_stripe_rejected(self):
-        reg = UndampedRegion(stripes=((0.0, 1.0), (2.0, 3.0)))
-        with pytest.raises(ValueError, match="single-stripe"):
-            horizon_bounds(eigs_of(1, 2), reg)
+        check_closed_forms((-3, -1.5, 0.5), 4.0, (None, None, 4.0))
 
 
 class TestGeometricRatio:
+    """Three same-sign speeds chain into one run as long as the residence
+    bound exactly when s2^2 = s1 s3; fewer speeds always do."""
+
+    @staticmethod
+    def meets_bound(*speeds):
+        h, _ = conservation_horizon(eigs_of(*speeds), CENTERED)
+        bound = residence_bound(eigs_of(*speeds), CENTERED)
+        return abs(h - bound) <= 1e-12 * bound
+
     def test_exact_ratio_holds(self):
-        assert geometric_ratio_holds(eigs_of(4, 2, 1), CENTERED)
+        assert self.meets_bound(4, 2, 1)
+        assert self.meets_bound(-4, -2, -1)
 
     def test_broken_ratio(self):
-        assert not geometric_ratio_holds(eigs_of(3, 2, 1), CENTERED)
+        assert not self.meets_bound(3, 2, 1)
 
     def test_two_speeds_vacuous(self):
-        assert geometric_ratio_holds(eigs_of(2, 1), CENTERED)
+        assert self.meets_bound(2, 1)
+        check_closed_forms((1, 2), 3.0, (3.0, None, 3.0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        s3=st.builds(Fraction, st.integers(1, 8), st.integers(1, 4)),
+        q=st.builds(Fraction, st.integers(5, 16), st.integers(1, 4)),
+        stretch=st.one_of(
+            st.just(Fraction(1)), st.builds(Fraction, st.integers(1, 24), st.integers(1, 8))
+        ),
+        r=st.builds(Fraction, st.integers(1, 8), st.integers(1, 4)),
+        sign=st.sampled_from([-1.0, 1.0]),
+    )
+    def test_meets_the_bound_exactly_at_geometric_speeds(self, s3, q, stretch, r, sign):
+        # Three same-sign speeds: the windows chain into one run of the
+        # residence bound's length only when s2^2 = s1 s3, where rounding
+        # can leave the touching windows a few ulps apart.
+        s2 = s3 * q
+        s1 = s2 * q * stretch
+        assume(s1 > s2)
+        eigs = eigs_of(*(sign * float(s) for s in (s1, s2, s3)))
+        reg = UndampedRegion.centered(float(r))
+        h, _ = conservation_horizon(eigs, reg)
+        bound = residence_bound(eigs, reg)
+        assert (abs(h - bound) <= 1e-12 * bound) == (s2 * s2 == s1 * s3)
+
+
+class TestConservationHorizon:
+    def test_two_stripes(self):
+        # stripes_two's geometry: the horizon stays below the residence bound
+        reg = UndampedRegion(stripes=((0.0, 1.0), (2.0, 4.0)))
+        h, _ = conservation_horizon(eigs_of(1, 2), reg)
+        assert h == pytest.approx(3.0, rel=1e-12)
+        assert residence_bound(eigs_of(1, 2), reg) == pytest.approx(4.5, rel=1e-12)
+
+    def test_matches_fine_grid_on_any_stripes(self):
+        # Independent oracle: merge each point's windows with
+        # ``undamped_union`` at a t past all of them.  No point of a wide
+        # grid beats the horizon, and a fine grid around its argument
+        # reaches it within the run's largest slope in x, 2 / min|lam|.
+        rng = np.random.default_rng(97)
+        for _ in range(8):
+            speeds, reg = random_geometry(rng)
+            eigs = EigenStructure.from_speeds(speeds)
+            h, arg = conservation_horizon(eigs, reg)
+            reach = max(abs(arg), 4.0) + 1.0
+            t = 4.0 * reach / np.abs(speeds).min()
+            dx = 1e-4
+            wide = [longest_run(eigs, reg, x, t) for x in np.linspace(-reach, reach, 1601)]
+            near = [longest_run(eigs, reg, x, t) for x in arg + dx * np.arange(-400, 401)]
+            assert max(wide + near) <= h * (1.0 + 1e-12)
+            assert h - max(near) <= 2.0 * dx / np.abs(speeds).min()
+
+    def test_invariances(self):
+        # faster speeds shorten the horizon in proportion; moving or
+        # mirroring the whole geometry leaves it alone
+        rng = np.random.default_rng(101)
+        for _ in range(30):
+            speeds, reg = random_geometry(rng)
+            h, _ = conservation_horizon(EigenStructure.from_speeds(speeds), reg)
+            c = rng.uniform(0.2, 5.0)
+            scaled, _ = conservation_horizon(EigenStructure.from_speeds(c * speeds), reg)
+            assert scaled == pytest.approx(h / c, rel=1e-12)
+            shift = rng.uniform(-3.0, 3.0)
+            moved = UndampedRegion(stripes=tuple((a + shift, b + shift) for a, b in reg.stripes))
+            assert conservation_horizon(
+                EigenStructure.from_speeds(speeds), moved
+            )[0] == pytest.approx(h, rel=1e-12)
+            mirror = UndampedRegion(stripes=tuple((-b, -a) for a, b in reversed(reg.stripes)))
+            assert conservation_horizon(
+                EigenStructure.from_speeds(-speeds), mirror
+            )[0] == pytest.approx(h, rel=1e-12)
+
+    def test_zero_speed_rejected(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            conservation_horizon(eigs_of(1.0, 0.0), CENTERED)
 
 
 class TestSharpDelay:

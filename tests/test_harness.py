@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import locdamp
-from helpers import eager_linf_low
+from helpers import eager_linf_low, fit_decay_rate, fit_loglog_slope
 from locdamp import cli, harness, solver, spectral
 from locdamp.chartimes import UndampedRegion
 from locdamp.model import EigenStructure
@@ -379,7 +379,7 @@ def _assert_message_shape(errors: list[str], file_path: str, raw: dict) -> None:
 class TestFits:
     def test_exponential_rate_recovered_exactly(self):
         t = np.linspace(0.0, 5.0, 26)
-        fit = harness.fit_decay_rate(t, 3.0 * np.exp(-0.7 * t), 0.0, 5.0)
+        fit = fit_decay_rate(t, 3.0 * np.exp(-0.7 * t), 0.0, 5.0)
         assert fit.rate == pytest.approx(0.7, abs=1e-12)
         assert fit.log_intercept == pytest.approx(np.log(3.0), abs=1e-12)
         assert fit.n_points == 26
@@ -387,24 +387,24 @@ class TestFits:
 
     def test_window_restricts_points(self):
         t = np.linspace(0.0, 5.0, 26)
-        fit = harness.fit_decay_rate(t, np.exp(-t), 1.0, 4.0)
+        fit = fit_decay_rate(t, np.exp(-t), 1.0, 4.0)
         assert fit.n_points == 16
 
     def test_too_few_points(self):
         t = np.linspace(0.0, 1.0, 5)
         with pytest.raises(ValueError, match="at least 10"):
-            harness.fit_decay_rate(t, np.exp(-t), 0.0, 1.0)
+            fit_decay_rate(t, np.exp(-t), 0.0, 1.0)
 
     def test_nonpositive_values_dropped(self):
         t = np.linspace(0.0, 5.0, 26)
         v = np.exp(-t)
         v[::2] = 0.0
         with pytest.raises(ValueError, match="at least 10"):
-            harness.fit_decay_rate(t, v, 0.0, 1.0)
+            fit_decay_rate(t, v, 0.0, 1.0)
 
     def test_power_law_slope_recovered(self):
         t = np.linspace(1.0, 50.0, 40)
-        fit = harness.fit_loglog_slope(t, 2.0 * t**-0.5, 1.0, 50.0)
+        fit = fit_loglog_slope(t, 2.0 * t**-0.5, 1.0, 50.0)
         assert fit.rate == pytest.approx(-0.5, abs=1e-12)
         assert fit.log_intercept == pytest.approx(np.log(2.0), abs=1e-12)
 
@@ -896,9 +896,19 @@ class TestCli:
         code = cli.main(["times", str(SCENARIOS / "damped_wave.json")])
         out = capsys.readouterr().out
         assert code == 0
-        assert "residence delay bound: 2" in out
-        assert "conservation horizon upper bound" in out
+        lines = out.splitlines()
+        assert "residence delay bound: 2" in lines
+        assert "conservation horizon: 2" in lines
         assert "sup_undamped" in out
+
+    def test_times_two_stripes(self, capsys):
+        # the horizon is printed for any stripes, below the residence bound
+        code = cli.main(["times", str(SCENARIOS / "stripes_two.json")])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert "residence delay bound: 4.5" in lines
+        (horizon,) = [ln for ln in lines if ln.startswith("conservation horizon: ")]
+        assert float(horizon.split(": ")[1]) == pytest.approx(3.0, rel=1e-12)
 
     def test_times_custom_grid(self, capsys):
         code = cli.main(

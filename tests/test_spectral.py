@@ -17,6 +17,7 @@ from helpers import (
     damped_wave_system,
     eigenbasis_symbol,
     spectral_abscissa,
+    symbol,
     three_speed_system,
 )
 from locdamp import harness, spectral
@@ -30,7 +31,6 @@ from locdamp.spectral import (
     low_band_bound,
     low_band_sup,
     matrix_exp,
-    symbol,
 )
 
 
