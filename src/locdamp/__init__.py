@@ -7,14 +7,11 @@ exact-shift solver to test the delayed decay envelopes end to end.
 """
 
 from locdamp.chartimes import (
-    CharacteristicWindow,
     UndampedRegion,
     conservation_horizon,
-    crossing_window,
     sharp_delay,
     sup_undamped_measure,
     residence_bound,
-    undamped_union,
 )
 from locdamp.harness import (
     ProbeReport,
@@ -59,7 +56,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundaryError",
     "Bump",
-    "CharacteristicWindow",
     "EigenStructure",
     "GridError",
     "HyperbolicSystem",
@@ -76,7 +72,6 @@ __all__ = [
     "calibrate",
     "conservation_horizon",
     "conservation_probe",
-    "crossing_window",
     "diagonalize",
     "fullspace_evolve",
     "gamma_estimate",
@@ -91,7 +86,6 @@ __all__ = [
     "source_matrix",
     "sup_undamped_measure",
     "residence_bound",
-    "undamped_union",
     "validate_system",
     "verify_envelope",
 ]

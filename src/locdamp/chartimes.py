@@ -10,7 +10,8 @@ at the same breakpoints by the same sweep: the union's measure at a time
 t (the sharp delay) and, once t is past every window, the union's longest
 unbroken run (the conservation horizon: how long energy can hide from the
 damping).  The residence bound caps both.  The tests check them against
-``undamped_union`` on fine grids and against the paper's closed forms.
+a scalar merge of each point's windows on fine grids and against the
+paper's closed forms.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ if TYPE_CHECKING:  # pragma: no cover
 # few ulps of the sweep's time can split them: a run treats a gap of at
 # most this fraction of that time as closed.
 TOUCH_RTOL = 16.0 * np.finfo(float).eps
+# Window entries (windows times points) one pass of the sweep holds, so
+# that its memory does not grow with the number of breakpoints.
+SWEEP_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -75,73 +79,6 @@ class UndampedRegion:
         return min(b - a for a, b in self.stripes)
 
 
-@dataclass(frozen=True)
-class CharacteristicWindow:
-    """Entry/exit times of one backward characteristic through one stripe
-    (arrays of them for an array of observation points)."""
-
-    t_en: float
-    t_ex: float
-
-    @property
-    def length(self) -> float:
-        return self.t_ex - self.t_en
-
-    @property
-    def empty(self) -> bool:
-        return self.t_ex <= self.t_en
-
-
-def crossing_window(
-    lam: float, stripe: tuple[float, float], x0: float, t0: float
-) -> CharacteristicWindow:
-    """Time window during which the speed-``lam`` characteristic through
-    ``(x0, t0)`` sits inside ``stripe``, clamped to ``[0, t0]``.
-
-    The characteristic enters through the upstream edge (left edge for
-    rightward movers, right edge for leftward movers), so entry precedes
-    exit for either sign of the speed.  ``x0`` may be an array; the window
-    times then have its shape.
-    """
-    if lam == 0.0:
-        raise ValueError("characteristic speed must be nonzero")
-    a, b = float(stripe[0]), float(stripe[1])
-    c = 0.5 * (a + b)
-    r = 0.5 * (b - a)
-    sgn = 1.0 if lam > 0 else -1.0
-    t_en = np.clip(t0 - (x0 - c + r * sgn) / lam, 0.0, t0)
-    t_ex = np.clip(t0 - (x0 - c - r * sgn) / lam, 0.0, t0)
-    return CharacteristicWindow(t_en=t_en, t_ex=t_ex)
-
-
-def undamped_union(
-    eigs: "EigenStructure",
-    region: UndampedRegion,
-    x0: float,
-    t0: float,
-) -> tuple[list[tuple[float, float]], float]:
-    """Merged union of crossing windows over every component and stripe.
-
-    Returns the sorted disjoint intervals and their total measure.
-    Zero-length windows are dropped.
-    """
-    raw: list[tuple[float, float]] = []
-    for lam in np.asarray(eigs.lambdas, dtype=float):
-        for stripe in region.stripes:
-            w = crossing_window(float(lam), stripe, x0, t0)
-            if w.length > 0.0:
-                raw.append((w.t_en, w.t_ex))
-    raw.sort()
-    merged: list[tuple[float, float]] = []
-    for s, e in raw:
-        if merged and s <= merged[-1][1]:
-            if e > merged[-1][1]:
-                merged[-1] = (merged[-1][0], e)
-        else:
-            merged.append((s, e))
-    return merged, sum(e - s for s, e in merged)
-
-
 # ---------------------------------------------------------------------------
 # exact supremum over observation points
 # ---------------------------------------------------------------------------
@@ -181,22 +118,40 @@ def _union_measures(
     """Union measure of all crossing windows at each x in ``xs``, and the
     union's longest unbroken run there (one vectorised sweep over windows
     sorted by entry time).  A run bridges gaps of at most ``TOUCH_RTOL *
-    t0``; the measure bridges none."""
-    windows = [
-        crossing_window(lam, stripe, xs, t0) for lam in lambdas for stripe in region.stripes
-    ]
-    s = np.vstack([w.t_en for w in windows])
-    e = np.vstack([w.t_ex for w in windows])
-    order = np.argsort(s, axis=0, kind="stable")
-    s = np.take_along_axis(s, order, axis=0)
-    e = np.take_along_axis(e, order, axis=0)
-    run_end = np.maximum.accumulate(e, axis=0)
-    prev = np.vstack([np.full((1, s.shape[1]), -np.inf), run_end[:-1]])
-    contrib = np.clip(e - np.maximum(s, prev), 0.0, None)
-    # runs start ascending, so the latest start so far is the running max
-    start = np.where(s > prev + TOUCH_RTOL * t0, s, -np.inf)
-    runs = run_end - np.maximum.accumulate(start, axis=0)
-    return contrib.sum(axis=0), runs.max(axis=0)
+    t0``; the measure bridges none.
+
+    The speed-``lam`` characteristic through ``(x, t0)`` sits in the stripe
+    of center ``c`` and half-width ``r`` between the times at which it
+    passes the upstream and the downstream edge, ``t0 - (x - c ± r
+    sgn(lam)) / lam``, clipped to ``[0, t0]``; entry precedes exit for
+    either sign.  The windows form one table, speeds outer and stripes inner,
+    swept over the points ``SWEEP_ENTRIES`` window entries at a time.
+    """
+    stripes = np.array(region.stripes)
+    c = 0.5 * (stripes[:, 0] + stripes[:, 1])
+    r = 0.5 * (stripes[:, 1] - stripes[:, 0])
+    lam = np.repeat(lambdas, c.size)[:, None]
+    r_sgn = np.outer(np.where(lambdas > 0, 1.0, -1.0), r).reshape(-1, 1)
+    c = np.tile(c, lambdas.size)[:, None]
+    # array_split evens the passes out, so with 4 or more points to a pass
+    # each holds two or more: numpy sums the columns of a table row by
+    # row, but a single column pairwise, in another order.
+    n_passes = -(-xs.size // max(4, SWEEP_ENTRIES // lam.size))
+    measures, runs = [], []
+    for x in np.array_split(xs, n_passes):
+        d = x - c
+        s = np.clip(t0 - (d + r_sgn) / lam, 0.0, t0)
+        e = np.clip(t0 - (d - r_sgn) / lam, 0.0, t0)
+        order = np.argsort(s, axis=0, kind="stable")
+        s = np.take_along_axis(s, order, axis=0)
+        e = np.take_along_axis(e, order, axis=0)
+        run_end = np.maximum.accumulate(e, axis=0)
+        prev = np.vstack([np.full((1, s.shape[1]), -np.inf), run_end[:-1]])
+        measures.append(np.clip(e - np.maximum(s, prev), 0.0, None).sum(axis=0))
+        # runs start ascending, so the latest start so far is the running max
+        start = np.where(s > prev + TOUCH_RTOL * t0, s, -np.inf)
+        runs.append((run_end - np.maximum.accumulate(start, axis=0)).max(axis=0))
+    return np.concatenate(measures), np.concatenate(runs)
 
 
 def sup_undamped_measure(
@@ -207,7 +162,7 @@ def sup_undamped_measure(
 
     Returns ``(sup, arg_x)``; on ties the smallest x wins.
     """
-    lambdas = np.asarray(eigs.lambdas, dtype=float)
+    lambdas = _nonzero_speeds(eigs)
     xs = _breakpoints(lambdas, region, float(t))
     measures, _ = _union_measures(lambdas, region, xs, float(t))
     idx = int(np.argmax(measures))  # argmax returns the first (smallest x) tie

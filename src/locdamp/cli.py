@@ -9,8 +9,8 @@ Exit 1 means ``check`` found the system inadmissible or ``verify`` found an
 envelope violation.  Exit 2 means rejected input, handled in ``main`` alone:
 a rejected scenario file prints one line per problem, anything else (a bad
 option, a system ``times`` cannot use, a run the solver refuses, a ``verify``
-horizon with no sample past the delay, an ``--out`` that cannot be written)
-one line.
+horizon with no sample past the delay, an allocation the machine refuses, an
+``--out`` that cannot be written) one line.
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: scenario rejected ({len(exc.errors)} problem(s))")
         for msg in exc.errors:
             print(f"  - {msg}")
-    except (ValueError, BoundaryError, MatrixExpError, OSError) as exc:
+    except (ValueError, BoundaryError, MatrixExpError, MemoryError, OSError) as exc:
         print(f"error: {exc}")
     return 2
 

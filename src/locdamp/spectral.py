@@ -377,20 +377,28 @@ def low_band_bound(low_modes: np.ndarray, n_cells: int) -> float:
     return math.hypot(*per_component) * margin
 
 
-def _field_row(
-    w: np.ndarray, bands: tuple[float, float, np.ndarray], dx: float, basis: np.ndarray
+def field_norms(
+    w: np.ndarray, dx: float, basis: np.ndarray, what: np.ndarray | None = None
 ) -> dict[str, object]:
-    """The norm row of ``w`` from ``bands``, the ``freq_split`` of its real
-    FFT along the cells, and ``w`` itself for the rest.  Taking the split
-    rather than the spectrum lets the spectrum go before the row's own
-    temporaries are made."""
+    """One ``NormSeries`` row of the characteristic field ``w`` on cells
+    of width ``dx``; ``basis`` maps it to physical components.  The basis
+    is orthogonal, so pointwise norms are taken on ``w`` directly.  The
+    band norms and low modes come from ``what``, the real FFT of ``w``
+    along the cells, when the caller holds it, else from a transform of
+    ``w``.  The row scales exactly with ``w`` by powers of two
+    (``_pow2_normalize``)."""
+    w, e = _pow2_normalize(w)
+    # only the split is kept, so a transform of ``w`` is freed before the
+    # row's own temporaries are made
+    l2_high, l2_low, low_modes = freq_split(
+        np.fft.rfft(w, axis=1) if what is None else _ldexp(what, -e), w.shape[1], dx
+    )
     sq = np.square(w)
     l2_total = float(np.sqrt(np.sum(sq) * dx))
     point = np.sum(sq, axis=0)
     np.sqrt(point, out=point)
-    l2_high, l2_low, low_modes = bands
     u = basis @ w
-    return {
+    return scale_row({
         "l2_total": l2_total,
         "l2_high": l2_high,
         "l2_low": l2_low,
@@ -398,27 +406,7 @@ def _field_row(
         "low_modes": low_modes,
         "l1": float(point.sum() * dx),
         "comp_l2": np.sqrt(np.sum(np.square(u, out=u), axis=1) * dx),
-    }
-
-
-def field_norms(w: np.ndarray, dx: float, basis: np.ndarray) -> dict[str, object]:
-    """One ``NormSeries`` row of the characteristic field ``w`` on cells
-    of width ``dx``; ``basis`` maps it to physical components.  The basis
-    is orthogonal, so pointwise norms are taken on ``w`` directly.  The
-    row scales exactly with ``w`` by powers of two (``_pow2_normalize``)."""
-    w, e = _pow2_normalize(w)
-    bands = freq_split(np.fft.rfft(w, axis=1), w.shape[1], dx)
-    return scale_row(_field_row(w, bands, dx, basis), e)
-
-
-def _spectrum_norms(what: np.ndarray, n_cells: int, dx: float, basis: np.ndarray) -> dict[str, object]:
-    """``field_norms`` of the field on ``n_cells`` cells whose real FFT is
-    ``what``: the band norms come from ``what``, and one transform back
-    to the grid serves the rest.  The grid field is freed on return, before
-    the evolver builds its next propagator."""
-    w, e = _pow2_normalize(np.fft.irfft(what, n=n_cells, axis=1))
-    bands = freq_split(_ldexp(what, -e), n_cells, dx)
-    return scale_row(_field_row(w, bands, dx, basis), e)
+    }, e)
 
 
 def fullspace_evolve(
@@ -492,5 +480,5 @@ def fullspace_evolve(
                 prop = _matrix_exp_batch(e_all * inc)
                 props.append((inc, prop))
             what = np.einsum("ijk,jk->ik", prop, what)
-        rows.append(_spectrum_norms(what, m, dx, eigs.basis))
+        rows.append(field_norms(np.fft.irfft(what, n=m, axis=1), dx, eigs.basis, what))
     return NormSeries.from_rows(t_list, rows, exponent=e0, n_cells=m)

@@ -4,7 +4,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from locdamp.chartimes import UndampedRegion, crossing_window
+from locdamp.chartimes import UndampedRegion
 from locdamp.model import EigenStructure, HyperbolicSystem, source_matrix
 
 # Relative tolerance deciding the geometric (borderline) three-speed case,
@@ -98,6 +98,73 @@ def eager_linf_low(what: np.ndarray, m: int, dx: float) -> float:
 def spectral_abscissa(m) -> float:
     """Largest real part over the spectrum."""
     return float(np.linalg.eigvals(np.asarray(m, dtype=complex)).real.max())
+
+
+# ---------------------------------------------------------------------------
+# the scalar window oracle: one point, one window at a time
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CharacteristicWindow:
+    """Entry/exit times of one backward characteristic through one stripe."""
+
+    t_en: float
+    t_ex: float
+
+    @property
+    def length(self) -> float:
+        return self.t_ex - self.t_en
+
+    @property
+    def empty(self) -> bool:
+        return self.t_ex <= self.t_en
+
+
+def crossing_window(
+    lam: float, stripe: tuple[float, float], x0: float, t0: float
+) -> CharacteristicWindow:
+    """Time window during which the speed-``lam`` characteristic through
+    ``(x0, t0)`` sits inside ``stripe``, clamped to ``[0, t0]``.
+
+    The characteristic is at ``x0 - lam (t0 - t)`` at time t, so it passes
+    an edge e at ``t0 - (x0 - e) / lam``: it enters through the upstream
+    edge (left for rightward movers, right for leftward movers) and leaves
+    through the other.
+    """
+    lam, x0, t0 = float(lam), float(x0), float(t0)
+    if lam == 0.0:
+        raise ValueError("characteristic speed must be nonzero")
+    a, b = float(stripe[0]), float(stripe[1])
+    upstream, downstream = (a, b) if lam > 0.0 else (b, a)
+    t_en = t0 - (x0 - upstream) / lam
+    t_ex = t0 - (x0 - downstream) / lam
+    return CharacteristicWindow(t_en=min(max(t_en, 0.0), t0), t_ex=min(max(t_ex, 0.0), t0))
+
+
+def undamped_union(
+    eigs: EigenStructure, region: UndampedRegion, x0: float, t0: float
+) -> tuple[list[tuple[float, float]], float]:
+    """Merged union of crossing windows over every component and stripe.
+
+    Returns the sorted disjoint intervals and their total measure.
+    Zero-length windows are dropped.
+    """
+    raw = []
+    for lam in eigs.lambdas:
+        for stripe in region.stripes:
+            w = crossing_window(lam, stripe, x0, t0)
+            if w.length > 0.0:
+                raw.append((w.t_en, w.t_ex))
+    raw.sort()
+    merged: list[tuple[float, float]] = []
+    for s, e in raw:
+        if merged and s <= merged[-1][1]:
+            if e > merged[-1][1]:
+                merged[-1] = (merged[-1][0], e)
+        else:
+            merged.append((s, e))
+    return merged, sum(e - s for s, e in merged)
 
 
 def three_speed_scan_oracle(

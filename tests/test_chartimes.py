@@ -11,20 +11,21 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    crossing_window,
     horizon_closed_forms,
     region_contains,
     residence_time,
     three_speed_geometry,
     three_speed_scan_oracle,
+    undamped_union,
 )
+from locdamp import chartimes
 from locdamp.chartimes import (
     UndampedRegion,
     conservation_horizon,
-    crossing_window,
     sharp_delay,
     sup_undamped_measure,
     residence_bound,
-    undamped_union,
 )
 from locdamp.model import EigenStructure
 
@@ -223,6 +224,43 @@ class TestSupScan:
             tracemalloc.stop()
         assert sup == pytest.approx(0.02, abs=1e-12 * 1000.0)
         assert peak < 100 * 2**20
+
+    def test_memory_bounded_in_stripes(self):
+        # 32 stripes x 4 speeds: about 12 000 breakpoints each for the
+        # horizon and for t = 10, against 128 windows; one sweep over all
+        # of them at once peaks at about 130 MB
+        edges = np.sort(np.random.default_rng(3).uniform(-8.0, 8.0, 64))
+        reg = UndampedRegion(stripes=tuple(zip(edges[::2], edges[1::2])))
+        eigs = eigs_of(-2.3, -0.7, 1.1, 3.7)
+        tracemalloc.start()
+        try:
+            conservation_horizon(eigs, reg)
+            sup_undamped_measure(eigs, reg, 10.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_zero_speed_rejected(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            sup_undamped_measure(eigs_of(1.0, 0.0), CENTERED, 1.0)
+
+    def test_pass_size_moves_no_bit(self, monkeypatch):
+        # the sweep's passes split only the points, so passes of a handful
+        # of points give the bits of one pass over all of them, at every
+        # breakpoint; 4 speeds x 5 stripes, so sums of 8 or more windows
+        rng = np.random.default_rng(67)
+        for _ in range(10):
+            speeds = rng.uniform(0.3, 4.0, 4) * rng.choice([-1.0, 1.0], size=4)
+            edges = np.sort(rng.uniform(-4.0, 4.0, 10))
+            reg = UndampedRegion(stripes=tuple(zip(edges[::2], edges[1::2])))
+            xs = chartimes._breakpoints(speeds, reg, 2.5)
+            want = chartimes._union_measures(speeds, reg, xs, 2.5)
+            monkeypatch.setattr(chartimes, "SWEEP_ENTRIES", 1)
+            got = chartimes._union_measures(speeds, reg, xs, 2.5)
+            monkeypatch.undo()
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
 
 
 class TestTauBar:

@@ -8,8 +8,11 @@ run and with artificially shrunken constants that must trip violations.
 import dataclasses
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -681,6 +684,27 @@ class TestPublicNames:
         for name in names:
             assert hasattr(module, name), name
 
+    def test_readme_quick_start_prints_its_comments(self):
+        # each print line of the quick start ends in "# <value>: ...", and
+        # the script, run as a user would, prints that value
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        (code,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+        want = [
+            re.search(r"#\s*([^:\s]+)", line).group(1)
+            for line in code.splitlines() if line.startswith("print(")
+        ]
+        src = str(Path(locdamp.__file__).resolve().parent.parent)
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        ).stdout.split()
+        assert len(out) == len(want) > 0
+        for got, value in zip(out, want):
+            if value in ("True", "False"):
+                assert got == value
+            else:
+                assert float(got) == pytest.approx(float(value), rel=1e-12), value
+
 
 class TestExport:
     def test_header_and_determinism(self, tmp_path):
@@ -937,6 +961,23 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 2
         assert out.splitlines() == ["error: --t-grid: start must not be negative"]
+
+    # 711 PiB, more than any 64-bit address space holds: numpy's request
+    # is refused up front, so these allocate nothing
+    def test_times_grid_too_large_to_allocate_exits_2(self, capsys):
+        code = cli.main(["times", str(SCENARIOS / "damped_wave.json"), "--t-grid", "0:1e17:1"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 2
+        assert len(out) == 1 and out[0].startswith("error: Unable to allocate 711. PiB")
+
+    def test_simulate_grid_too_large_to_allocate_exits_2(self, tmp_path, capsys):
+        raw = _good_raw()
+        raw["domain"]["n_cells"] = 10**17
+        code = cli.main(["simulate", str(_write(tmp_path, raw)), "--out", str(tmp_path / "run")])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 2
+        assert len(out) == 1 and out[0].startswith("error: Unable to allocate 711. PiB")
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize(
         "a, message",

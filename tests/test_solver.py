@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import damped_wave_system, three_speed_system
+from helpers import damped_wave_system, random_valid_system, three_speed_system
 from locdamp.chartimes import UndampedRegion
 from locdamp.model import EigenStructure, HyperbolicSystem, diagonalize
 from locdamp.solver import (
@@ -26,6 +26,7 @@ from locdamp.solver import (
     InitialDataSpec,
     build_grid,
     default_cell_count,
+    half_relaxation,
     rational_shifts,
     run,
     sample_steps,
@@ -603,6 +604,46 @@ class TestFreqSplit:
         l2_high, l2_low, _ = freq_split(np.fft.rfft(w, axis=1), w.shape[1], dx)
         direct = np.sqrt(np.sum(w**2) * dx)
         assert np.hypot(l2_high, l2_low) == pytest.approx(direct, rel=1e-12)
+
+
+class TestStiffDamping:
+    """Coercive damping of any strength never adds energy: the half step
+    exponentiates only the damped block, which contracts."""
+
+    def test_energy_never_rises_for_any_strength(self):
+        # damped_wave at a tenth of its resolution, dd from 1 to 1e300
+        data = InitialDataSpec(
+            bumps=(
+                Bump(kind="gaussian", component=0, center=3.0, width=0.25),
+                Bump(kind="gaussian", component=1, center=-3.0, width=0.25),
+            )
+        )
+        for j in range(0, 301, 4):
+            sys = HyperbolicSystem(
+                a=damped_wave_system().a, n1=1, dd=np.array([[10.0 ** j]])
+            )
+            traj = run(
+                sys, UndampedRegion(stripes=((-1.0, 1.0),)), data,
+                x_min=-20.0, x_max=20.0, t_final=12.0, stride=5, n_cells=400,
+            )
+            l2 = traj.l2_total
+            assert np.all(np.diff(l2) <= 1e-12 * l2.max()), f"dd = 1e{j}"
+
+    def test_half_step_fixes_the_undamped_directions(self):
+        # to 2 n eps: mapping v to physical components and back alone
+        # misses it by up to about n eps
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            base = random_valid_system(rng)
+            eigs = diagonalize(base.a)
+            dt = rng.uniform(0.01, 1.0)
+            tol = 2.0 * base.n * np.finfo(float).eps
+            for j in range(0, 301, 20):
+                sys = HyperbolicSystem(a=base.a, n1=base.n1, dd=base.dd * 10.0 ** j)
+                damp_half = half_relaxation(sys, eigs, dt)
+                for i in range(sys.n1):
+                    v = eigs.basis.T[:, i]
+                    assert np.abs(damp_half @ v - v).max() <= tol, f"dd x 1e{j}"
 
 
 class TestAgainstFullspaceReference:

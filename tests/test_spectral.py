@@ -358,14 +358,13 @@ class TestFullspaceEvolve:
         # spectrum; ``field_norms`` of its inverse FFT takes them from a
         # forward FFT of the grid values instead.
         seen = []
-        original = spectral._spectrum_norms
 
-        def recording_row(what, n_cells, dx, basis):
-            row = original(what, n_cells, dx, basis)
+        def recording_row(w, dx, basis, what):
+            row = field_norms(w, dx, basis, what)
             seen.append((what, dx, basis, row))
             return row
 
-        monkeypatch.setattr(spectral, "_spectrum_norms", recording_row)
+        monkeypatch.setattr(spectral, "field_norms", recording_row)
         x = -32.0 + 0.25 * np.arange(m)
         times = [0.0, 0.7, 1.4, 3.0, 5.5, 20.0]
         fullspace_evolve(make_sys(), x, _gaussian_data(x, centers), times)
