@@ -9,8 +9,8 @@ Exit 1 means ``check`` found the system inadmissible or ``verify`` found an
 envelope violation.  Exit 2 means rejected input, handled in ``main`` alone:
 a rejected scenario file prints one line per problem, anything else (a bad
 option, a system ``times`` cannot use, a run the solver refuses, a ``verify``
-horizon with no sample past the delay, an allocation the machine refuses, an
-``--out`` that cannot be written) one line.
+horizon with no sample past the delay or rate the scan cannot resolve, an
+allocation the machine refuses, an ``--out`` that cannot be written) one line.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from locdamp import harness
 from locdamp.chartimes import conservation_horizon, residence_bound, sup_undamped_measure
-from locdamp.model import diagonalize, validate_system
+from locdamp.model import validate_system
 from locdamp.solver import BoundaryError
 from locdamp.spectral import MatrixExpError, gamma_estimate
 
@@ -62,7 +62,7 @@ def _cmd_times(args: argparse.Namespace) -> int:
     region = scenario.region
     # Compute everything before printing, so that a rejected system or
     # --t-grid prints one error line and nothing else.
-    eigs = diagonalize(scenario.system.a)
+    eigs = scenario.system.eigs
     tb = residence_bound(eigs, region)
     grid = _parse_grid(args.t_grid) if args.t_grid else np.linspace(0.0, 2.0 * tb, 9)
     horizon, _ = conservation_horizon(eigs, region)
@@ -83,6 +83,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     print(f"uniform decay rate: {scan.gamma:.17g}")
     print(f"  attained at frequency {scan.gamma_argmax_xi:.12g}")
     print(f"  tail stabilized: {scan.tail_stabilized}")
+    unresolved = "" if scan.resolved else "  (rate not resolved)"
+    print(f"  scan resolution: {scan.resolution:.3e}{unresolved}")
     print(f"low-frequency curvature: {scan.c_low:.17g}")
     print(f"  fit residual: {scan.c_low_residual:.3e}")
     return 0

@@ -23,15 +23,10 @@ import numpy as np
 
 from locdamp import solver
 from locdamp.chartimes import UndampedRegion, residence_bound
-from locdamp.model import (
-    EigenStructure,
-    HyperbolicSystem,
-    ValidationReport,
-    diagonalize,
-    validate_system,
-)
+from locdamp.model import EigenStructure, HyperbolicSystem, ValidationReport, validate_system
 from locdamp.spectral import (
     NORM_COLUMNS,
+    RATE_RESOLUTION_FACTOR,
     NormSeries,
     SpectralScan,
     fullspace_evolve,
@@ -250,21 +245,23 @@ def calibrate(
     times,
     gamma: float,
     *,
-    eigs: EigenStructure | None = None,
+    resolution: float = 0.0,
 ) -> EnvelopeCalibration:
     """Fix the envelope constants from a constant-damping reference run.
 
     The high-band constant makes the reference satisfy its own envelope
     with 10% headroom; likewise the low-band constant for the dispersive
     sup bound.  Needs gaussian data (band-limited on a modest grid) and a
-    strictly positive uniform rate.
+    uniform rate above ``RATE_RESOLUTION_FACTOR`` times the ``resolution``
+    of the scan it came from, and so positive.
     """
-    if gamma <= 0.0:
-        raise ValueError("calibrate: uniform decay rate must be positive")
+    if not gamma > RATE_RESOLUTION_FACTOR * resolution:
+        raise ValueError(
+            f"calibrate: uniform decay rate {gamma:.6g} must be positive and exceed "
+            f"2^{math.log2(RATE_RESOLUTION_FACTOR):g} times the scan's resolution {resolution:.6g}"
+        )
     if any(b.kind != "gaussian" for b in data.bumps):
         raise ValueError("calibrate: reference calibration needs gaussian bumps")
-    if eigs is None:
-        eigs = diagonalize(sys.a)
 
     t_arr = np.asarray(list(times), dtype=float)
     t_pos = t_arr[t_arr > 0.0]
@@ -277,7 +274,7 @@ def calibrate(
 
     lo, hi = data.support()
     sigma_min = min(b.width for b in data.bumps)
-    vmax = float(np.abs(eigs.lambdas).max())
+    vmax = float(np.abs(sys.eigs.lambdas).max())
     span = (hi - lo) + 2.0 * vmax * t_max + 16.0 * sigma_min + 8.0
     dx_ref = sigma_min / REF_POINTS_PER_SIGMA
     m = 1 << int(np.ceil(np.log2(span / dx_ref)))
@@ -285,7 +282,7 @@ def calibrate(
     mid = 0.5 * (lo + hi)
     x = (mid - 0.5 * length) + dx_ref * np.arange(m)
 
-    ref = _reference(sys, data, x, [0.0, *t_pos], eigs)
+    ref = _reference(sys, data, x, [0.0, *t_pos])
 
     l2_0 = float(ref.l2_total[0])
     l1_0 = float(ref.l1[0])
@@ -434,15 +431,15 @@ def conservation_probe(traj: solver.Trajectory, data: solver.InitialDataSpec) ->
     """Measure the loss-free plateau and the onset of decay, against the
     onset predicted on the stripes the run simulated (``traj.grid.region``).
 
-    ``plateau_min`` is the worst energy ratio up to the predicted onset;
-    ``onset`` the first sampled time with total energy below 99% of its
-    initial value (inf if never).
+    ``plateau_min`` is the worst energy ratio up to the predicted onset,
+    within a relative 1e-12 of it; ``onset`` the first sampled time with
+    total energy below 99% of its initial value (inf if never).
     """
     comp, lam, t_pred = probe_prediction(traj.eigs, traj.grid.region, data)
     times = traj.times
     stride_dt = float(times[1] - times[0]) if times.size > 1 else 0.0
     ratio = traj.l2_total / traj.l2_total[0]
-    before = times <= t_pred * (1.0 + 1e-12) + 1e-12
+    before = times <= t_pred * (1.0 + 1e-12)
     plateau_min = float(ratio[before].min()) if before.any() else float("nan")
     dropped = np.flatnonzero(ratio < ONSET_FRACTION)
     onset = float(times[dropped[0]]) if dropped.size else float("inf")
@@ -473,40 +470,32 @@ class ScenarioResult:
 
 def run_scenario(scenario: Scenario) -> ScenarioResult:
     """Execute a scenario according to its kind."""
-    sys = scenario.system
-    eigs = diagonalize(sys.a)
-    validation = validate_system(sys)
+    s = scenario
+    validation = validate_system(s.system)
 
-    if scenario.kind == "fullspace":
-        series = _run_fullspace(scenario, eigs)
-        return ScenarioResult(scenario, validation, series, None, None, None)
+    if s.kind == "fullspace":
+        series = _run_fullspace(s)
+        return ScenarioResult(s, validation, series, None, None, None)
 
     traj = solver.run(
-        sys,
-        scenario.region,
-        scenario.data,
-        x_min=scenario.x_min,
-        x_max=scenario.x_max,
-        t_final=scenario.t_final,
-        stride=scenario.stride,
-        n_cells=scenario.n_cells,
-        eigs=eigs,
+        s.system, s.region, s.data, x_min=s.x_min, x_max=s.x_max,
+        t_final=s.t_final, stride=s.stride, n_cells=s.n_cells,
     )
-    if scenario.kind == "conservation-probe":
-        probe = conservation_probe(traj, scenario.data)
-        return ScenarioResult(scenario, validation, traj, None, None, probe)
+    if s.kind == "conservation-probe":
+        probe = conservation_probe(traj, s.data)
+        return ScenarioResult(s, validation, traj, None, None, probe)
 
-    scan = gamma_estimate(sys, eigs=eigs)
-    cal = calibrate(sys, scenario.data, traj.times, scan.gamma, eigs=eigs)
+    scan = gamma_estimate(s.system)
+    cal = calibrate(s.system, s.data, traj.times, scan.gamma, resolution=scan.resolution)
     envelope = verify_envelope(traj, cal)
-    return ScenarioResult(scenario, validation, traj, scan, envelope, None)
+    return ScenarioResult(s, validation, traj, scan, envelope, None)
 
 
-def _run_fullspace(scenario: Scenario, eigs: EigenStructure) -> NormSeries:
-    grid = solver.build_grid(eigs, scenario.region, scenario.x_min, scenario.x_max, scenario.n_cells)
-    steps = solver.sample_steps(scenario.t_final, grid.dt, scenario.stride)
+def _run_fullspace(s: Scenario) -> NormSeries:
+    grid = solver.build_grid(s.system.eigs, s.region, s.x_min, s.x_max, s.n_cells)
+    steps = solver.sample_steps(s.t_final, grid.dt, s.stride)
     x = grid.x_min + grid.dx * np.arange(grid.n_cells)
-    return _reference(scenario.system, scenario.data, x, [k * grid.dt for k in steps], eigs)
+    return _reference(s.system, s.data, x, [k * grid.dt for k in steps])
 
 
 def _reference(
@@ -514,13 +503,12 @@ def _reference(
     data: solver.InitialDataSpec,
     x: np.ndarray,
     times: list[float],
-    eigs: EigenStructure,
 ) -> NormSeries:
     """Constant-damping reference run of ``data`` sampled on the uniform
     grid ``x``, given in either basis, mapped to physical components."""
     samples = data.sample(x, sys.n)
-    u0 = samples if data.basis == "physical" else eigs.basis @ samples
-    return fullspace_evolve(sys, x, u0, times, eigs=eigs)
+    u0 = samples if data.basis == "physical" else sys.eigs.basis @ samples
+    return fullspace_evolve(sys, x, u0, times)
 
 
 def _fmt(value: float) -> str:
@@ -552,48 +540,32 @@ def summarize(result: ScenarioResult) -> dict[str, Any]:
     }
     if isinstance(result.series, solver.Trajectory):
         g = result.series.grid
-        out.update(
-            {
-                "dx": g.dx,
-                "dt": g.dt,
-                "stripe_snap_error": g.snap_error,
-                "shifts": [int(v) for v in g.shifts],
-            }
-        )
+        out.update(dx=g.dx, dt=g.dt, stripe_snap_error=g.snap_error, shifts=g.shifts.tolist())
     if result.scan is not None:
-        out.update(
-            {
-                "gamma": result.scan.gamma,
-                "c_low_curvature": result.scan.c_low,
-                "tail_stabilized": result.scan.tail_stabilized,
-            }
-        )
+        sc = result.scan
+        out.update(gamma=sc.gamma, c_low_curvature=sc.c_low, tail_stabilized=sc.tail_stabilized)
     if result.envelope is not None:
         e = result.envelope
         out.update(
-            {
-                "residence_bound": e.residence_bound,
-                "c_high": e.c_high,
-                "c_low": e.c_low,
-                "envelope_checked": e.n_checked,
-                "envelope_violations": [
-                    {"t": v.t, "band": v.band, "measured": v.measured, "allowed": v.allowed}
-                    for v in e.violations
-                ],
-                "envelope_ok": e.ok,
-            }
+            residence_bound=e.residence_bound,
+            c_high=e.c_high,
+            c_low=e.c_low,
+            envelope_checked=e.n_checked,
+            envelope_violations=[
+                {"t": v.t, "band": v.band, "measured": v.measured, "allowed": v.allowed}
+                for v in e.violations
+            ],
+            envelope_ok=e.ok,
         )
     if result.probe is not None:
         p = result.probe
         out.update(
-            {
-                "probe_component": p.component,
-                "probe_speed": p.speed,
-                "probe_t_pred": p.t_pred,
-                "probe_onset": p.onset,
-                "probe_plateau_min": p.plateau_min,
-                "probe_within_one_stride": p.within_one_stride,
-            }
+            probe_component=p.component,
+            probe_speed=p.speed,
+            probe_t_pred=p.t_pred,
+            probe_onset=p.onset,
+            probe_plateau_min=p.plateau_min,
+            probe_within_one_stride=p.within_one_stride,
         )
     return out
 

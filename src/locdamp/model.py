@@ -13,6 +13,7 @@ Eigendecompositions come from numpy's symmetric eigensolver (``eigh``).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,14 +96,18 @@ class HyperbolicSystem:
         nonpositive; admissibility demands > 0."""
         return float(np.linalg.eigvalsh(0.5 * (self.dd + self.dd.T))[0])
 
+    @functools.cached_property
+    def eigs(self) -> "EigenStructure":
+        """``diagonalize(a)``, computed on first read; ``a`` is read-only,
+        so it cannot go stale.  An asymmetric ``a`` raises ``ValueError``."""
+        return diagonalize(self.a)
+
 
 @dataclass(frozen=True)
 class EigenStructure:
-    """Ascending speeds, the orthogonal change of basis, and the count of
-    leftward movers."""
+    """Ascending speeds and the orthogonal change of basis."""
 
     lambdas: np.ndarray
-    p: int
     basis: np.ndarray
 
     def __post_init__(self) -> None:
@@ -114,19 +119,15 @@ class EigenStructure:
         basis.flags.writeable = False
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "p", int(self.p))
 
     @property
     def n(self) -> int:
         return self.lambdas.size
 
-    @classmethod
-    def from_speeds(cls, speeds) -> "EigenStructure":
-        """Diagonal-system structure for a plain list of speeds (identity
-        basis).  Convenient for the residence-time calculus, which only
-        reads the speeds."""
-        lam = np.sort(np.array(speeds, dtype=float).reshape(-1))
-        return cls(lambdas=lam, p=int(np.sum(lam < 0.0)), basis=np.eye(lam.size))
+    @property
+    def p(self) -> int:
+        """The count of leftward movers."""
+        return int(np.sum(self.lambdas < 0.0))
 
 
 def diagonalize(a) -> EigenStructure:
@@ -142,7 +143,7 @@ def diagonalize(a) -> EigenStructure:
     lams, vecs = np.linalg.eigh(a)  # ascending
     lead = np.argmax(np.abs(vecs) > SIGN_CONVENTION_EPS, axis=0)
     vecs[:, vecs[lead, np.arange(lams.size)] < 0.0] *= -1.0
-    return EigenStructure(lambdas=lams, p=int(np.sum(lams < 0.0)), basis=vecs)
+    return EigenStructure(lambdas=lams, basis=vecs)
 
 
 def _as_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -184,14 +185,14 @@ def coupling_check_rank(a, b) -> bool:
 
 
 def source_matrix(sys: HyperbolicSystem, eigs: EigenStructure | None = None) -> np.ndarray:
-    """Damping expressed in the transport eigenbasis: basis^T @ B @ basis.
+    """Damping expressed in the transport eigenbasis: basis^T @ B @ basis,
+    with ``sys.eigs`` unless another ``eigs`` is given.
 
     This is the zero-order term the decoupled formulation evolves under;
     its trace equals the trace of the damped block.
     """
-    if eigs is None:
-        eigs = diagonalize(sys.a)
-    return eigs.basis.T @ sys.b @ eigs.basis
+    basis = (sys.eigs if eigs is None else eigs).basis
+    return basis.T @ sys.b @ basis
 
 
 @dataclass(frozen=True)
@@ -245,7 +246,7 @@ def validate_system(sys: HyperbolicSystem) -> ValidationReport:
 
     eigs: EigenStructure | None = None
     if symmetric:
-        eigs = diagonalize(a)
+        eigs = sys.eigs
         lam = eigs.lambdas
         scale = float(np.abs(lam).max())
         gaps = np.diff(lam)

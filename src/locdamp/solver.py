@@ -19,7 +19,7 @@ import numpy as np
 
 from locdamp import kernels
 from locdamp.chartimes import UndampedRegion
-from locdamp.model import EigenStructure, HyperbolicSystem, diagonalize
+from locdamp.model import EigenStructure, HyperbolicSystem
 from locdamp.spectral import NormSeries, field_norms, matrix_exp, unit_scale
 
 # Rational reconstruction of speed ratios: denominator cap, acceptance
@@ -266,7 +266,7 @@ def _norm_row(w: np.ndarray, grid: Grid, basis: np.ndarray) -> dict[str, object]
     return field_norms(w, grid.dx, basis)
 
 
-def half_relaxation(sys: HyperbolicSystem, eigs: EigenStructure, dt: float) -> np.ndarray:
+def half_relaxation(sys: HyperbolicSystem, dt: float) -> np.ndarray:
     """The half step ``exp(-dt/2 S)`` of the damping in the eigenbasis.
 
     ``S = basis^T blockdiag(0, dd) basis``, so the exponential is
@@ -277,7 +277,8 @@ def half_relaxation(sys: HyperbolicSystem, eigs: EigenStructure, dt: float) -> n
     """
     relax = np.eye(sys.n)
     relax[sys.n1:, sys.n1:] = matrix_exp(-0.5 * dt * sys.dd).real
-    return np.ascontiguousarray(eigs.basis.T @ relax @ eigs.basis)
+    basis = sys.eigs.basis
+    return np.ascontiguousarray(basis.T @ relax @ basis)
 
 
 def _edge_contact(t_hit: float) -> BoundaryError:
@@ -297,7 +298,6 @@ def run(
     t_final: float,
     stride: int,
     n_cells: int | None = None,
-    eigs: EigenStructure | None = None,
 ) -> Trajectory:
     """Evolve initial data and sample norms every ``stride`` steps.
 
@@ -307,8 +307,7 @@ def run(
     time of contact.  The sampled initial field is held to the same rule,
     since a step would shift data in the outermost cells out unseen.
     """
-    if eigs is None:
-        eigs = diagonalize(sys.a)
+    eigs = sys.eigs
     grid = build_grid(eigs, region, x_min, x_max, n_cells)
     steps = sample_steps(t_final, grid.dt, stride)
 
@@ -321,7 +320,7 @@ def run(
     if not w.any():
         raise ValueError("initial data is zero on the grid")
 
-    damp_half = half_relaxation(sys, eigs, grid.dt)
+    damp_half = half_relaxation(sys, grid.dt)
     guard_tol = GUARD_RTOL * float(np.abs(w).max())
     guard = grid.guard_cells
     if max(np.abs(w[:, :guard]).max(), np.abs(w[:, -guard:]).max()) > guard_tol:

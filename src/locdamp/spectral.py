@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from locdamp.model import EigenStructure, HyperbolicSystem, diagonalize, source_matrix
+from locdamp.model import EigenStructure, HyperbolicSystem, source_matrix
 
 TAYLOR_DEGREE = 20
 # Paterson–Stockmeyer block size.  It divides the degree, so the top block
@@ -37,6 +37,12 @@ EXP_CHUNK_ENTRIES = 4096
 _TAYLOR_COEFFS = np.array([1.0 / math.factorial(j) for j in range(TAYLOR_DEGREE + 1)])
 # Low-frequency window for the diffusive-curvature fit.
 CURVATURE_XI_MAX = 0.1
+# The scan's linear half, samples // 2 points j / (samples // 2) on [0, 1),
+# puts its first positive point in that window from this many samples on.
+MIN_SCAN_SAMPLES = 2 * math.ceil(1.0 / CURVATURE_XI_MAX)
+# A uniform rate within this factor of the scan's resolution is not told
+# apart from rounding; ``calibrate`` refuses it.
+RATE_RESOLUTION_FACTOR = 2.0 ** 20
 # Initial data must be band-limited: relative spectral mass allowed in the
 # top two frequency bins.
 ALIASING_RTOL = 1e-8
@@ -149,6 +155,9 @@ class SpectralScan:
     over xi >= 1); ``c_low`` the diffusive curvature fitted on the
     quadratic dip near xi = 0.  ``tail_stabilized`` records whether the
     worst abscissa was attained away from the end of the scan range.
+    ``resolution``, n eps times the largest Frobenius norm of the scanned
+    matrices, bounds the rounding of every abscissa; a rate within
+    ``RATE_RESOLUTION_FACTOR`` of it is not ``resolved``.
     """
 
     xi: np.ndarray
@@ -158,6 +167,11 @@ class SpectralScan:
     c_low: float
     c_low_residual: float
     tail_stabilized: bool
+    resolution: float
+
+    @property
+    def resolved(self) -> bool:
+        return abs(self.gamma) > RATE_RESOLUTION_FACTOR * self.resolution
 
 
 def gamma_estimate(
@@ -171,14 +185,15 @@ def gamma_estimate(
 
     The grid spends half its samples linearly on [0, 1) and half
     logarithmically on [1, xi_max].  Only xi >= 1 feeds the uniform rate;
-    only 0 < xi <= 0.1 feeds the curvature fit.
+    only 0 < xi <= 0.1 feeds the curvature fit.  The eigenstructure is
+    ``sys.eigs`` unless one is given.
     """
     if not (np.isfinite(xi_max) and xi_max > 1.0):
         raise ValueError("gamma_estimate: xi_max must be finite and exceed 1")
-    if samples < 16:
-        raise ValueError("gamma_estimate: need at least 16 samples")
+    if samples < MIN_SCAN_SAMPLES:
+        raise ValueError(f"gamma_estimate: need at least {MIN_SCAN_SAMPLES} samples")
     if eigs is None:
-        eigs = diagonalize(sys.a)
+        eigs = sys.eigs
     n_low = samples // 2
     xi = np.concatenate(
         [
@@ -186,7 +201,14 @@ def gamma_estimate(
             np.logspace(0.0, np.log10(xi_max), samples - n_low),
         ]
     )
-    absc = np.linalg.eigvals(_symbol_stack(sys, eigs, xi)).real.max(axis=1)
+    stack = _symbol_stack(sys, eigs, xi)
+    absc = np.linalg.eigvals(stack).real.max(axis=1)
+    # the largest Frobenius norm, taken over the largest entry so that no
+    # square overflows
+    mag = np.abs(stack)
+    peak = float(mag.max()) or 1.0
+    fro = peak * math.sqrt(float(np.sum(np.square(mag / peak), axis=(1, 2)).max()))
+    resolution = eigs.n * float(np.finfo(float).eps) * fro
 
     high = xi >= 1.0
     hi_absc = absc[high]
@@ -194,18 +216,18 @@ def gamma_estimate(
     gamma = -float(hi_absc[k])
     arg_xi = float(xi[high][k])
     # Stabilized when the scan's last quarter does not push the worst
-    # abscissa up, so extending the range would not change the rate.
+    # abscissa up by more than 1e-9 of it or the resolution, so extending
+    # the range would not change the rate.
     split = 3 * hi_absc.size // 4
     rest_max = float(hi_absc[:split].max())
     tail_max = float(hi_absc[split:].max())
-    tail_stabilized = tail_max <= rest_max + 1e-9 * max(1.0, abs(rest_max))
+    tail_stabilized = tail_max <= rest_max + max(1e-9 * abs(rest_max), resolution)
 
     fit = (xi > 0.0) & (xi <= CURVATURE_XI_MAX)
     xs = xi[fit]
     ys = absc[fit]
-    denom = float(np.sum(xs ** 4))
-    c_low = -float(np.sum(ys * xs ** 2)) / denom if denom > 0.0 else float("nan")
-    resid = float(np.max(np.abs(ys + c_low * xs ** 2))) if denom > 0.0 else float("nan")
+    c_low = -float(np.sum(ys * xs ** 2)) / float(np.sum(xs ** 4))
+    resid = float(np.max(np.abs(ys + c_low * xs ** 2)))
     return SpectralScan(
         xi=xi,
         abscissa=absc,
@@ -214,6 +236,7 @@ def gamma_estimate(
         c_low=c_low,
         c_low_residual=resid,
         tail_stabilized=tail_stabilized,
+        resolution=resolution,
     )
 
 
@@ -446,7 +469,7 @@ def fullspace_evolve(
     if not t_list or any(b < a for a, b in zip([0.0, *t_list], t_list)):
         raise ValueError("fullspace: times must be nonempty, non-negative and non-decreasing")
     if eigs is None:
-        eigs = diagonalize(sys.a)
+        eigs = sys.eigs
 
     # evolve data with sup in [1/2, 1), so the bits do not depend on its scale
     u0, e0 = unit_scale(u0)

@@ -27,11 +27,11 @@ from locdamp.chartimes import (
     sup_undamped_measure,
     residence_bound,
 )
-from locdamp.model import EigenStructure
+from locdamp.model import diagonalize
 
 
 def eigs_of(*speeds):
-    return EigenStructure.from_speeds(speeds)
+    return diagonalize(np.diag(speeds))
 
 
 CENTERED = UndampedRegion.centered(1.0)
@@ -150,7 +150,7 @@ class TestResidenceAndUnion:
             speeds = (0.3 + np.cumsum(rng.uniform(0.2, 1.0, k))) * rng.choice(
                 [-1.0, 1.0], size=k
             )
-            eigs = EigenStructure.from_speeds(speeds)
+            eigs = diagonalize(np.diag(speeds))
             x0 = rng.uniform(-6, 6)
             t0 = rng.uniform(1.0, 10.0)
             ivals, measure = undamped_union(eigs, reg, x0, t0)
@@ -189,7 +189,7 @@ class TestSupScan:
             speeds = (0.4 + np.cumsum(rng.uniform(0.2, 1.0, k))) * rng.choice(
                 [-1.0, 1.0], size=k
             )
-            eigs = EigenStructure.from_speeds(speeds)
+            eigs = diagonalize(np.diag(speeds))
             reg = UndampedRegion(stripes=((-1.0, 1.0),))
             bound = residence_bound(eigs, reg)
             for t in (0.5, 2.0, 7.0):
@@ -202,7 +202,7 @@ class TestSupScan:
         rng = np.random.default_rng(61)
         for _ in range(20):
             speeds, reg = random_geometry(rng)
-            eigs = EigenStructure.from_speeds(speeds)
+            eigs = diagonalize(np.diag(speeds))
             for t in (0.7, 2.5, 9.0):
                 xs = np.linspace(-45.0, 45.0, 2001)
                 measures = np.array([undamped_union(eigs, reg, x, t)[1] for x in xs])
@@ -456,7 +456,7 @@ class TestConservationHorizon:
         rng = np.random.default_rng(97)
         for _ in range(8):
             speeds, reg = random_geometry(rng)
-            eigs = EigenStructure.from_speeds(speeds)
+            eigs = diagonalize(np.diag(speeds))
             h, arg = conservation_horizon(eigs, reg)
             reach = max(abs(arg), 4.0) + 1.0
             t = 4.0 * reach / np.abs(speeds).min()
@@ -472,18 +472,18 @@ class TestConservationHorizon:
         rng = np.random.default_rng(101)
         for _ in range(30):
             speeds, reg = random_geometry(rng)
-            h, _ = conservation_horizon(EigenStructure.from_speeds(speeds), reg)
+            h, _ = conservation_horizon(diagonalize(np.diag(speeds)), reg)
             c = rng.uniform(0.2, 5.0)
-            scaled, _ = conservation_horizon(EigenStructure.from_speeds(c * speeds), reg)
+            scaled, _ = conservation_horizon(diagonalize(np.diag(c * speeds)), reg)
             assert scaled == pytest.approx(h / c, rel=1e-12)
             shift = rng.uniform(-3.0, 3.0)
             moved = UndampedRegion(stripes=tuple((a + shift, b + shift) for a, b in reg.stripes))
             assert conservation_horizon(
-                EigenStructure.from_speeds(speeds), moved
+                diagonalize(np.diag(speeds)), moved
             )[0] == pytest.approx(h, rel=1e-12)
             mirror = UndampedRegion(stripes=tuple((-b, -a) for a, b in reversed(reg.stripes)))
             assert conservation_horizon(
-                EigenStructure.from_speeds(-speeds), mirror
+                diagonalize(np.diag(-speeds)), mirror
             )[0] == pytest.approx(h, rel=1e-12)
 
     def test_zero_speed_rejected(self):

@@ -24,7 +24,7 @@ import locdamp
 from helpers import eager_linf_low, fit_decay_rate, fit_loglog_slope
 from locdamp import cli, harness, solver, spectral
 from locdamp.chartimes import UndampedRegion
-from locdamp.model import EigenStructure
+from locdamp.model import diagonalize
 from locdamp.solver import Bump, InitialDataSpec, Trajectory
 from locdamp.spectral import NormSeries
 
@@ -418,6 +418,17 @@ def damped_wave_result():
     return scenario, harness.run_scenario(scenario)
 
 
+class TestRunScenario:
+    @pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.json")))
+    def test_one_eigendecomposition_per_run(self, name, monkeypatch):
+        # every layer reads the system's one cached eigenstructure
+        calls = []
+        real = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(1) or real(m))
+        harness.run_scenario(harness.load_scenario(SCENARIOS / f"{name}.json"))
+        assert len(calls) == 1
+
+
 class TestCalibrate:
     def test_rejects_nonpositive_rate(self):
         data = InitialDataSpec(
@@ -426,6 +437,36 @@ class TestCalibrate:
         scenario = harness.load_scenario(SCENARIOS / "damped_wave.json")
         with pytest.raises(ValueError, match="positive"):
             harness.calibrate(scenario.system, data, [1.0, 2.0], 0.0)
+
+    def test_rejects_a_rate_the_scan_cannot_resolve(self):
+        scenario = harness.load_scenario(SCENARIOS / "damped_wave.json")
+        with pytest.raises(ValueError) as err:
+            harness.calibrate(scenario.system, scenario.data, [1.0, 2.0], 1e-9, resolution=1e-14)
+        assert str(err.value) == (
+            "calibrate: uniform decay rate 1e-09 must be positive and exceed "
+            "2^20 times the scan's resolution 1e-14"
+        )
+
+    def test_verify_refuses_unresolved_rates_in_one_line(self, tmp_path, capsys):
+        # damped_wave on a coarser grid and a shorter run, with dd = [[k]]
+        raw = json.loads((SCENARIOS / "damped_wave.json").read_text())
+        raw["domain"]["n_cells"] = 1000
+        raw["time"]["t_final"] = 6.0
+        codes = {}
+        for j in range(-300, 301, 4):
+            raw["system"]["dd"] = [[10.0 ** j]]
+            codes[j] = cli.main(["verify", str(_write(tmp_path, raw))])
+            out = capsys.readouterr().out.splitlines()
+            if codes[j] == 2:
+                assert len(out) == 1, (j, out)
+                assert re.fullmatch(
+                    r"error: calibrate: uniform decay rate \S+ must be positive and exceed "
+                    r"2\^20 times the scan's resolution \S+",
+                    out[0],
+                ), (j, out)
+            else:
+                assert codes[j] in (0, 1), (j, out)
+        assert [j for j, code in codes.items() if code != 2] == [-4, 0, 4]
 
     def test_rejects_nongaussian_data(self):
         data = InitialDataSpec(
@@ -562,7 +603,7 @@ class TestVerifyEnvelope:
 class TestProbe:
     def test_prediction_scalar(self):
         s = harness.load_scenario(SCENARIOS / "probe_scalar.json")
-        eigs = EigenStructure.from_speeds([1.0])
+        eigs = diagonalize(np.diag([1.0]))
         comp, lam, t_pred = harness.probe_prediction(eigs, s.region, s.data)
         assert comp == 0 and lam == 1.0
         assert t_pred == pytest.approx(1.9, rel=1e-12)
@@ -576,7 +617,7 @@ class TestProbe:
         assert p.within_one_stride
 
     def test_prediction_requires_characteristic_basis(self):
-        eigs = EigenStructure.from_speeds([1.0])
+        eigs = diagonalize(np.diag([1.0]))
         region = UndampedRegion(stripes=((-1.0, 1.0),))
         data = InitialDataSpec(
             bumps=(Bump(kind="box", component=0, center=0.0, width=0.1),)
@@ -585,7 +626,7 @@ class TestProbe:
             harness.probe_prediction(eigs, region, data)
 
     def test_prediction_requires_single_component(self):
-        eigs = EigenStructure.from_speeds([-1.0, 1.0])
+        eigs = diagonalize(np.diag([-1.0, 1.0]))
         region = UndampedRegion(stripes=((-1.0, 1.0),))
         data = InitialDataSpec(
             bumps=(
@@ -598,7 +639,7 @@ class TestProbe:
             harness.probe_prediction(eigs, region, data)
 
     def test_prediction_requires_data_inside_stripe(self):
-        eigs = EigenStructure.from_speeds([1.0])
+        eigs = diagonalize(np.diag([1.0]))
         region = UndampedRegion(stripes=((-1.0, 1.0),))
         data = InitialDataSpec(
             bumps=(Bump(kind="box", component=0, center=2.0, width=0.1),),
@@ -606,6 +647,25 @@ class TestProbe:
         )
         with pytest.raises(ValueError, match="inside a single stripe"):
             harness.probe_prediction(eigs, region, data)
+
+    @pytest.mark.parametrize("name", ["probe_scalar", "probe_321"])
+    @pytest.mark.parametrize("e", [-44, -40, 20])
+    def test_plateau_is_unit_free(self, tmp_path, name, e):
+        # lengths and times times 2^e, damping times 2^-e: the same run in
+        # other units, so the same plateau and an onset 2^e later
+        raw = json.loads((SCENARIOS / f"{name}.json").read_text())
+        base = harness.run_scenario(harness.load_scenario(_write(tmp_path, raw))).probe
+        raw["system"]["dd"] = np.ldexp(raw["system"]["dd"], -e).tolist()
+        raw["region"]["stripes"] = np.ldexp(raw["region"]["stripes"], e).tolist()
+        for key in ("x_min", "x_max"):
+            raw["domain"][key] = math.ldexp(raw["domain"][key], e)
+        raw["time"]["t_final"] = math.ldexp(raw["time"]["t_final"], e)
+        for bump in raw["initial_data"]["bumps"]:
+            bump["center"] = math.ldexp(bump["center"], e)
+            bump["width"] = math.ldexp(bump["width"], e)
+        p = harness.run_scenario(harness.load_scenario(_write(tmp_path, raw))).probe
+        assert p.plateau_min == base.plateau_min
+        assert (p.t_pred, p.onset) == (math.ldexp(base.t_pred, e), math.ldexp(base.onset, e))
 
     def test_scalar_probe_run(self):
         s = harness.load_scenario(SCENARIOS / "probe_scalar.json")
@@ -1001,7 +1061,7 @@ class TestCli:
             ("--xi-max", "0.5", "xi_max must be finite and exceed 1"),
             ("--xi-max", "nan", "xi_max must be finite and exceed 1"),
             ("--xi-max", "inf", "xi_max must be finite and exceed 1"),
-            ("--samples", "4", "need at least 16 samples"),
+            ("--samples", "19", "need at least 20 samples"),
         ],
     )
     def test_spectrum_bad_scan_options(self, capsys, option, value, message):
@@ -1018,6 +1078,22 @@ class TestCli:
         assert code == 0
         rate_line = next(l for l in out.splitlines() if "uniform decay rate" in l)
         assert float(rate_line.split(":")[1]) == pytest.approx(0.5, abs=1e-9)
+        assert re.search(r"^  scan resolution: \S+$", out, re.MULTILINE)
+
+    def test_spectrum_fewest_samples_fit_a_curvature(self, capsys):
+        code = cli.main(["spectrum", str(SCENARIOS / "damped_wave.json"), "--samples", "20"])
+        out = capsys.readouterr().out
+        assert code == 0
+        curvature = next(l for l in out.splitlines() if "curvature" in l)
+        assert math.isfinite(float(curvature.split(":")[1]))
+
+    def test_spectrum_marks_an_unresolved_rate(self, tmp_path, capsys):
+        raw = json.loads((SCENARIOS / "damped_wave.json").read_text())
+        raw["system"]["dd"] = [[1e10]]
+        code = cli.main(["spectrum", str(_write(tmp_path, raw))])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert re.search(r"^  scan resolution: \S+  \(rate not resolved\)$", out, re.MULTILINE)
 
     def test_simulate_writes_outputs(self, tmp_path, capsys):
         out_dir = tmp_path / "run"

@@ -7,7 +7,6 @@ import pytest
 from helpers import damped_wave_system, random_valid_system, three_speed_system
 
 from locdamp.model import (
-    EigenStructure,
     HyperbolicSystem,
     diagonalize,
     coupling_check_eigvec,
@@ -36,6 +35,23 @@ class TestConstruction:
         sys = damped_wave_system()
         with pytest.raises(ValueError):
             sys.a[0, 0] = 5.0
+
+    def test_eigs_read_once_from_a(self, monkeypatch):
+        calls = []
+        real = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(1) or real(m))
+        sys = three_speed_system()
+        first = sys.eigs
+        assert sys.eigs is first and len(calls) == 1
+        ref = diagonalize(sys.a)
+        assert np.array_equal(first.lambdas, ref.lambdas)
+        assert np.array_equal(first.basis, ref.basis)
+
+    def test_eigs_of_asymmetric_a_refused(self):
+        sys = HyperbolicSystem(a=[[0.0, 1.0], [0.0, 0.0]], n1=1, dd=np.eye(1))
+        with pytest.raises(ValueError, match="symmetric"):
+            sys.eigs
+        assert not validate_system(sys).ok
 
     def test_full_damping_layout(self):
         sys = damped_wave_system()
@@ -96,11 +112,11 @@ class TestDiagonalize:
                 lead = np.flatnonzero(np.abs(col) > 1e-12)
                 assert col[lead[0]] > 0.0
 
-    def test_from_speeds_constructor(self):
-        eigs = EigenStructure.from_speeds([3.0, -1.0, 2.0])
-        assert eigs.lambdas == pytest.approx([-1.0, 2.0, 3.0])
+    def test_diagonal_matrix_gives_its_speeds_sorted(self):
+        eigs = diagonalize(np.diag([3.0, -1.0, 2.0]))
+        assert np.array_equal(eigs.lambdas, [-1.0, 2.0, 3.0])
         assert eigs.p == 1
-        assert np.array_equal(eigs.basis, np.eye(3))
+        assert np.array_equal(eigs.basis, np.eye(3)[:, [1, 2, 0]])
 
 
 class TestCoercivity:

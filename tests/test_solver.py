@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from helpers import damped_wave_system, random_valid_system, three_speed_system
 from locdamp.chartimes import UndampedRegion
-from locdamp.model import EigenStructure, HyperbolicSystem, diagonalize
+from locdamp.model import HyperbolicSystem, diagonalize
 from locdamp.solver import (
     SPEED_LCM_MAX,
     BoundaryError,
@@ -122,7 +122,7 @@ class TestBuildGridProperties:
             a += width + gap
         region = UndampedRegion(stripes=tuple(stripes))
         x_min, x_max = stripes[0][0] - margins[0], stripes[-1][1] + margins[1]
-        eigs = EigenStructure.from_speeds([float(f) for f in speeds])
+        eigs = diagonalize(np.diag([float(f) for f in speeds]))
         grid = build_grid(eigs, region, x_min, x_max, n_cells)
 
         assert grid.dt * grid.v_unit == pytest.approx(grid.dx, rel=1e-15, abs=0.0)
@@ -162,7 +162,7 @@ class TestBuildGrid:
         assert default_cell_count(region, -16.0, 16.0) == 3200
 
     def test_mask_matches_centers(self):
-        eigs = EigenStructure.from_speeds([1.0])
+        eigs = diagonalize(np.diag([1.0]))
         region = UndampedRegion(stripes=((0.0, 1.0), (2.0, 4.0)))
         grid = build_grid(eigs, region, -4.0, 6.0, 1000)
         undamped = grid.damp_mask == 0
@@ -172,7 +172,7 @@ class TestBuildGrid:
         assert np.array_equal(undamped, inside)
 
     def test_time_step_from_slowest_unit(self):
-        eigs = EigenStructure.from_speeds([-1.0, 2.0, 3.0])
+        eigs = diagonalize(np.diag([-1.0, 2.0, 3.0]))
         region = UndampedRegion(stripes=((-1.0, 1.0),))
         grid = build_grid(eigs, region, -8.0, 8.0, 1600)
         assert grid.v_unit == 1.0
@@ -180,19 +180,19 @@ class TestBuildGrid:
         assert grid.guard_cells == 3
 
     def test_narrow_stripe_rejected(self):
-        eigs = EigenStructure.from_speeds([1.0])
+        eigs = diagonalize(np.diag([1.0]))
         region = UndampedRegion(stripes=((0.0, 0.001),))
         with pytest.raises(GridError, match="narrower than a cell"):
             build_grid(eigs, region, -4.0, 4.0, 100)
 
     def test_region_outside_domain_rejected(self):
-        eigs = EigenStructure.from_speeds([1.0])
+        eigs = diagonalize(np.diag([1.0]))
         region = UndampedRegion(stripes=((-2.0, 2.0),))
         with pytest.raises(GridError, match="inside the domain"):
             build_grid(eigs, region, -1.0, 4.0, 100)
 
     def test_bad_domain_and_resolution(self):
-        eigs = EigenStructure.from_speeds([1.0])
+        eigs = diagonalize(np.diag([1.0]))
         region = UndampedRegion(stripes=((-1.0, 1.0),))
         with pytest.raises(GridError, match="x_min < x_max"):
             build_grid(eigs, region, 2.0, -2.0, 100)
@@ -635,12 +635,12 @@ class TestStiffDamping:
         rng = np.random.default_rng(41)
         for _ in range(40):
             base = random_valid_system(rng)
-            eigs = diagonalize(base.a)
+            eigs = base.eigs
             dt = rng.uniform(0.01, 1.0)
             tol = 2.0 * base.n * np.finfo(float).eps
             for j in range(0, 301, 20):
                 sys = HyperbolicSystem(a=base.a, n1=base.n1, dd=base.dd * 10.0 ** j)
-                damp_half = half_relaxation(sys, eigs, dt)
+                damp_half = half_relaxation(sys, dt)
                 for i in range(sys.n1):
                     v = eigs.basis.T[:, i]
                     assert np.abs(damp_half @ v - v).max() <= tol, f"dd x 1e{j}"

@@ -23,6 +23,8 @@ from helpers import (
 from locdamp import harness, spectral
 from locdamp.model import HyperbolicSystem, diagonalize
 from locdamp.spectral import (
+    MIN_SCAN_SAMPLES,
+    RATE_RESOLUTION_FACTOR,
     MatrixExpError,
     NormSeries,
     field_norms,
@@ -234,8 +236,8 @@ class TestGammaEstimate:
     def test_batched_scan_matches_one_abscissa_per_frequency(self, name):
         path = Path(__file__).resolve().parent.parent / "scenarios" / f"{name}.json"
         sys = harness.load_scenario(path).system
-        eigs = diagonalize(sys.a)
-        scan = gamma_estimate(sys, eigs=eigs)
+        eigs = sys.eigs
+        scan = gamma_estimate(sys)
         one_by_one = [
             spectral_abscissa(eigenbasis_symbol(sys, eigs, xi)) for xi in scan.xi
         ]
@@ -245,8 +247,67 @@ class TestGammaEstimate:
         sys = damped_wave_system()
         with pytest.raises(ValueError, match="xi_max"):
             gamma_estimate(sys, xi_max=1.0)
-        with pytest.raises(ValueError, match="16 samples"):
-            gamma_estimate(sys, samples=15)
+        with pytest.raises(ValueError, match="at least 20 samples"):
+            gamma_estimate(sys, samples=19)
+
+    def test_fewest_samples_reach_the_curvature_window(self):
+        # the linear half's first positive point is 1 / (samples // 2)
+        assert MIN_SCAN_SAMPLES == 20
+        scan = gamma_estimate(damped_wave_system(), samples=MIN_SCAN_SAMPLES)
+        assert np.count_nonzero((scan.xi > 0.0) & (scan.xi <= spectral.CURVATURE_XI_MAX)) == 1
+        assert math.isfinite(scan.c_low) and math.isfinite(scan.c_low_residual)
+
+    def test_results_scale_with_the_time_unit(self):
+        # a and dd times 2^e scale every symbol, so the abscissae, the rate,
+        # the curvature and the resolution by exactly 2^e; the tail verdict
+        # must not move, also where it reads False
+        rng = np.random.default_rng(3)
+        verdicts = []
+        for _ in range(200):
+            m = rng.standard_normal((3, 3))
+            g = rng.standard_normal((2, 2))
+            a, dd = 0.5 * (m + m.T), g @ g.T + 0.1 * np.eye(2)
+            base = gamma_estimate(HyperbolicSystem(a=a, n1=1, dd=dd))
+            slow = gamma_estimate(HyperbolicSystem(a=np.ldexp(a, -20), n1=1, dd=np.ldexp(dd, -20)))
+            assert np.array_equal(slow.abscissa, np.ldexp(base.abscissa, -20))
+            for name in ("gamma", "c_low", "resolution"):
+                assert getattr(slow, name) == math.ldexp(getattr(base, name), -20), name
+            assert slow.tail_stabilized == base.tail_stabilized
+            verdicts.append(base.tail_stabilized)
+        assert not all(verdicts)
+
+
+def damped_wave_rate(k: float) -> float:
+    """Exact uniform rate of the damped wave with dd = [[k]]: the worst
+    abscissa over xi >= 1, attained at xi = 1 once k > 2."""
+    if k <= 2.0:
+        return 0.5 * k
+    return 2.0 / (k * (1.0 + math.sqrt((1.0 - 2.0 / k) * (1.0 + 2.0 / k))))
+
+
+class TestRateResolution:
+    def test_resolved_rates_match_the_closed_form(self):
+        resolved = []
+        for j in range(-300, 301, 4):
+            k = 10.0 ** j
+            scan = gamma_estimate(HyperbolicSystem(a=[[0.0, 1.0], [1.0, 0.0]], n1=1, dd=[[k]]))
+            exact = damped_wave_rate(k)
+            assert scan.resolution > 0.0
+            if scan.gamma > RATE_RESOLUTION_FACTOR * scan.resolution:
+                assert scan.resolved
+                assert abs(scan.gamma - exact) <= 1e-6 * exact, f"dd = 1e{j}"
+                resolved.append(j)
+        assert resolved == [-4, 0, 4]
+
+    def test_resolution_bounds_the_rate_error(self):
+        for j in range(-14, 15):
+            k = 10.0 ** j
+            scan = gamma_estimate(HyperbolicSystem(a=[[0.0, 1.0], [1.0, 0.0]], n1=1, dd=[[k]]))
+            assert abs(scan.gamma - damped_wave_rate(k)) <= scan.resolution, f"dd = 1e{j}"
+
+    def test_decoupled_rate_is_not_resolved(self):
+        scan = gamma_estimate(HyperbolicSystem(a=np.diag([1.0, 2.0]), n1=1, dd=[[1.0]]))
+        assert not scan.resolved
 
 
 def _gaussian_data(x, centers, sigma=0.5):
