@@ -154,17 +154,34 @@ def _union_measures(
     return np.concatenate(measures), np.concatenate(runs)
 
 
+def _saturation(lambdas: np.ndarray, region: UndampedRegion) -> tuple[np.ndarray, float]:
+    """The finite ``_breakpoints`` at t = inf, and a time past every
+    window of each of them: edges are among them, so every window of one
+    ends at most ``2 max|xs| / min|lam|`` before t."""
+    xs = _breakpoints(lambdas, region, np.inf)
+    xs = xs[np.isfinite(xs)]
+    return xs, 4.0 * float(np.abs(xs).max()) / float(np.abs(lambdas).min())
+
+
 def sup_undamped_measure(
     eigs: "EigenStructure", region: UndampedRegion, t: float
 ) -> tuple[float, float]:
     """Supremum over x of the union measure at time ``t``, exact up to
     rounding: the sweep evaluated at every breakpoint of the measure.
 
+    A point's measure never decreases in t and ends at its value once t
+    is past all its windows.  The largest such value is attained at a
+    finite breakpoint at t = inf, and each of those has its value from
+    the ``_saturation`` time on, so the sup is constant from then on.  A
+    later ``t`` is evaluated there: window times taken at a t whose ulp
+    nears their length would lose the windows.
+
     Returns ``(sup, arg_x)``; on ties the smallest x wins.
     """
     lambdas = _nonzero_speeds(eigs)
-    xs = _breakpoints(lambdas, region, float(t))
-    measures, _ = _union_measures(lambdas, region, xs, float(t))
+    t = min(float(t), _saturation(lambdas, region)[1])
+    xs = _breakpoints(lambdas, region, t)
+    measures, _ = _union_measures(lambdas, region, xs, t)
     idx = int(np.argmax(measures))  # argmax returns the first (smallest x) tie
     return float(measures[idx]), float(xs[idx])
 
@@ -191,17 +208,13 @@ def conservation_horizon(
     runs no longer depend on it.  Each run end is then linear in x, and
     the order of the ends changes only at a stripe edge or where two
     characteristics from x pass their edges at the same time: the finite
-    ``_breakpoints`` at t = inf.  The sweep evaluates the runs there, at a
-    t past every window of every one of them.
+    ``_breakpoints`` at t = inf.  The sweep evaluates the runs there, at
+    the ``_saturation`` time, past every window of every one of them.
 
     Returns ``(horizon, arg_x)``; on ties the smallest x wins.
     """
     lambdas = _nonzero_speeds(eigs)
-    xs = _breakpoints(lambdas, region, np.inf)
-    xs = xs[np.isfinite(xs)]
-    # Edges are among the xs, so every window of an x ends at most
-    # 2 max|xs| / min|lam| before t.
-    t = 4.0 * float(np.abs(xs).max()) / float(np.abs(lambdas).min())
+    xs, t = _saturation(lambdas, region)
     _, runs = _union_measures(lambdas, region, xs, t)
     idx = int(np.argmax(runs))
     return float(runs[idx]), float(xs[idx])

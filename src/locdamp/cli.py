@@ -8,9 +8,10 @@ summary), ``verify`` (run and check the decay envelopes).
 Exit 1 means ``check`` found the system inadmissible or ``verify`` found an
 envelope violation.  Exit 2 means rejected input, handled in ``main`` alone:
 a rejected scenario file prints one line per problem, anything else (a bad
-option, a system ``times`` cannot use, a run the solver refuses, a ``verify``
-horizon with no sample past the delay or rate the scan cannot resolve, an
-allocation the machine refuses, an ``--out`` that cannot be written) one line.
+option, a system ``times`` cannot use, a run the solver refuses, a run whose
+energy rises under coercive damping, a ``verify`` horizon with no sample
+past the delay or rate the scan cannot resolve, an allocation the machine
+refuses, an ``--out`` that cannot be written) one line.
 """
 
 from __future__ import annotations
@@ -106,10 +107,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     env = result.envelope
     assert env is not None
     if env.n_checked == 0:
-        stride = result.series.times[1] - result.series.times[0]
         raise ValueError(
             f"verify: no sample time to check: t_final {scenario.t_final:.12g} ends "
-            f"before the delay {env.residence_bound:.12g} plus one stride {stride:.12g}"
+            f"before the delay {env.residence_bound:.12g} plus one stride "
+            f"{result.series.stride_dt:.12g}"
         )
     if args.out:
         harness.export(result, args.out)

@@ -42,6 +42,9 @@ SCENARIO_KINDS = ("verify-envelope", "conservation-probe", "fullspace")
 CALIBRATION_HEADROOM = 1.1
 ENVELOPE_SLACK = 1.05
 NORM_FLOOR_RTOL = 1e-14
+# Coercive damping never adds energy: a run whose l2_total rises between
+# two samples by more than this share of its peak is refused.
+ENERGY_RISE_RTOL = 1e-12
 # The probe's plateau ends when total energy first drops below this
 # fraction of its initial value.
 ONSET_FRACTION = 0.99
@@ -243,22 +246,21 @@ def calibrate(
     sys: HyperbolicSystem,
     data: solver.InitialDataSpec,
     times,
-    gamma: float,
-    *,
-    resolution: float = 0.0,
+    scan: SpectralScan,
 ) -> EnvelopeCalibration:
     """Fix the envelope constants from a constant-damping reference run.
 
     The high-band constant makes the reference satisfy its own envelope
     with 10% headroom; likewise the low-band constant for the dispersive
     sup bound.  Needs gaussian data (band-limited on a modest grid) and a
-    uniform rate above ``RATE_RESOLUTION_FACTOR`` times the ``resolution``
-    of the scan it came from, and so positive.
+    positive uniform rate that the ``scan`` resolves.
     """
-    if not gamma > RATE_RESOLUTION_FACTOR * resolution:
+    gamma = scan.gamma
+    if not (scan.resolved and gamma > 0.0):
         raise ValueError(
             f"calibrate: uniform decay rate {gamma:.6g} must be positive and exceed "
-            f"2^{math.log2(RATE_RESOLUTION_FACTOR):g} times the scan's resolution {resolution:.6g}"
+            f"2^{math.log2(RATE_RESOLUTION_FACTOR):g} times the scan's resolution "
+            f"{scan.resolution:.6g}"
         )
     if any(b.kind != "gaussian" for b in data.bumps):
         raise ValueError("calibrate: reference calibration needs gaussian bumps")
@@ -346,13 +348,12 @@ def verify_envelope(traj: solver.Trajectory, cal: EnvelopeCalibration) -> Envelo
         raise ValueError(f"verify: not finite: {', '.join(bad)}")
     tb = residence_bound(traj.eigs, traj.grid.region)
     times = traj.times
-    stride_dt = float(times[1] - times[0]) if times.size > 1 else 0.0
     floor_high = NORM_FLOOR_RTOL * l2_0
     floor_low = NORM_FLOOR_RTOL * l1_0
 
     violations: list[Violation] = []
     n_checked = 0
-    t_start = tb + stride_dt * (1.0 - 1e-9)
+    t_start = tb + traj.stride_dt * (1.0 - 1e-9)
     for i, t in enumerate(times):
         if t < t_start:
             continue
@@ -437,7 +438,6 @@ def conservation_probe(traj: solver.Trajectory, data: solver.InitialDataSpec) ->
     """
     comp, lam, t_pred = probe_prediction(traj.eigs, traj.grid.region, data)
     times = traj.times
-    stride_dt = float(times[1] - times[0]) if times.size > 1 else 0.0
     ratio = traj.l2_total / traj.l2_total[0]
     before = times <= t_pred * (1.0 + 1e-12)
     plateau_min = float(ratio[before].min()) if before.any() else float("nan")
@@ -449,7 +449,7 @@ def conservation_probe(traj: solver.Trajectory, data: solver.InitialDataSpec) ->
         t_pred=t_pred,
         onset=onset,
         plateau_min=plateau_min,
-        stride_dt=stride_dt,
+        stride_dt=traj.stride_dt,
     )
 
 
@@ -475,20 +475,36 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
 
     if s.kind == "fullspace":
         series = _run_fullspace(s)
+        _check_energy(series, validation)
         return ScenarioResult(s, validation, series, None, None, None)
 
     traj = solver.run(
         s.system, s.region, s.data, x_min=s.x_min, x_max=s.x_max,
         t_final=s.t_final, stride=s.stride, n_cells=s.n_cells,
     )
+    _check_energy(traj, validation)
     if s.kind == "conservation-probe":
         probe = conservation_probe(traj, s.data)
         return ScenarioResult(s, validation, traj, None, None, probe)
 
     scan = gamma_estimate(s.system)
-    cal = calibrate(s.system, s.data, traj.times, scan.gamma, resolution=scan.resolution)
+    cal = calibrate(s.system, s.data, traj.times, scan)
     envelope = verify_envelope(traj, cal)
     return ScenarioResult(s, validation, traj, scan, envelope, None)
+
+
+def _check_energy(series: NormSeries, validation: ValidationReport) -> None:
+    """Refuse a run under coercive damping whose ``l2_total`` rises between
+    two samples by more than ``ENERGY_RISE_RTOL`` of its peak."""
+    l2 = series.l2_total
+    rise = np.diff(l2)
+    i = int(np.argmax(rise))
+    if validation.coercivity > 0.0 and rise[i] > ENERGY_RISE_RTOL * l2.max():
+        raise ValueError(
+            f"l2_total rose by {rise[i] / l2.max():.3g} of its peak from t = "
+            f"{series.times[i]:.6g} to {series.times[i + 1]:.6g}, but coercive damping "
+            "cannot add energy"
+        )
 
 
 def _run_fullspace(s: Scenario) -> NormSeries:

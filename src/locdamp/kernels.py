@@ -77,25 +77,22 @@ def advance(
     right = v[:, m - guard:]
     lo, hi = _nonzero_window(v)
     n_steps = int(n_steps)
+    if relax and n_steps > 0:
+        _relax(v, damp_half, damped, lo, hi)
 
     for step in range(n_steps):
-        if relax and step == 0:
-            _relax(v, damp_half, damped, lo, hi)
-
-        # copy the window to its shifted place, clipped to the domain, and
-        # zero the window cells the copy left behind
+        # copy the part of the window that stays on the grid to its shifted
+        # place, then zero the window cells beside it (a test beats an empty slice)
         for i, s in row_shifts:
             row = v[i]
-            if s > 0:
-                stop = min(hi + s, m)
-                if lo + s < stop:
-                    row[lo + s:stop] = row[lo:stop - s]
-                row[lo:min(lo + s, hi)] = 0.0
-            else:
-                start = max(lo + s, 0)
-                if start < hi + s:
-                    row[start:hi + s] = row[start - s:hi]
-                row[max(hi + s, lo):hi] = 0.0
+            a, b = max(lo, -s), min(hi, m - s)
+            if a < b:
+                row[a + s:b + s] = row[a:b]
+            c, d = min(hi, a + s), max(lo, b + s)
+            if lo < c:
+                row[lo:c] = 0.0
+            if d < hi:
+                row[d:hi] = 0.0
         lo, hi = max(0, lo + grow_left), min(m, hi + grow_right)
 
         if (lo < guard and np.abs(left).max() > guard_tol) or (

@@ -261,6 +261,11 @@ class Trajectory(NormSeries):
     eigs: EigenStructure
     final_w: np.ndarray
 
+    @property
+    def stride_dt(self) -> float:
+        """The sampling stride in time; ``sample_steps`` samples twice or more."""
+        return float(self.times[1] - self.times[0])
+
 
 def _norm_row(w: np.ndarray, grid: Grid, basis: np.ndarray) -> dict[str, object]:
     return field_norms(w, grid.dx, basis)

@@ -194,6 +194,8 @@ def gamma_estimate(
         raise ValueError(f"gamma_estimate: need at least {MIN_SCAN_SAMPLES} samples")
     if eigs is None:
         eigs = sys.eigs
+    if not math.isfinite(xi_max * float(np.abs(eigs.lambdas).max())):
+        raise ValueError("gamma_estimate: xi_max times the largest speed must be finite")
     n_low = samples // 2
     xi = np.concatenate(
         [

@@ -245,6 +245,34 @@ class TestSupScan:
         with pytest.raises(ValueError, match="nonzero"):
             sup_undamped_measure(eigs_of(1.0, 0.0), CENTERED, 1.0)
 
+    def test_constant_from_the_saturation_time_to_any_late_time(self):
+        # window times taken at t = 1e12 and later lost the windows: the
+        # sup of speeds (3, 2, 1) read 3.67188 at t = 1e14, above its bound,
+        # and 0 from 1e17.  From the saturation time on it is the sup there,
+        # which a sweep at twice that time confirms.
+        rng = np.random.default_rng(73)
+        geometries = [
+            ([1.0], CENTERED),
+            ([3.0, 2.0, 1.0], CENTERED),
+            ([1.0, 2.0], UndampedRegion(stripes=((0.0, 1.0), (2.0, 4.0)))),
+            *(random_geometry(rng) for _ in range(12)),
+        ]
+        for speeds, reg in geometries:
+            eigs = diagonalize(np.diag(speeds))
+            bound = residence_bound(eigs, reg)
+            t_sat = chartimes._saturation(np.asarray(speeds), reg)[1]
+            saturated, _ = sup_undamped_measure(eigs, reg, t_sat)
+            later, _ = sup_undamped_measure(eigs, reg, 2.0 * t_sat)
+            assert later == pytest.approx(saturated, abs=1e-12 * t_sat)
+            sups = [sup_undamped_measure(eigs, reg, 10.0 ** k)[0] for k in range(2, 309)]
+            assert sups == sorted(sups)
+            assert max(sups) <= bound * (1.0 + 1e-12)
+            assert all(
+                sup == pytest.approx(saturated, rel=1e-12)
+                for k, sup in enumerate(sups, start=2)
+                if 10.0 ** k >= t_sat
+            )
+
     def test_pass_size_moves_no_bit(self, monkeypatch):
         # the sweep's passes split only the points, so passes of a handful
         # of points give the bits of one pass over all of them, at every

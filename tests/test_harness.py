@@ -26,7 +26,7 @@ from locdamp import cli, harness, solver, spectral
 from locdamp.chartimes import UndampedRegion
 from locdamp.model import diagonalize
 from locdamp.solver import Bump, InitialDataSpec, Trajectory
-from locdamp.spectral import NormSeries
+from locdamp.spectral import NormSeries, gamma_estimate
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 ENVELOPE_SCENARIOS = sorted(
@@ -42,6 +42,11 @@ def _write(tmp_path: Path, raw) -> Path:
     p = tmp_path / "scenario.json"
     p.write_text(raw if isinstance(raw, str) else json.dumps(raw))
     return p
+
+
+def _scan(system, **fields) -> spectral.SpectralScan:
+    """The system's rate scan with ``fields`` replaced."""
+    return dataclasses.replace(gamma_estimate(system), **fields)
 
 
 def _errors_of(tmp_path: Path, raw) -> list[str]:
@@ -429,19 +434,48 @@ class TestRunScenario:
         assert len(calls) == 1
 
 
+    def test_refuses_energy_gain_under_coercive_damping(self, tmp_path, capsys):
+        # the fullspace reference at dd = 1e10 gains energy; without
+        # coercive damping (dd = -0.1) a gain is physics, not a fault
+        raw = json.loads((SCENARIOS / "fullspace_damped_wave.json").read_text())
+        for dd, want in ((1e10, 2), (-0.1, 0)):
+            raw["system"]["dd"] = [[dd]]
+            out_dir = tmp_path / f"run_{dd}"
+            code = cli.main(["simulate", str(_write(tmp_path, raw)), "--out", str(out_dir)])
+            lines = capsys.readouterr().out.splitlines()
+            assert code == want, lines
+            if want == 2:
+                [line] = lines
+                assert re.fullmatch(
+                    r"error: l2_total rose by \S+ of its peak from t = \S+ to \S+, "
+                    r"but coercive damping cannot add energy",
+                    line,
+                )
+                assert not out_dir.exists()
+            else:
+                l2 = np.loadtxt(out_dir / "norms.csv", delimiter=",", skiprows=1)[:, 1]
+                assert l2[-1] > l2[0]
+
+
 class TestCalibrate:
     def test_rejects_nonpositive_rate(self):
         data = InitialDataSpec(
             bumps=(Bump(kind="gaussian", component=0, center=0.0, width=0.25),)
         )
         scenario = harness.load_scenario(SCENARIOS / "damped_wave.json")
-        with pytest.raises(ValueError, match="positive"):
-            harness.calibrate(scenario.system, data, [1.0, 2.0], 0.0)
+        # 0 is not resolved; -0.5 is, but is not positive
+        for gamma in (0.0, -0.5):
+            scan = _scan(scenario.system, gamma=gamma)
+            with pytest.raises(ValueError, match="positive"):
+                harness.calibrate(scenario.system, data, [1.0, 2.0], scan)
 
     def test_rejects_a_rate_the_scan_cannot_resolve(self):
         scenario = harness.load_scenario(SCENARIOS / "damped_wave.json")
         with pytest.raises(ValueError) as err:
-            harness.calibrate(scenario.system, scenario.data, [1.0, 2.0], 1e-9, resolution=1e-14)
+            harness.calibrate(
+                scenario.system, scenario.data, [1.0, 2.0],
+                _scan(scenario.system, gamma=1e-9, resolution=1e-14),
+            )
         assert str(err.value) == (
             "calibrate: uniform decay rate 1e-09 must be positive and exceed "
             "2^20 times the scan's resolution 1e-14"
@@ -474,12 +508,14 @@ class TestCalibrate:
         )
         scenario = harness.load_scenario(SCENARIOS / "damped_wave.json")
         with pytest.raises(ValueError, match="gaussian"):
-            harness.calibrate(scenario.system, data, [1.0, 2.0], 0.5)
+            harness.calibrate(scenario.system, data, [1.0, 2.0], gamma_estimate(scenario.system))
 
     def test_rejects_times_without_a_positive_sample(self):
         scenario = harness.load_scenario(SCENARIOS / "damped_wave.json")
         with pytest.raises(ValueError, match="at least one positive sample time"):
-            harness.calibrate(scenario.system, scenario.data, [0.0], 0.5)
+            harness.calibrate(
+                scenario.system, scenario.data, [0.0], gamma_estimate(scenario.system)
+            )
 
     @pytest.mark.parametrize("name", ["damped_wave", "stripes_two", "three_speed_321"])
     def test_one_exponential_per_distinct_step_count(self, name, monkeypatch):
@@ -502,14 +538,17 @@ class TestCalibrate:
         monkeypatch.setattr(
             spectral, "_matrix_exp_batch", lambda ms: calls.append(1) or original(ms)
         )
-        cal = harness.calibrate(scenario.system, scenario.data, traj.times, 0.5)
+        cal = harness.calibrate(
+            scenario.system, scenario.data, traj.times, gamma_estimate(scenario.system)
+        )
         steps = np.rint(np.diff(cal.ref.times) / traj.grid.dt).astype(int)
         assert len(calls) == len(set(steps[steps > 0].tolist()))
 
     def test_reference_satisfies_its_own_envelopes(self):
         scenario = harness.load_scenario(SCENARIOS / "damped_wave.json")
         times = np.linspace(0.0, 8.0, 17)
-        cal = harness.calibrate(scenario.system, scenario.data, times, 0.5)
+        scan = gamma_estimate(scenario.system)
+        cal = harness.calibrate(scenario.system, scenario.data, times, scan)
         ref = cal.ref
         l2_0, l1_0 = float(ref.l2_total[0]), float(ref.l1[0])
         # the constants were chosen with 10% headroom over the worst ratio,
@@ -519,15 +558,16 @@ class TestCalibrate:
         pos = ref.times > 0.0
         bound_low = cal.c_low * l1_0 / np.sqrt(ref.times[pos])
         assert np.all(ref.linf_low[pos] <= bound_low * (1.0 + 1e-9))
-        assert cal.gamma == 0.5
+        assert cal.gamma == scan.gamma == pytest.approx(0.5, abs=1e-9)
 
     def test_horizon_past_the_one_shot_guard(self):
         # t_max * 4 pi / sigma = 240 * 4 pi / 0.25 puts a single exponential's
         # argument norm above 1e4; late high bands sit at round-off and
         # must not inflate the constant
         scenario = harness.load_scenario(SCENARIOS / "damped_wave.json")
-        short = harness.calibrate(scenario.system, scenario.data, np.linspace(0.0, 8.0, 17), 0.5)
-        cal = harness.calibrate(scenario.system, scenario.data, np.linspace(0.0, 240.0, 33), 0.5)
+        scan = gamma_estimate(scenario.system)
+        short = harness.calibrate(scenario.system, scenario.data, np.linspace(0.0, 8.0, 17), scan)
+        cal = harness.calibrate(scenario.system, scenario.data, np.linspace(0.0, 240.0, 33), scan)
         assert cal.ref.times[-1] == 240.0
         assert np.all(np.isfinite(cal.ref.l2_total))
         assert cal.c_high == pytest.approx(short.c_high, rel=0.05)
@@ -548,10 +588,7 @@ class TestVerifyEnvelope:
         scenario, result = damped_wave_result
         traj = result.series
         assert isinstance(traj, Trajectory)
-        scan = result.scan
-        cal = harness.calibrate(
-            scenario.system, scenario.data, traj.times, scan.gamma
-        )
+        cal = harness.calibrate(scenario.system, scenario.data, traj.times, result.scan)
         starved = dataclasses.replace(
             cal, c_high=cal.c_high / 50.0, c_low=cal.c_low / 50.0
         )
@@ -766,6 +803,25 @@ class TestPublicNames:
                 assert float(got) == pytest.approx(float(value), rel=1e-12), value
 
 
+    def test_readme_command_lines_run(self, tmp_path, monkeypatch, capsys):
+        # each `locdamp` line of the command-line block, run from the repo
+        # root with its --out under tmp_path, exits 0 and writes no stderr
+        root = Path(__file__).resolve().parent.parent
+        readme = (root / "README.md").read_text()
+        block = re.search(r"## Command line.*?```sh\n(.*?)```", readme, flags=re.S).group(1)
+        lines = [l.split("#")[0].split() for l in block.splitlines() if l.startswith("locdamp ")]
+        assert len(lines) == 6
+        monkeypatch.chdir(root)
+        for words in lines:
+            argv = words[1:]
+            if "--out" in argv:
+                i = argv.index("--out") + 1
+                argv[i] = str(tmp_path / argv[i])
+            code = cli.main(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.err) == (0, ""), words
+
+
 class TestExport:
     def test_header_and_determinism(self, tmp_path):
         s = harness.load_scenario(SCENARIOS / "probe_scalar.json")
@@ -917,7 +973,7 @@ class TestLowBandShortcut:
             scenario = harness.load_scenario(SCENARIOS / f"{name}.json")
             result = harness.run_scenario(scenario)
             cal = harness.calibrate(
-                scenario.system, scenario.data, result.series.times, result.scan.gamma
+                scenario.system, scenario.data, result.series.times, result.scan
             )
             runs[name] = (result.series, cal)
         return runs
@@ -1002,6 +1058,17 @@ class TestCli:
         assert code == 0
         assert len([l for l in out.splitlines() if l.lstrip()[:1].isdigit()]) >= 5
 
+    def test_times_to_the_end_of_the_float_range(self, capsys):
+        # the sup saturates, so the last rows read the saturated value
+        code = cli.main(
+            ["times", str(SCENARIOS / "three_speed_321.json"), "--t-grid", "0:1e308:5e307"]
+        )
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        rows = [l.split() for l in captured.out.splitlines() if l.lstrip()[:1].isdigit()]
+        assert [float(t) for t, _, _ in rows] == [5e307 * k for k in range(3)]
+        assert [float(sup) for _, sup, _ in rows[1:]] == [pytest.approx(11.0 / 3.0, rel=1e-12)] * 2
+
     def test_times_bad_grid(self, capsys):
         code = cli.main(
             ["times", str(SCENARIOS / "damped_wave.json"), "--t-grid", "1:2"]
@@ -1062,10 +1129,12 @@ class TestCli:
             ("--xi-max", "nan", "xi_max must be finite and exceed 1"),
             ("--xi-max", "inf", "xi_max must be finite and exceed 1"),
             ("--samples", "19", "need at least 20 samples"),
+            ("--xi-max", "1e308", "xi_max times the largest speed must be finite"),
         ],
     )
     def test_spectrum_bad_scan_options(self, capsys, option, value, message):
-        code = cli.main(["spectrum", str(SCENARIOS / "damped_wave.json"), option, value])
+        # three_speed_321's largest speed, 3, takes 1e308 past the float range
+        code = cli.main(["spectrum", str(SCENARIOS / "three_speed_321.json"), option, value])
         out = capsys.readouterr().out
         assert code == 2
         assert out.splitlines() == [f"error: gamma_estimate: {message}"]
