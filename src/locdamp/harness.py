@@ -434,7 +434,8 @@ def conservation_probe(traj: solver.Trajectory, data: solver.InitialDataSpec) ->
 
     ``plateau_min`` is the worst energy ratio up to the predicted onset,
     within a relative 1e-12 of it; ``onset`` the first sampled time with
-    total energy below 99% of its initial value (inf if never).
+    total energy below 99% of its initial value (inf if never; the
+    summary writes null).
     """
     comp, lam, t_pred = probe_prediction(traj.eigs, traj.grid.region, data)
     times = traj.times
@@ -579,7 +580,7 @@ def summarize(result: ScenarioResult) -> dict[str, Any]:
             probe_component=p.component,
             probe_speed=p.speed,
             probe_t_pred=p.t_pred,
-            probe_onset=p.onset,
+            probe_onset=p.onset if math.isfinite(p.onset) else None,
             probe_plateau_min=p.plateau_min,
             probe_within_one_stride=p.within_one_stride,
         )
@@ -587,13 +588,16 @@ def summarize(result: ScenarioResult) -> dict[str, Any]:
 
 
 def export(result: ScenarioResult, out_dir: str | Path) -> tuple[Path, Path]:
-    """Write norms.csv and summary.json under ``out_dir``."""
+    """Write norms.csv and summary.json under ``out_dir``.  The summary is
+    strict JSON: a non-finite value in it raises ``ValueError`` before
+    either file is written."""
+    text = json.dumps(summarize(result), indent=2, sort_keys=True, allow_nan=False) + "\n"
     out = Path(out_dir)
     os.makedirs(out, exist_ok=True)
     csv_path = out / CSV_NAME
     write_csv(result.series, csv_path)
     summary_path = out / SUMMARY_NAME
-    summary_path.write_text(json.dumps(summarize(result), indent=2, sort_keys=True) + "\n")
+    summary_path.write_text(text)
     return csv_path, summary_path
 
 

@@ -5,7 +5,8 @@ acting only on the trailing block of components.  Admissibility is:
 symmetry, distinct nonzero propagation speeds, a coercive damped block, and
 the coupling condition (no transport eigenvector hides inside the damping
 kernel).  The coupling condition is computed by two independent routes,
-eigenvector screening and a reachability-style rank test, which must agree.
+eigenvector screening and a reachability-style rank test, which must agree;
+both take the system, and screening reads its cached eigenstructure.
 Every tolerance is relative to the largest entry or speed, so no verdict
 depends on the units of ``a`` or of the damping.
 Eigendecompositions come from numpy's symmetric eigensolver (``eigh``).
@@ -146,42 +147,26 @@ def diagonalize(a) -> EigenStructure:
     return EigenStructure(lambdas=lams, basis=vecs)
 
 
-def _as_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    a = _as_matrix(a, "velocity matrix")
-    b = _as_matrix(b, "damping matrix")
-    if b.shape != a.shape:
-        raise ValueError(f"damping matrix: expected shape {a.shape}, got {b.shape}")
-    return _unit_scaled(a), _unit_scaled(b)
-
-
-def coupling_check_eigvec(a, b, eigs: EigenStructure | None = None) -> bool:
-    """Coupling via eigenvector screening: every transport eigenvector must
-    be moved by the damping matrix ``b``, by more than ``COUPLING_KERNEL_RTOL``
-    times its Frobenius norm."""
-    a, b = _as_pair(a, b)
-    if eigs is None:
-        eigs = diagonalize(a)
+def coupling_check_eigvec(sys: HyperbolicSystem) -> bool:
+    """Coupling via eigenvector screening: every transport eigenvector,
+    a column of ``sys.eigs.basis``, must be moved by the damping ``sys.b``
+    by more than ``COUPLING_KERNEL_RTOL`` times its Frobenius norm."""
+    b = _unit_scaled(sys.b)
     tol = COUPLING_KERNEL_RTOL * float(np.linalg.norm(b))
-    for k in range(eigs.n):
-        if np.linalg.norm(b @ eigs.basis[:, k]) <= tol:
-            return False
-    return True
+    return all(np.linalg.norm(b @ v) > tol for v in sys.eigs.basis.T)
 
 
-def coupling_check_rank(a, b) -> bool:
+def coupling_check_rank(sys: HyperbolicSystem) -> bool:
     """Coupling via the stacked reachability block [B; BA; ...; BA^(n-1)]:
     holds iff that stack has full column rank.  Singular values up to
     ``RANK_RTOL`` times the largest entry count as zero."""
-    a, b = _as_pair(a, b)
-    n = a.shape[0]
-    blocks = []
-    cur = b.copy()
-    for _ in range(n):
-        blocks.append(cur)
-        cur = cur @ a
+    a, b = _unit_scaled(sys.a), _unit_scaled(sys.b)
+    blocks = [b]
+    for _ in range(sys.n - 1):
+        blocks.append(blocks[-1] @ a)
     stack = np.vstack(blocks)
     tol = RANK_RTOL * float(np.abs(stack).max())
-    return int(np.linalg.matrix_rank(stack, tol=tol)) == n
+    return int(np.linalg.matrix_rank(stack, tol=tol)) == sys.n
 
 
 def source_matrix(sys: HyperbolicSystem, eigs: EigenStructure | None = None) -> np.ndarray:
@@ -223,9 +208,7 @@ def validate_system(sys: HyperbolicSystem) -> ValidationReport:
     Eigen-dependent checks are reported unevaluated when symmetry fails.
     """
     checks: list[CheckResult] = []
-    a = sys.a
-
-    symmetric = _is_symmetric(a)
+    symmetric = _is_symmetric(sys.a)
     checks.append(
         CheckResult(
             "velocity_symmetric",
@@ -266,9 +249,8 @@ def validate_system(sys: HyperbolicSystem) -> ValidationReport:
                 f"min |speed| {np.abs(lam).min():.6g}",
             )
         )
-        b = sys.b
-        via_eigvec = coupling_check_eigvec(a, b, eigs)
-        via_rank = coupling_check_rank(a, b)
+        via_eigvec = coupling_check_eigvec(sys)
+        via_rank = coupling_check_rank(sys)
         checks.append(
             CheckResult(
                 "coupling_eigvec",

@@ -96,17 +96,10 @@ def _matrix_exp_batch(ms: np.ndarray) -> np.ndarray:
     squaring.
     """
     ms = np.asarray(ms, dtype=complex)
-    peak = float(np.abs(ms).max()) if ms.size else 0.0
-    if not np.isfinite(peak):
+    f, e = _largest_frobenius(ms, (0, 1))
+    if not math.isfinite(f):
         raise MatrixExpError("matrix is not finite")
-    s = 0
-    if peak:
-        # the norms of the entries over 2**e, the binary exponent of the
-        # largest: an exact division, so the squares cannot overflow
-        e = int(np.frexp(peak)[1])
-        unit = _ldexp(ms, -e)
-        nmax = float(np.sqrt(np.sum(unit.real ** 2 + unit.imag ** 2, axis=(0, 1))).max())
-        s = max(0, e + int(np.ceil(np.log2(nmax / SCALING_THETA))))
+    s = max(0, e + int(np.ceil(np.log2(f / SCALING_THETA)))) if f else 0
     out = np.empty_like(ms)
     step = max(1, EXP_CHUNK_ENTRIES // ms.shape[0] ** 2)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -205,12 +198,8 @@ def gamma_estimate(
     )
     stack = _symbol_stack(sys, eigs, xi)
     absc = np.linalg.eigvals(stack).real.max(axis=1)
-    # the largest Frobenius norm, taken over the largest entry so that no
-    # square overflows
-    mag = np.abs(stack)
-    peak = float(mag.max()) or 1.0
-    fro = peak * math.sqrt(float(np.sum(np.square(mag / peak), axis=(1, 2)).max()))
-    resolution = eigs.n * float(np.finfo(float).eps) * fro
+    f, e = _largest_frobenius(stack, (1, 2))
+    resolution = math.ldexp(eigs.n * float(np.finfo(float).eps) * f, e)
 
     high = xi >= 1.0
     hi_absc = absc[high]
@@ -303,11 +292,10 @@ def freq_split(what: np.ndarray, n_cells: int, dx: float) -> tuple[float, float,
     xi = 2.0 * np.pi * np.arange(nf) / (m * dx)
     high = xi > 1.0
     low = ~high
-    # Parseval weights: every bin but the zero bin and, for even m, the
-    # Nyquist bin stands for a conjugate pair
+    # Parseval weights: a bin that stands for a conjugate pair counts twice
     power = np.abs(what)
     power = np.sum(np.square(power, out=power), axis=0)
-    power[1:nf - 1 + m % 2] *= 2.0
+    power[_paired_bins(nf, m)] *= 2.0
     scale = dx / m
     l2_high = float(np.sqrt(scale * np.sum(power * high)))
     l2_low = float(np.sqrt(scale * np.sum(power * low)))
@@ -336,6 +324,16 @@ def unit_scale(w: np.ndarray) -> tuple[np.ndarray, int]:
     return _ldexp(w, -e), e
 
 
+def _largest_frobenius(stack: np.ndarray, axes: tuple[int, int]) -> tuple[float, int]:
+    """``(f, e)`` with ``f * 2**e`` the largest Frobenius norm of the
+    matrices that span ``axes`` of ``stack``.  The norms are taken on
+    ``unit_scale(stack)``, an exact division, so no square overflows: ``f``
+    is finite, at most the root of the matrix size, for any finite stack,
+    and not finite otherwise."""
+    unit, e = unit_scale(stack)
+    return float(np.sqrt(np.sum(unit.real ** 2 + unit.imag ** 2, axis=axes)).max()), e
+
+
 def _pow2_normalize(w: np.ndarray) -> tuple[np.ndarray, int]:
     """``unit_scale(w)`` when the sup of ``|w|`` lies outside
     [2**-SCALE_EXPONENT, 2**SCALE_EXPONENT], where squaring ``w`` could
@@ -349,14 +347,17 @@ def _pow2_normalize(w: np.ndarray) -> tuple[np.ndarray, int]:
 def scale_row(row: dict[str, object], e: int) -> dict[str, object]:
     """A norm row of a field, or the stacked rows of a series, rescaled in
     place for that field times ``2**e``: every norm and the low modes."""
-    if e:
-        for name in NORM_COLUMNS:
-            row[name] = np.ldexp(row[name], e)
-        for name in ("comp_l2", "low_modes"):
-            # complex bins scale through their real and imaginary parts
-            parts = row[name].view(np.float64)
-            np.ldexp(parts, e, out=parts)
+    if e:  # field_norms rescales every row, nearly always by 2**0
+        for name in (*NORM_COLUMNS, "comp_l2", "low_modes"):
+            row[name] = _ldexp(row[name], e)
     return row
+
+
+def _paired_bins(n_bins: int, n_cells: int) -> slice:
+    """The bins among the first ``n_bins`` of a real FFT over ``n_cells``
+    cells that stand for a conjugate pair: all but the zero bin and, for
+    an even ``n_cells``, the Nyquist bin."""
+    return slice(1, min(n_bins, (n_cells + 1) // 2))
 
 
 def low_band_sup(low_modes: np.ndarray, n_cells: int) -> float:
@@ -393,10 +394,8 @@ def low_band_bound(low_modes: np.ndarray, n_cells: int) -> float:
     """
     n, n_low = low_modes.shape
     m = int(n_cells)
-    weights = np.full(n_low, 2.0)
-    weights[0] = 1.0
-    if 2 * (n_low - 1) == m:
-        weights[-1] = 1.0
+    weights = np.ones(n_low)
+    weights[_paired_bins(n_low, m)] = 2.0
     per_component = (np.abs(low_modes) / m) @ weights
     margin = 1.0 + 2.0 ** -52 * (8.0 * math.log2(m) + n_low + n + 8.0)
     return math.hypot(*per_component) * margin

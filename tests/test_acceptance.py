@@ -103,8 +103,8 @@ def test_criterion_01_admissibility_battery():
         for i in range(40):
             want_false = i % 2 == 0
             s = random_valid_system(rng, uncoupled=want_false)
-            r1 = coupling_check_eigvec(s.a, s.b)
-            r2 = coupling_check_rank(s.a, s.b)
+            r1 = coupling_check_eigvec(s)
+            r2 = coupling_check_rank(s)
             c.check(f"coupling routes agree on system {i}", r1 == r2)
             if want_false:
                 c.check(f"blocked system {i} reported uncoupled", not r1)
@@ -120,8 +120,8 @@ def test_criterion_02_spectral_dichotomy():
         for i in range(500):
             want_false = (i % 5) in (0, 1)
             s = random_valid_system(rng, uncoupled=want_false)
-            r1 = coupling_check_eigvec(s.a, s.b)
-            r2 = coupling_check_rank(s.a, s.b)
+            r1 = coupling_check_eigvec(s)
+            r2 = coupling_check_rank(s)
             c.check(f"routes agree on system {i}", r1 == r2)
             if want_false:
                 c.check(f"blocked system {i} reported uncoupled", not r1)

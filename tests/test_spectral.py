@@ -305,6 +305,11 @@ class TestRateResolution:
             scan = gamma_estimate(HyperbolicSystem(a=[[0.0, 1.0], [1.0, 0.0]], n1=1, dd=[[k]]))
             assert abs(scan.gamma - damped_wave_rate(k)) <= scan.resolution, f"dd = 1e{j}"
 
+    def test_resolution_finite_for_a_finite_stack(self):
+        # the largest symbol entry is about 1.8e308: its norm's square overflows
+        sys = harness.load_scenario(SCENARIOS / "three_speed_321.json").system
+        assert math.isfinite(gamma_estimate(sys, xi_max=5.9e307).resolution)
+
     def test_decoupled_rate_is_not_resolved(self):
         scan = gamma_estimate(HyperbolicSystem(a=np.diag([1.0, 2.0]), n1=1, dd=[[1.0]]))
         assert not scan.resolved
