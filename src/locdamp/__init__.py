@@ -42,9 +42,9 @@ from locdamp.solver import (
     rational_shifts,
     run,
 )
+from locdamp.norms import NormSeries
 from locdamp.spectral import (
     MatrixExpError,
-    NormSeries,
     SpectralScan,
     fullspace_evolve,
     gamma_estimate,

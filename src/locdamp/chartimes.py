@@ -31,6 +31,10 @@ TOUCH_RTOL = 16.0 * np.finfo(float).eps
 # Window entries (windows times points) one pass of the sweep holds, so
 # that its memory does not grow with the number of breakpoints.
 SWEEP_ENTRIES = 1 << 16
+# An interval may reach past a stripe's edges by this fraction of its width
+# and still lie inside it (``UndampedRegion.stripe_holding``): a probe's
+# data that touches an edge is not refused for the rounding of a shift.
+EDGE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -77,6 +81,17 @@ class UndampedRegion:
     @property
     def min_width(self) -> float:
         return min(b - a for a, b in self.stripes)
+
+    def stripe_holding(self, lo: float, hi: float) -> tuple[float, float] | None:
+        """The stripe that holds [lo, hi] up to ``EDGE_RTOL`` of its width
+        past either edge, or None.  The slack absorbs the rounding of
+        positions moved by the same amount, such as snapped edges and a
+        support that touches them."""
+        for a, b in self.stripes:
+            slack = EDGE_RTOL * (b - a)
+            if a - slack <= lo and hi <= b + slack:
+                return a, b
+        return None
 
 
 # ---------------------------------------------------------------------------

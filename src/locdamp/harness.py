@@ -24,15 +24,12 @@ import numpy as np
 from locdamp import solver
 from locdamp.chartimes import UndampedRegion, residence_bound
 from locdamp.model import EigenStructure, HyperbolicSystem, ValidationReport, validate_system
+from locdamp.norms import NORM_COLUMNS, NormSeries, low_band_bound, low_band_sup
 from locdamp.spectral import (
-    NORM_COLUMNS,
     RATE_RESOLUTION_FACTOR,
-    NormSeries,
     SpectralScan,
     fullspace_evolve,
     gamma_estimate,
-    low_band_bound,
-    low_band_sup,
 )
 
 SCENARIO_KINDS = ("verify-envelope", "conservation-probe", "fullspace")
@@ -407,8 +404,8 @@ def probe_prediction(
     """(component, speed, predicted loss onset) for a probe data spec.
 
     The data must live on exactly one characteristic component, entirely
-    inside one stripe; the prediction is the time its leading edge crosses
-    the downstream stripe edge.
+    inside one stripe (``UndampedRegion.stripe_holding``); the prediction
+    is the time its leading edge crosses the downstream stripe edge.
     """
     if data.basis != "characteristic":
         raise ValueError("probe: initial data must be given on characteristic components")
@@ -418,14 +415,14 @@ def probe_prediction(
     comp = comps.pop()
     lam = float(eigs.lambdas[comp])
     lo, hi = data.support()
-    stripe = next((s for s in region.stripes if s[0] <= lo and hi <= s[1]), None)
+    stripe = region.stripe_holding(lo, hi)
     if stripe is None:
         raise ValueError("probe: initial data must lie inside a single stripe")
     if lam > 0.0:
         t_pred = (stripe[1] - hi) / lam
     else:
         t_pred = (lo - stripe[0]) / (-lam)
-    return comp, lam, t_pred
+    return comp, lam, max(0.0, t_pred)
 
 
 def conservation_probe(traj: solver.Trajectory, data: solver.InitialDataSpec) -> ProbeReport:

@@ -10,17 +10,19 @@ approximated silently.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from locdamp import kernels
 from locdamp.chartimes import UndampedRegion
 from locdamp.model import EigenStructure, HyperbolicSystem
-from locdamp.spectral import NormSeries, field_norms, matrix_exp, unit_scale
+from locdamp.norms import BandSplit, NormSeries, field_norms, in_blocks, unit_scale
+from locdamp.spectral import matrix_exp
 
 # Rational reconstruction of speed ratios: denominator cap, acceptance
 # tolerance, and the largest admissible common grid refinement.
@@ -107,6 +109,11 @@ class Grid:
     region: UndampedRegion  # snapped to cell edges
     snap_error: float
     guard_cells: int
+
+    @functools.cached_property
+    def bands(self) -> BandSplit:
+        """The band split of fields on this grid, built on first use."""
+        return BandSplit.of(self.n_cells, self.dx)
 
 
 def build_grid(
@@ -267,8 +274,9 @@ class Trajectory(NormSeries):
         return float(self.times[1] - self.times[0])
 
 
-def _norm_row(w: np.ndarray, grid: Grid, basis: np.ndarray) -> dict[str, object]:
-    return field_norms(w, grid.dx, basis)
+def _norm_row(w: np.ndarray, grid: Grid, basis: np.ndarray) -> dict[str, np.ndarray]:
+    """``field_norms`` of a stack of fields on ``grid``, or of one field."""
+    return field_norms(w, grid.bands, basis)
 
 
 def half_relaxation(sys: HyperbolicSystem, dt: float) -> np.ndarray:
@@ -311,6 +319,8 @@ def run(
     ``guard_cells`` band at either edge raises ``BoundaryError`` with the
     time of contact.  The sampled initial field is held to the same rule,
     since a step would shift data in the outermost cells out unseen.
+    Samples are normed in stacks (``in_blocks``), one ``_norm_row`` per
+    stack.
     """
     eigs = sys.eigs
     grid = build_grid(eigs, region, x_min, x_max, n_cells)
@@ -331,18 +341,23 @@ def run(
     if max(np.abs(w[:, :guard]).max(), np.abs(w[:, -guard:]).max()) > guard_tol:
         raise _edge_contact(0.0)
 
-    rows = [_norm_row(w, grid, eigs.basis)]
-    for start, stop in zip(steps, steps[1:]):
-        code = kernels.advance(
-            w, grid.shifts, damp_half, grid.damp_mask, stop - start, 1,
-            guard, guard_tol,
-        )
-        if code:
-            raise _edge_contact((start + code) * grid.dt)
-        rows.append(_norm_row(w, grid, eigs.basis))
+    def sampled() -> Iterator[np.ndarray]:
+        yield w
+        for start, stop in zip(steps, steps[1:]):
+            code = kernels.advance(
+                w, grid.shifts, damp_half, grid.damp_mask, stop - start, 1,
+                guard, guard_tol,
+            )
+            if code:
+                raise _edge_contact((start + code) * grid.dt)
+            yield w
 
+    blocks = [
+        _norm_row(stack, grid, eigs.basis)
+        for stack in in_blocks(sampled(), len(steps), w.size)
+    ]
     times = [k * grid.dt for k in steps]
-    return Trajectory.from_rows(
-        times, rows, exponent=e0, n_cells=grid.n_cells, grid=grid, eigs=eigs,
+    return Trajectory.from_blocks(
+        times, blocks, exponent=e0, n_cells=grid.n_cells, grid=grid, eigs=eigs,
         final_w=np.ldexp(w, e0, out=w),
     )

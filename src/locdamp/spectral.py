@@ -7,21 +7,22 @@ degree-20 Taylor polynomial evaluated by Paterson–Stockmeyer on a
 batch-last layout), the decay-rate scan (uniform rate at high frequency,
 diffusive curvature at low frequency), and a pseudospectral evolver on a
 periodic box used as the reference solution that the localized-damping
-envelopes are calibrated against.  The evolver takes a sample's band
-norms from the spectrum it evolves and transforms back to the grid once,
-for the pointwise norms.
+envelopes are calibrated against.  The evolver norms its samples in
+stacks (``locdamp.norms``): it takes a stack's band norms from the spectra
+it evolves and transforms them back to the grid once, for the pointwise
+norms.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from locdamp.model import EigenStructure, HyperbolicSystem, source_matrix
+from locdamp.norms import BandSplit, NormSeries, field_norms, in_blocks, pow2_scale, unit_scale
 
 TAYLOR_DEGREE = 20
 # Paterson–Stockmeyer block size.  It divides the degree, so the top block
@@ -46,11 +47,6 @@ RATE_RESOLUTION_FACTOR = 2.0 ** 20
 # Initial data must be band-limited: relative spectral mass allowed in the
 # top two frequency bins.
 ALIASING_RTOL = 1e-8
-# The scalar norms of a ``NormSeries``, in the order a norms CSV lists them.
-NORM_COLUMNS = ("l2_total", "l2_high", "l2_low", "linf", "l1")
-# Fields whose sup lies within a factor 2**SCALE_EXPONENT of 1 are squared as
-# they are; see ``_pow2_normalize``.
-SCALE_EXPONENT = 400
 
 
 class MatrixExpError(RuntimeError):
@@ -105,7 +101,7 @@ def _matrix_exp_batch(ms: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, ms.shape[-1], step):
             chunk = slice(lo, lo + step)
-            out[:, :, chunk] = _taylor_squared(_ldexp(ms[:, :, chunk], -s), s)
+            out[:, :, chunk] = _taylor_squared(pow2_scale(ms[:, :, chunk], -s), s)
     if not np.isfinite(out).all():
         raise MatrixExpError("matrix exponential overflows: result is not finite")
     return out
@@ -231,99 +227,6 @@ def gamma_estimate(
     )
 
 
-@dataclass(frozen=True)
-class NormSeries:
-    """Sampled norm history of a characteristic field.
-
-    Bands split at wavenumber 1 (high band strict); ``comp_l2`` holds the
-    physical components, shape ``(n, len(times))``.  The low band is kept
-    as its modes: ``low_modes`` stacks each sample's real-FFT bins with
-    xi <= 1, shape ``(len(times), n, n_low)`` with ``n_low`` about
-    ``L / 2 pi + 1`` for a box of length ``L``, and ``n_cells`` is the grid
-    size they were taken on.  Its sup, ``linf_low``, is synthesized from
-    them on first read, so runs that never read it never pay for it;
-    the reference calibration reads it, while the envelope check
-    synthesizes single samples, only where a bound on the modes does not
-    settle them.
-    """
-
-    times: np.ndarray
-    l2_total: np.ndarray
-    l2_high: np.ndarray
-    l2_low: np.ndarray
-    linf: np.ndarray
-    low_modes: np.ndarray
-    n_cells: int
-    l1: np.ndarray
-    comp_l2: np.ndarray
-
-    @property
-    def n_components(self) -> int:
-        return self.comp_l2.shape[0]
-
-    @functools.cached_property
-    def linf_low(self) -> np.ndarray:
-        """Sup over cells of the pointwise norm of the low band, per sample:
-        one ``low_band_sup`` per sample, all at once."""
-        return np.array([low_band_sup(c, self.n_cells) for c in self.low_modes])
-
-    @classmethod
-    def from_rows(cls, times: Sequence[float], rows: Sequence[dict], *, exponent: int = 0, **extra):
-        """Stack ``field_norms`` rows, one per sample time, taken on a field
-        ``2**exponent`` times smaller than the one the series describes
-        (``scale_row``); ``extra`` holds ``n_cells`` and the fields of a
-        subclass."""
-        columns = {name: np.array([r[name] for r in rows]) for name in NORM_COLUMNS}
-        columns["low_modes"] = np.stack([r["low_modes"] for r in rows])
-        columns["comp_l2"] = np.column_stack([r["comp_l2"] for r in rows])
-        return cls(times=np.array(times), **scale_row(columns, exponent), **extra)
-
-
-def freq_split(what: np.ndarray, n_cells: int, dx: float) -> tuple[float, float, np.ndarray]:
-    """(high, low, low modes) of a characteristic field on ``n_cells``
-    cells of width ``dx``, given by its real FFT along the cells, ``what``.
-
-    The split is at wavenumber 1, high band strict; energies follow the
-    real-FFT Parseval weights so the two bands sum to the total.  The low
-    modes are the real-FFT bins with xi <= 1, a prefix since xi increases.
-    """
-    m = n_cells
-    nf = what.shape[1]
-    xi = 2.0 * np.pi * np.arange(nf) / (m * dx)
-    high = xi > 1.0
-    low = ~high
-    # Parseval weights: a bin that stands for a conjugate pair counts twice
-    power = np.abs(what)
-    power = np.sum(np.square(power, out=power), axis=0)
-    power[_paired_bins(nf, m)] *= 2.0
-    scale = dx / m
-    l2_high = float(np.sqrt(scale * np.sum(power * high)))
-    l2_low = float(np.sqrt(scale * np.sum(power * low)))
-    # a copy, so the row does not keep the whole spectrum alive
-    return l2_high, l2_low, what[:, :np.count_nonzero(low)].copy()
-
-
-def _ldexp(a: np.ndarray, e: int) -> np.ndarray:
-    """``a * 2**e`` for a real or complex array; complex entries scale
-    through their real and imaginary parts."""
-    if not e:
-        return a
-    if np.iscomplexobj(a):
-        a = np.ascontiguousarray(a)
-        return np.ldexp(a.view(np.float64), e).view(a.dtype)
-    return np.ldexp(a, e)
-
-
-def unit_scale(w: np.ndarray) -> tuple[np.ndarray, int]:
-    """``(w / 2**e, e)`` with ``e`` the binary exponent of the sup of
-    ``|w|``, so the result's sup lies in [1/2, 1); ``(w, 0)`` for a zero
-    field.  Dividing by a power of two is exact, so a linear evolution of
-    the result is that of ``w`` scaled by ``2**-e``, the same bits whatever
-    the data's scale."""
-    e = int(np.frexp(float(np.abs(w).max()))[1])
-    return _ldexp(w, -e), e
-
-
 def _largest_frobenius(stack: np.ndarray, axes: tuple[int, int]) -> tuple[float, int]:
     """``(f, e)`` with ``f * 2**e`` the largest Frobenius norm of the
     matrices that span ``axes`` of ``stack``.  The norms are taken on
@@ -332,105 +235,6 @@ def _largest_frobenius(stack: np.ndarray, axes: tuple[int, int]) -> tuple[float,
     and not finite otherwise."""
     unit, e = unit_scale(stack)
     return float(np.sqrt(np.sum(unit.real ** 2 + unit.imag ** 2, axis=axes)).max()), e
-
-
-def _pow2_normalize(w: np.ndarray) -> tuple[np.ndarray, int]:
-    """``unit_scale(w)`` when the sup of ``|w|`` lies outside
-    [2**-SCALE_EXPONENT, 2**SCALE_EXPONENT], where squaring ``w`` could
-    overflow or underflow; ``(w, 0)`` otherwise."""
-    sup = float(max(w.max(), -w.min()))
-    if sup == 0.0 or 2.0 ** -SCALE_EXPONENT <= sup <= 2.0 ** SCALE_EXPONENT:
-        return w, 0
-    return unit_scale(w)
-
-
-def scale_row(row: dict[str, object], e: int) -> dict[str, object]:
-    """A norm row of a field, or the stacked rows of a series, rescaled in
-    place for that field times ``2**e``: every norm and the low modes."""
-    if e:  # field_norms rescales every row, nearly always by 2**0
-        for name in (*NORM_COLUMNS, "comp_l2", "low_modes"):
-            row[name] = _ldexp(row[name], e)
-    return row
-
-
-def _paired_bins(n_bins: int, n_cells: int) -> slice:
-    """The bins among the first ``n_bins`` of a real FFT over ``n_cells``
-    cells that stand for a conjugate pair: all but the zero bin and, for
-    an even ``n_cells``, the Nyquist bin."""
-    return slice(1, min(n_bins, (n_cells + 1) // 2))
-
-
-def low_band_sup(low_modes: np.ndarray, n_cells: int) -> float:
-    """Sup over ``n_cells`` cells of the pointwise norm of the field whose
-    real-FFT bins are ``low_modes`` followed by zeros."""
-    w_low, e = _pow2_normalize(np.fft.irfft(low_modes, n=n_cells, axis=1))
-    return float(np.ldexp(np.sqrt(np.sum(w_low ** 2, axis=0).max()), e))
-
-
-def low_band_bound(low_modes: np.ndarray, n_cells: int) -> float:
-    """An upper bound on ``low_band_sup(low_modes, n_cells)`` read off the
-    modes, without a transform back to the grid.
-
-    Component i of the synthesized field is (1/m) times the sum of c_0,
-    2 Re(c_k e^(2 pi i j k / m)) over the paired bins and, when the prefix
-    holds the Nyquist bin of an even m, +-c_N; so its magnitude is at most
-    B_i = (|c_0| + 2 sum |c_k| + |c_N|) / m, and the pointwise norm at most
-    hypot(B_i).  Each |c_k| is divided by m before the sums and the
-    components are combined with ``math.hypot``, so the bound neither
-    overflows nor underflows at amplitudes of 2**+-1000.
-
-    It is returned times a margin for the rounding of both sides, in units
-    of eps = 2**-53: 8 per factor of two of m for the transform, n_low for
-    the sums of nonnegative terms, n for the norm over n components, plus
-    8, all doubled.  The margin is an estimate, not a proof: 8 eps per
-    factor of two is an allowance for Cooley-Tukey passes, and pocketfft
-    transforms an m with a large prime factor by Bluestein's algorithm
-    instead, a convolution of length at least 2m.  Measured
-    on modes phase-aligned at one cell, where B is attained, the
-    synthesized sup exceeds the exact bound by at most 4 eps for m < 16,
-    where the margin is at least 36 eps, and by at most 18 eps for m from
-    16 to 131 071, primes included, where it is at least 84 eps; the worst
-    cases are a single bin at a prime m.
-    """
-    n, n_low = low_modes.shape
-    m = int(n_cells)
-    weights = np.ones(n_low)
-    weights[_paired_bins(n_low, m)] = 2.0
-    per_component = (np.abs(low_modes) / m) @ weights
-    margin = 1.0 + 2.0 ** -52 * (8.0 * math.log2(m) + n_low + n + 8.0)
-    return math.hypot(*per_component) * margin
-
-
-def field_norms(
-    w: np.ndarray, dx: float, basis: np.ndarray, what: np.ndarray | None = None
-) -> dict[str, object]:
-    """One ``NormSeries`` row of the characteristic field ``w`` on cells
-    of width ``dx``; ``basis`` maps it to physical components.  The basis
-    is orthogonal, so pointwise norms are taken on ``w`` directly.  The
-    band norms and low modes come from ``what``, the real FFT of ``w``
-    along the cells, when the caller holds it, else from a transform of
-    ``w``.  The row scales exactly with ``w`` by powers of two
-    (``_pow2_normalize``)."""
-    w, e = _pow2_normalize(w)
-    # only the split is kept, so a transform of ``w`` is freed before the
-    # row's own temporaries are made
-    l2_high, l2_low, low_modes = freq_split(
-        np.fft.rfft(w, axis=1) if what is None else _ldexp(what, -e), w.shape[1], dx
-    )
-    sq = np.square(w)
-    l2_total = float(np.sqrt(np.sum(sq) * dx))
-    point = np.sum(sq, axis=0)
-    np.sqrt(point, out=point)
-    u = basis @ w
-    return scale_row({
-        "l2_total": l2_total,
-        "l2_high": l2_high,
-        "l2_low": l2_low,
-        "linf": float(point.max()),
-        "low_modes": low_modes,
-        "l1": float(point.sum() * dx),
-        "comp_l2": np.sqrt(np.sum(np.square(u, out=u), axis=1) * dx),
-    }, e)
 
 
 def fullspace_evolve(
@@ -449,9 +253,10 @@ def fullspace_evolve(
     non-negative and non-decreasing.  Increments that agree within
     ``tol = 4 * spacing(max(times))`` share one propagator and increments
     at or under ``tol`` are not stepped, so the j-th sample is evolved
-    over a time within ``j * tol`` of its own.  Each sample's band norms
-    and low modes are read off the evolved spectrum; one inverse FFT gives
-    the total, pointwise and component norms.  The grid must be uniform
+    over a time within ``j * tol`` of its own.  The evolved spectra are
+    normed in stacks (``in_blocks``): band norms and low modes are read
+    off them, and one inverse FFT per stack gives the total, pointwise and
+    component norms.  The grid must be uniform
     and the data nonzero and band-limited: spectral mass in the top two
     bins beyond 1e-8 of the peak is rejected as aliased.
     """
@@ -493,16 +298,26 @@ def fullspace_evolve(
 
     tol = 4.0 * float(np.spacing(t_list[-1]))
     props: list[tuple[float, np.ndarray]] = []
-    rows = []
-    t_prev = 0.0
-    for t in t_list:
-        inc = t - t_prev
-        t_prev = t
-        if inc > tol:
-            prop = next((p for key, p in props if abs(inc - key) <= tol), None)
-            if prop is None:
-                prop = _matrix_exp_batch(e_all * inc)
-                props.append((inc, prop))
-            what = np.einsum("ijk,jk->ik", prop, what)
-        rows.append(field_norms(np.fft.irfft(what, n=m, axis=1), dx, eigs.basis, what))
-    return NormSeries.from_rows(t_list, rows, exponent=e0, n_cells=m)
+
+    def evolved(what: np.ndarray) -> Iterator[np.ndarray]:
+        t_prev = 0.0
+        for t in t_list:
+            inc = t - t_prev
+            t_prev = t
+            if inc > tol:
+                prop = next((p for key, p in props if abs(inc - key) <= tol), None)
+                if prop is None:
+                    prop = _matrix_exp_batch(e_all * inc)
+                    props.append((inc, prop))
+                what = np.einsum("ijk,jk->ik", prop, what)
+            yield what
+
+    split = BandSplit.of(m, dx)
+    stacks = in_blocks(evolved(what), len(t_list), sys.n * m)
+    # the generator holds the initial spectrum only until its first step
+    del what, top
+    blocks = [
+        field_norms(np.fft.irfft(stack, n=m, axis=-1), split, eigs.basis, stack)
+        for stack in stacks
+    ]
+    return NormSeries.from_blocks(t_list, blocks, exponent=e0, n_cells=m)

@@ -22,11 +22,12 @@ from hypothesis import strategies as st
 
 import locdamp
 from helpers import eager_linf_low, fit_decay_rate, fit_loglog_slope
-from locdamp import cli, harness, solver, spectral
+from locdamp import cli, harness, norms, solver, spectral
 from locdamp.chartimes import UndampedRegion
 from locdamp.model import diagonalize
 from locdamp.solver import Bump, InitialDataSpec, Trajectory
-from locdamp.spectral import NormSeries, gamma_estimate
+from locdamp.norms import NormSeries
+from locdamp.spectral import gamma_estimate
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 ENVELOPE_SCENARIOS = sorted(
@@ -685,6 +686,27 @@ class TestProbe:
         with pytest.raises(ValueError, match="inside a single stripe"):
             harness.probe_prediction(eigs, region, data)
 
+    def test_data_touching_a_stripe_edge_anywhere(self):
+        # probe_scalar's box [-1, -0.9] touches its stripe's left edge; moved
+        # by whole cells of 0.01, the two edges round apart by an ulp, and
+        # the data stays inside the stripe
+        eigs = diagonalize(np.diag([1.0]))
+        refused = []
+        for k in range(-200, 201):
+            shift = k * 0.01
+            region = UndampedRegion(stripes=((-1.0 + shift, 1.0 + shift),))
+            data = InitialDataSpec(
+                bumps=(Bump(kind="box", component=0, center=-0.95 + shift, width=0.1),),
+                basis="characteristic",
+            )
+            try:
+                _, _, t_pred = harness.probe_prediction(eigs, region, data)
+            except ValueError:
+                refused.append(k)
+                continue
+            assert t_pred == pytest.approx(1.9, rel=1e-12), k
+        assert refused == []
+
     @pytest.mark.parametrize("name", ["probe_scalar", "probe_321"])
     @pytest.mark.parametrize("e", [-44, -40, 20])
     def test_plateau_is_unit_free(self, tmp_path, name, e):
@@ -926,26 +948,29 @@ class TestLazyLowBandSup:
     def test_equals_eager_formula(self, name, monkeypatch):
         eager = []
         refs = []
-        split, rescale, cal = spectral.freq_split, spectral.scale_row, harness.calibrate
+        split, rescale, cal = norms.freq_split, norms.scale_columns, harness.calibrate
 
-        def recording_split(what, n_cells, dx):
-            eager.append(eager_linf_low(what, n_cells, dx))
-            return split(what, n_cells, dx)
+        def recording_split(what, bands):
+            # one spectrum per sample of the stack
+            eager.extend(eager_linf_low(w, bands.n_cells, bands.dx) for w in what)
+            return split(what, bands)
 
-        def recording_rescale(row, e):
-            # a row, or the stacked rows of a run, taken on the field over
-            # 2**e; so were the eager sups recorded for them
-            k = np.size(row["l2_total"])
-            eager[-k:] = [math.ldexp(v, e) for v in eager[-k:]]
-            return rescale(row, e)
+        def recording_rescale(columns, e):
+            # the columns of a stack, or of a whole run, taken on fields
+            # over 2**e, one exponent or one per sample; so were the eager
+            # sups recorded for them
+            k = np.size(columns["l2_total"])
+            exponents = np.broadcast_to(e, (k,))
+            eager[-k:] = [math.ldexp(v, int(x)) for v, x in zip(eager[-k:], exponents)]
+            return rescale(columns, e)
 
         def recording_calibrate(*args, **kwargs):
             out = cal(*args, **kwargs)
             refs.append(out.ref)
             return out
 
-        monkeypatch.setattr(spectral, "freq_split", recording_split)
-        monkeypatch.setattr(spectral, "scale_row", recording_rescale)
+        monkeypatch.setattr(norms, "freq_split", recording_split)
+        monkeypatch.setattr(norms, "scale_columns", recording_rescale)
         monkeypatch.setattr(harness, "calibrate", recording_calibrate)
         result = harness.run_scenario(harness.load_scenario(SCENARIOS / f"{name}.json"))
         lazy = np.concatenate([result.series.linf_low, *(r.linf_low for r in refs)])
@@ -961,12 +986,14 @@ class TestLazyLowBandSup:
         ),
     )
     def test_runs_that_do_not_read_it_never_synthesize_it(self, name, monkeypatch, tmp_path):
-        calls = []
+        # samples brought back to the grid: the stacks are normed in blocks,
+        # so one call transforms a block of samples
+        samples = []
         irfft = np.fft.irfft
 
-        def counting_irfft(*args, **kwargs):
-            calls.append(1)
-            return irfft(*args, **kwargs)
+        def counting_irfft(a, *args, **kwargs):
+            samples.append(len(a) if np.ndim(a) == 3 else 1)
+            return irfft(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, "irfft", counting_irfft)
         result = harness.run_scenario(harness.load_scenario(SCENARIOS / f"{name}.json"))
@@ -975,10 +1002,10 @@ class TestLazyLowBandSup:
         # fullspace_evolve brings each sample back to the grid once; the
         # norm layer adds no transform of its own
         evolved = n_samples if result.scenario.kind == "fullspace" else 0
-        assert len(calls) == evolved
+        assert sum(samples) == evolved
         first = result.series.linf_low
         assert result.series.linf_low is first
-        assert len(calls) == evolved + n_samples
+        assert sum(samples) == evolved + n_samples
 
     @pytest.mark.parametrize("name", ENVELOPE_SCENARIOS)
     def test_check_synthesizes_only_unsettled_samples(self, name, monkeypatch):
@@ -1361,7 +1388,7 @@ class TestScaleFree:
         base = harness.run_scenario(scenario)
         for k in (-1000, -600, 600, 1000):
             result = harness.run_scenario(_scaled(scenario, k))
-            for column in (*spectral.NORM_COLUMNS, "comp_l2", "linf_low"):
+            for column in (*norms.NORM_COLUMNS, "comp_l2", "linf_low"):
                 expected = np.ldexp(getattr(base.series, column), k)
                 assert np.array_equal(getattr(result.series, column), expected), (k, column)
             assert harness.summarize(result) == harness.summarize(base), k

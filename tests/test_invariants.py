@@ -8,6 +8,15 @@ reverse their components, while physical components keep their index.
 The two runs take different rounding paths (reversed sums and
 transforms, and the eigensolver on ``-a``), so the norms agree to a
 tolerance relative to each column's peak, not bit for bit.
+
+Translation: the system is invariant under x -> x + s.  The domain, the
+stripes and the bump centres move by a whole number of cells.  On a
+dyadic grid the shifted geometry is exact and so is the sampled data; on
+the shipped grids the shift rounds, so the grid, the snapped stripes and
+the data move by a few ulps, and the norms again agree to a tolerance
+relative to each column's peak.  The drawn scenarios vary the number of
+samples, so the boundaries of the blocks the norms are taken in move
+from draw to draw.
 """
 
 import copy
@@ -15,11 +24,12 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from locdamp import harness
-from locdamp.spectral import NORM_COLUMNS
+from locdamp.norms import NORM_COLUMNS
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 # Largest difference allowed between a norm column and its mirror's, over
@@ -29,6 +39,11 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 MIRROR_RTOL = 1e-13
 # Hypothesis draws of the physical-basis property.
 MIRROR_DRAWS = 50
+# Largest difference allowed between a norm column and its translate's,
+# over the column's peak, and between their sample times, relative.
+TRANSLATION_RTOL = 1e-13
+# Hypothesis draws of the translation property.
+TRANSLATION_DRAWS = 40
 
 
 def mirrored(raw: dict) -> dict:
@@ -47,6 +62,19 @@ def mirrored(raw: dict) -> dict:
     return out
 
 
+def translated(raw: dict, cells: int) -> dict:
+    """The scenario document ``raw`` under x -> x + ``cells`` cell widths."""
+    domain = raw["domain"]
+    shift = cells * (domain["x_max"] - domain["x_min"]) / domain["n_cells"]
+    out = copy.deepcopy(raw)
+    out["region"]["stripes"] = [[a + shift, b + shift] for a, b in raw["region"]["stripes"]]
+    out["domain"]["x_min"] = domain["x_min"] + shift
+    out["domain"]["x_max"] = domain["x_max"] + shift
+    for bump in out["initial_data"]["bumps"]:
+        bump["center"] += shift
+    return out
+
+
 def _run(tmp_path: Path, raw: dict, label: str) -> harness.ScenarioResult:
     path = tmp_path / f"{label}.json"
     path.write_text(json.dumps(raw))
@@ -60,17 +88,25 @@ def _verdicts(result: harness.ScenarioResult) -> dict:
     return {k: summary[k] for k in keys if k in summary}
 
 
-def mirror_gap(tmp_path: Path, raw: dict) -> float:
-    """Run ``raw`` and its mirror, assert equal sample times and verdicts,
-    and return the largest norm difference over its column's peak, taken
-    over the ``NORM_COLUMNS`` and the physical components."""
+def norm_gap(tmp_path: Path, raw: dict, image: dict, times_rtol: float = 0.0) -> float:
+    """Run ``raw`` and its ``image``, assert equal sample times (within
+    ``times_rtol``) and verdicts, and return the largest norm difference
+    over its column's peak, taken over the ``NORM_COLUMNS`` and the
+    physical components."""
     base = _run(tmp_path, raw, "base")
-    mirror = _run(tmp_path, mirrored(raw), "mirror")
-    assert np.array_equal(base.series.times, mirror.series.times)
-    assert _verdicts(base) == _verdicts(mirror)
-    columns = [(getattr(base.series, k), getattr(mirror.series, k)) for k in NORM_COLUMNS]
-    columns += list(zip(base.series.comp_l2, mirror.series.comp_l2))
+    other = _run(tmp_path, image, "image")
+    assert base.series.times.shape == other.series.times.shape
+    assert np.allclose(base.series.times, other.series.times, rtol=times_rtol, atol=0.0)
+    assert _verdicts(base) == _verdicts(other)
+    columns = [(getattr(base.series, k), getattr(other.series, k)) for k in NORM_COLUMNS]
+    columns += list(zip(base.series.comp_l2, other.series.comp_l2))
     return max(float(np.abs(x - y).max() / np.abs(x).max()) for x, y in columns)
+
+
+def mirror_gap(tmp_path: Path, raw: dict) -> float:
+    """``norm_gap`` of ``raw`` and its mirror, whose sample times are
+    equal."""
+    return norm_gap(tmp_path, raw, mirrored(raw))
 
 
 class TestMirror:
@@ -91,6 +127,29 @@ class TestMirror:
         raw = data.draw(dyadic_physical_scenarios())
         gap = mirror_gap(tmp_path, raw)
         assert gap <= MIRROR_RTOL, (raw, gap)
+
+
+class TestTranslation:
+    @pytest.mark.parametrize("cells", [-1000, -7, 1, 333])
+    def test_shipped_scenarios(self, tmp_path, cells):
+        for path in sorted(SCENARIOS.glob("*.json")):
+            raw = json.loads(path.read_text())
+            gap = norm_gap(tmp_path, raw, translated(raw, cells), TRANSLATION_RTOL)
+            assert gap <= TRANSLATION_RTOL, (path.stem, gap)
+
+    @settings(
+        max_examples=TRANSLATION_DRAWS,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_drawn_physical_scenarios(self, tmp_path, data):
+        raw = data.draw(dyadic_physical_scenarios())
+        cells = data.draw(st.integers(-4000, 4000))
+        gap = norm_gap(tmp_path, raw, translated(raw, cells), TRANSLATION_RTOL)
+        assert gap <= TRANSLATION_RTOL, (raw, cells, gap)
 
 
 @st.composite

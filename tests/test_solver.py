@@ -31,7 +31,8 @@ from locdamp.solver import (
     run,
     sample_steps,
 )
-from locdamp.spectral import freq_split, fullspace_evolve, low_band_sup
+from locdamp.norms import BandSplit, freq_split, low_band_sup
+from locdamp.spectral import fullspace_evolve
 
 
 class TestRationalShifts:
@@ -585,7 +586,7 @@ class TestFreqSplit:
         m, dx = 256, 0.25
         x = dx * np.arange(m)
         w = np.sin(2.0 * np.pi * 5.0 * x / (m * dx))[None, :]
-        l2_high, l2_low, low_modes = freq_split(np.fft.rfft(w, axis=1), w.shape[1], dx)
+        l2_high, l2_low, low_modes = freq_split(np.fft.rfft(w, axis=1), BandSplit.of(w.shape[1], dx))
         assert l2_high <= 1e-12 * l2_low
         assert low_band_sup(low_modes, m) == pytest.approx(1.0, rel=1e-6)
 
@@ -593,7 +594,7 @@ class TestFreqSplit:
         m, dx = 256, 0.25
         x = dx * np.arange(m)
         w = np.sin(2.0 * np.pi * 50.0 * x / (m * dx))[None, :]
-        l2_high, l2_low, low_modes = freq_split(np.fft.rfft(w, axis=1), w.shape[1], dx)
+        l2_high, l2_low, low_modes = freq_split(np.fft.rfft(w, axis=1), BandSplit.of(w.shape[1], dx))
         assert l2_low <= 1e-12 * l2_high
         assert low_band_sup(low_modes, m) <= 1e-12
 
@@ -601,7 +602,7 @@ class TestFreqSplit:
         rng = np.random.default_rng(11)
         w = rng.standard_normal((3, 128))
         dx = 0.1
-        l2_high, l2_low, _ = freq_split(np.fft.rfft(w, axis=1), w.shape[1], dx)
+        l2_high, l2_low, _ = freq_split(np.fft.rfft(w, axis=1), BandSplit.of(w.shape[1], dx))
         direct = np.sqrt(np.sum(w**2) * dx)
         assert np.hypot(l2_high, l2_low) == pytest.approx(direct, rel=1e-12)
 

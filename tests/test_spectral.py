@@ -22,16 +22,13 @@ from helpers import (
 )
 from locdamp import harness, spectral
 from locdamp.model import HyperbolicSystem, diagonalize
+from locdamp.norms import BandSplit, NormSeries, field_norms, low_band_bound, low_band_sup
 from locdamp.spectral import (
     MIN_SCAN_SAMPLES,
     RATE_RESOLUTION_FACTOR,
     MatrixExpError,
-    NormSeries,
-    field_norms,
     fullspace_evolve,
     gamma_estimate,
-    low_band_bound,
-    low_band_sup,
     matrix_exp,
 )
 
@@ -324,12 +321,12 @@ def _gaussian_data(x, centers, sigma=0.5):
 
 def _full_spectrum_oracle(sys, x, u0, times):
     """Reference norms from the whole fft, one ``expm(E(xi) t)`` per
-    frequency and sample time, and ``ifft(...).real``."""
+    frequency and sample time, and ``ifft(...).real``, normed as one stack."""
     eigs = diagonalize(sys.a)
     dx = x[1] - x[0]
     what = np.fft.fft(eigs.basis.T @ u0, axis=1)
     xi = 2.0 * np.pi * np.fft.fftfreq(x.size, d=dx)
-    rows = []
+    fields = []
     for t in times:
         evolved = np.column_stack(
             [
@@ -337,8 +334,9 @@ def _full_spectrum_oracle(sys, x, u0, times):
                 for j, k in enumerate(xi)
             ]
         )
-        rows.append(field_norms(np.fft.ifft(evolved, axis=1).real, dx, eigs.basis))
-    return NormSeries.from_rows(times, rows, n_cells=x.size)
+        fields.append(np.fft.ifft(evolved, axis=1).real)
+    columns = field_norms(np.stack(fields), BandSplit.of(x.size, dx), eigs.basis)
+    return NormSeries.from_blocks(times, [columns], n_cells=x.size)
 
 
 def _low_modes(rng, m, n, n_low, aligned):
@@ -420,14 +418,16 @@ class TestFullspaceEvolve:
         [(damped_wave_system, [-1.0, 1.0]), (three_speed_system, [-1.0, 0.0, 1.5])],
     )
     def test_spectrum_side_row_matches_the_grid_row(self, m, make_sys, centers, monkeypatch):
-        # A sample's band norms and low modes are read off the evolved
-        # spectrum; ``field_norms`` of its inverse FFT takes them from a
+        # A stack's band norms and low modes are read off the evolved
+        # spectra; ``field_norms`` of their inverse FFTs takes them from a
         # forward FFT of the grid values instead.
         seen = []
 
-        def recording_row(w, dx, basis, what):
-            row = field_norms(w, dx, basis, what)
-            seen.append((what, dx, basis, row))
+        def recording_row(w, split, basis, what):
+            # the evolver reuses its buffer of spectra, so keep a copy
+            what = what.copy()
+            row = field_norms(w, split, basis, what)
+            seen.append((what, split, basis, row))
             return row
 
         monkeypatch.setattr(spectral, "field_norms", recording_row)
@@ -435,18 +435,19 @@ class TestFullspaceEvolve:
         times = [0.0, 0.7, 1.4, 3.0, 5.5, 20.0]
         fullspace_evolve(make_sys(), x, _gaussian_data(x, centers), times)
         monkeypatch.undo()
-        assert len(seen) == len(times)
+        assert sum(len(what) for what, *_ in seen) == len(times)
         rows = [row for *_, row in seen]
         grid_rows = [
-            field_norms(np.fft.irfft(what, n=m, axis=1), dx, basis) for what, dx, basis, _ in seen
+            field_norms(np.fft.irfft(what, n=m, axis=-1), split, basis)
+            for what, split, basis, _ in seen
         ]
         for name in ("l2_total", "linf", "l1"):
-            assert [r[name] for r in rows] == [g[name] for g in grid_rows], name
+            assert [r[name].tolist() for r in rows] == [g[name].tolist() for g in grid_rows], name
         for r, g in zip(rows, grid_rows):
             assert np.array_equal(r["comp_l2"], g["comp_l2"])
         for name in ("l2_high", "l2_low", "low_modes"):
-            got = np.array([r[name] for r in rows])
-            want = np.array([g[name] for g in grid_rows])
+            got = np.concatenate([r[name] for r in rows])
+            want = np.concatenate([g[name] for g in grid_rows])
             assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), name
 
     @pytest.mark.parametrize("m, checked", [(256, 2), (255, 1)])
