@@ -49,20 +49,25 @@ class UndampedRegion:
     stripes: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        coerced = tuple((float(a), float(b)) for a, b in self.stripes)
-        if not coerced:
-            raise ValueError("stripes: at least one stripe is required")
-        for j, (a, b) in enumerate(coerced):
+        coerced = []
+        for j, stripe in enumerate(self.stripes):
+            try:
+                a, b = map(float, stripe)
+            except (TypeError, ValueError):
+                raise ValueError(f"stripes[{j}]: expected a pair [left, right]") from None
             if not (np.isfinite(a) and np.isfinite(b)):
                 raise ValueError(f"stripes[{j}]: endpoints must be finite")
             if not a < b:
                 raise ValueError(f"stripes[{j}]: need a < b, got [{a}, {b}]")
+            coerced.append((a, b))
+        if not coerced:
+            raise ValueError("stripes: at least one stripe is required")
         for j in range(len(coerced) - 1):
             if not coerced[j][1] < coerced[j + 1][0]:
                 raise ValueError(
                     f"stripes[{j + 1}]: stripes must be sorted and disjoint"
                 )
-        object.__setattr__(self, "stripes", coerced)
+        object.__setattr__(self, "stripes", tuple(coerced))
 
     @classmethod
     def centered(cls, half_width: float) -> "UndampedRegion":

@@ -28,7 +28,18 @@ SIGN_CONVENTION_EPS = 1e-12
 
 
 def _as_matrix(m, name: str) -> np.ndarray:
-    arr = np.array(m, dtype=float)
+    try:
+        arr = np.array(m, dtype=float)
+    except (TypeError, ValueError):
+        # name the first row that is not a list or not as long as row 0
+        rows = m if isinstance(m, (list, tuple)) else ()
+        for i, row in enumerate(rows):
+            if not isinstance(row, (list, tuple, np.ndarray)):
+                raise ValueError(f"{name}[{i}]: expected a list of numbers") from None
+            if len(row) != len(rows[0]):
+                got = f"expected length {len(rows[0])} as in row 0, got {len(row)}"
+                raise ValueError(f"{name}[{i}]: {got}") from None
+        raise ValueError(f"{name}: expected a matrix of numbers") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name}: expected a square matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):

@@ -203,6 +203,9 @@ class Bump:
     def __post_init__(self) -> None:
         if self.kind not in BUMP_KINDS:
             raise ValueError(f"kind: unknown kind {self.kind!r}")
+        for name in ("center", "width", "amplitude"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name}: must be finite")
         if not self.width > 0.0:
             raise ValueError("width: must be positive")
 
@@ -250,13 +253,21 @@ class InitialDataSpec:
         return lo, hi
 
     def sample(self, xs: np.ndarray, n: int) -> np.ndarray:
+        """The bumps summed on the points ``xs``, one row per component;
+        data that are zero there, or not finite, raise ``ValueError``."""
         out = np.zeros((n, xs.size))
-        for b in self.bumps:
-            if not 0 <= b.component < n:
-                raise ValueError(
-                    f"component: index {b.component} out of range for {n} components"
-                )
-            out[b.component] += b.profile(xs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for b in self.bumps:
+                if not 0 <= b.component < n:
+                    raise ValueError(
+                        f"component: index {b.component} out of range for {n} components"
+                    )
+                out[b.component] += b.profile(xs)
+        lo, hi = float(out.min()), float(out.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("initial data is not finite on the grid")
+        if lo == hi == 0.0:
+            raise ValueError("initial data is zero on the grid")
         return out
 
 
@@ -332,8 +343,6 @@ def run(
         w = np.ascontiguousarray(u0, dtype=np.float64)
     else:
         w = np.ascontiguousarray(eigs.basis.T @ u0, dtype=np.float64)
-    if not w.any():
-        raise ValueError("initial data is zero on the grid")
 
     damp_half = half_relaxation(sys, grid.dt)
     guard_tol = GUARD_RTOL * float(np.abs(w).max())

@@ -256,9 +256,9 @@ def fullspace_evolve(
     over a time within ``j * tol`` of its own.  The evolved spectra are
     normed in stacks (``in_blocks``): band norms and low modes are read
     off them, and one inverse FFT per stack gives the total, pointwise and
-    component norms.  The grid must be uniform
-    and the data nonzero and band-limited: spectral mass in the top two
-    bins beyond 1e-8 of the peak is rejected as aliased.
+    component norms.  The grid must be uniform and the data finite, nonzero
+    and band-limited: spectral mass in the top two bins beyond 1e-8 of the
+    peak is rejected as aliased.
     """
     x = np.asarray(x, dtype=float)
     u0 = np.asarray(u0, dtype=float)
@@ -269,6 +269,8 @@ def fullspace_evolve(
         raise ValueError("fullspace: grid must be uniform")
     if u0.shape != (sys.n, x.size):
         raise ValueError(f"fullspace: data shape {u0.shape} != ({sys.n}, {x.size})")
+    if not (math.isfinite(u0.min()) and math.isfinite(u0.max())):
+        raise ValueError("initial data is not finite on the grid")
     if not u0.any():
         raise ValueError("initial data is zero on the grid")
     t_list = [float(t) for t in times]

@@ -67,6 +67,12 @@ class TestRegion:
         with pytest.raises(ValueError, match="disjoint"):
             UndampedRegion(stripes=((0.0, 2.0), (1.0, 3.0)))
 
+    @pytest.mark.parametrize("stripe", [(), (1.0,), (1.0, 2.0, 3.0), (None, 2.0), (0.0, "x"), 5.0])
+    def test_rejects_stripe_not_a_pair(self, stripe):
+        with pytest.raises(ValueError) as err:
+            UndampedRegion(stripes=((-3.0, -2.0), stripe))
+        assert str(err.value) == "stripes[1]: expected a pair [left, right]"
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one"):
             UndampedRegion(stripes=())

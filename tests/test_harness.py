@@ -70,6 +70,12 @@ def _zero_amplitudes(raw: dict) -> None:
         bump["amplitude"] = 0.0
 
 
+def _overflowing_data(raw: dict) -> None:
+    # each amplitude is a finite number, but their sum on the grid is not
+    bump = dict(raw["initial_data"]["bumps"][0], amplitude=1.5e308)
+    raw["initial_data"]["bumps"] = [bump, dict(bump)]
+
+
 def _set(section: str, **values):
     return lambda raw: raw[section].update(values)
 
@@ -79,6 +85,7 @@ STEPPING_REJECTIONS = [
     ("edge", _long_run, "mass reached the edge guard band near t = 15.23; enlarge the domain or shorten the run"),
     ("box", _box_bumps, "calibrate: reference calibration needs gaussian bumps"),
     ("zero", _zero_amplitudes, "initial data is zero on the grid"),
+    ("overflow", _overflowing_data, "initial data is not finite on the grid"),
 ]
 FULLSPACE_REJECTIONS = [
     ("no_cells", _set("domain", n_cells=0), "n_cells: need at least 16, got 0"),
@@ -90,6 +97,7 @@ FULLSPACE_REJECTIONS = [
     ("empty_domain", _set("domain", x_min=0.0, x_max=0.0), "domain: need x_min < x_max, got [0.0, 0.0]"),
     ("short_run", _set("time", t_final=1e-6), "t_final: shorter than one time step"),
     ("zero", _zero_amplitudes, "initial data is zero on the grid"),
+    ("overflow", _overflowing_data, "initial data is not finite on the grid"),
 ]
 
 
@@ -145,7 +153,7 @@ class TestLoader:
         raw = _good_raw()
         raw["system"]["a"] = [[1.0], "x"]
         errors = _errors_of(tmp_path, raw)
-        assert any("system.a[1]: expected a list of numbers" in e for e in errors)
+        assert any("system.a[1]: expected a list" in e for e in errors)
 
     def test_bad_kind(self, tmp_path):
         raw = _good_raw()
@@ -226,7 +234,16 @@ class TestLoader:
     def test_non_list_matrix_reported_once(self, tmp_path):
         raw = _good_raw()
         raw["system"]["a"] = 5
-        assert _errors_of(tmp_path, raw) == ["system.a: expected a nonempty list of rows"]
+        assert _errors_of(tmp_path, raw) == ["system.a: expected a list"]
+
+    def test_bad_matrix_entry_names_the_entry(self, tmp_path):
+        raw = _good_raw()
+        raw["system"]["a"] = [[1.0, "x"], [1.0, 0.0]]
+        raw["region"]["stripes"] = [[0.0, None]]
+        assert _errors_of(tmp_path, raw) == [
+            "system.a[0][1]: expected a number",
+            "region.stripes[0][1]: expected a number",
+        ]
 
     def test_ragged_matrix_names_the_row(self, tmp_path):
         raw = _good_raw()
@@ -1348,9 +1365,10 @@ class TestCli:
         raw = json.loads((SCENARIOS / f"{scenario}.json").read_text())
         edit(raw)
         code = cli.main([command, str(_write(tmp_path, raw)), "--out", str(tmp_path / "run")])
-        out = capsys.readouterr().out
+        captured = capsys.readouterr()
         assert code == 2
-        assert out.splitlines() == [f"error: {message}"]
+        assert captured.out.splitlines() == [f"error: {message}"]
+        assert captured.err == ""
         assert not (tmp_path / "run").exists()
 
     def test_simulate_zero_probe_exits_2(self, tmp_path, capsys):
@@ -1359,6 +1377,24 @@ class TestCli:
         code = cli.main(["simulate", str(_write(tmp_path, raw)), "--out", str(tmp_path / "run")])
         assert code == 2
         assert capsys.readouterr().out.splitlines() == ["error: initial data is zero on the grid"]
+
+    def test_simulate_overflowing_probe_exits_2(self, tmp_path, capsys):
+        raw = _good_raw()
+        _overflowing_data(raw)
+        code = cli.main(["simulate", str(_write(tmp_path, raw)), "--out", str(tmp_path / "run")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert (captured.out, captured.err) == ("error: initial data is not finite on the grid\n", "")
+
+    def test_overflow_after_mapping_to_physical_components_exits_2(self, tmp_path, capsys):
+        # finite characteristic data whose physical components overflow
+        raw = json.loads((SCENARIOS / "fullspace_damped_wave.json").read_text())
+        bump = dict(raw["initial_data"]["bumps"][0], amplitude=1.7e308)
+        raw["initial_data"] = {"basis": "characteristic", "bumps": [bump, dict(bump, component=1)]}
+        code = cli.main(["simulate", str(_write(tmp_path, raw)), "--out", str(tmp_path / "run")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert (captured.out, captured.err) == ("error: initial data is not finite on the grid\n", "")
 
     def test_verify_rejects_non_finite_amplitude(self, tmp_path, capsys):
         raw = json.loads((SCENARIOS / "damped_wave.json").read_text())

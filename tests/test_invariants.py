@@ -17,10 +17,26 @@ the data move by a few ulps, and the norms again agree to a tolerance
 relative to each column's peak.  The drawn scenarios vary the number of
 samples, so the boundaries of the blocks the norms are taken in move
 from draw to draw.
+
+Units: with c = 2**k, scaling a unit changes only exponents.  Rates: ``a``
+and ``dd`` times c and ``t_final`` over c give the same field at times
+over c, so every norm is bit-identical; the residence bound, the sample
+times and the probe's times scale by 1/c, speeds and the rate by c.
+Lengths: the domain, the stripes and the bumps times c, ``t_final`` times
+c and ``dd`` over c give the same cell values on cells c times as wide,
+so the pointwise sup is unchanged, ``l1`` scales by c and ``l2_total``
+and the component norms by c**(1/2), exactly for even k.  The band norms
+and the rate scan do not scale under lengths: the band split (wavenumber
+1) and the scan range (wavenumbers 1 to 100) are fixed wavenumbers.
+
+Lossless limit: one stripe spanning the domain leaves no cell damped, so
+the shifts only move values and ``l2_total`` is conserved to rounding.
 """
 
 import copy
+import functools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +44,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from locdamp import harness
+from locdamp import harness, solver
 from locdamp.norms import NORM_COLUMNS
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -44,6 +60,16 @@ MIRROR_DRAWS = 50
 TRANSLATION_RTOL = 1e-13
 # Hypothesis draws of the translation property.
 TRANSLATION_DRAWS = 40
+# Largest relative difference allowed between a rate-scan value scaled by
+# its units and its image's; the worst measured is 6.3e-15 (``stripes_two``'s
+# low-frequency curvature at c = 2**-5).
+UNITS_RTOL = 1e-13
+# Hypothesis draws of each units property and of the lossless limit.
+UNITS_DRAWS = 8
+LOSSLESS_DRAWS = 8
+# Largest change of ``l2_total`` allowed over a lossless run, over its
+# initial value.
+LOSSLESS_RTOL = 1e-14
 
 
 def mirrored(raw: dict) -> dict:
@@ -75,10 +101,48 @@ def translated(raw: dict, cells: int) -> dict:
     return out
 
 
+def rate_scaled(raw: dict, k: int) -> dict:
+    """The scenario document ``raw`` with ``a`` and ``dd`` times 2**k and
+    ``t_final`` over 2**k."""
+    out = copy.deepcopy(raw)
+    for key in ("a", "dd"):
+        out["system"][key] = [[math.ldexp(v, k) for v in row] for row in raw["system"][key]]
+    out["time"]["t_final"] = math.ldexp(raw["time"]["t_final"], -k)
+    return out
+
+
+def length_scaled(raw: dict, k: int) -> dict:
+    """The scenario document ``raw`` with every length and ``t_final``
+    times 2**k and ``dd`` over 2**k."""
+    out = copy.deepcopy(raw)
+    out["system"]["dd"] = [[math.ldexp(v, -k) for v in row] for row in raw["system"]["dd"]]
+    out["region"]["stripes"] = [[math.ldexp(v, k) for v in s] for s in raw["region"]["stripes"]]
+    for section, keys in (("domain", ("x_min", "x_max")), ("time", ("t_final",))):
+        for key in keys:
+            out[section][key] = math.ldexp(raw[section][key], k)
+    for bump in out["initial_data"]["bumps"]:
+        bump["center"] = math.ldexp(bump["center"], k)
+        bump["width"] = math.ldexp(bump["width"], k)
+    return out
+
+
 def _run(tmp_path: Path, raw: dict, label: str) -> harness.ScenarioResult:
     path = tmp_path / f"{label}.json"
     path.write_text(json.dumps(raw))
     return harness.run_scenario(harness.load_scenario(path))
+
+
+@functools.lru_cache(maxsize=None)
+def _shipped_run(stem: str) -> harness.ScenarioResult:
+    """The run of a shipped scenario, shared by the properties that
+    compare it with an image."""
+    return harness.run_scenario(harness.load_scenario(SCENARIOS / f"{stem}.json"))
+
+
+def _shipped() -> list[tuple[dict, harness.ScenarioResult]]:
+    """Each shipped scenario document with its run."""
+    paths = sorted(SCENARIOS.glob("*.json"))
+    return [(json.loads(p.read_text()), _shipped_run(p.stem)) for p in paths]
 
 
 def _verdicts(result: harness.ScenarioResult) -> dict:
@@ -88,12 +152,19 @@ def _verdicts(result: harness.ScenarioResult) -> dict:
     return {k: summary[k] for k in keys if k in summary}
 
 
-def norm_gap(tmp_path: Path, raw: dict, image: dict, times_rtol: float = 0.0) -> float:
-    """Run ``raw`` and its ``image``, assert equal sample times (within
-    ``times_rtol``) and verdicts, and return the largest norm difference
-    over its column's peak, taken over the ``NORM_COLUMNS`` and the
-    physical components."""
-    base = _run(tmp_path, raw, "base")
+def norm_gap(
+    tmp_path: Path,
+    raw: dict,
+    image: dict,
+    times_rtol: float = 0.0,
+    base: harness.ScenarioResult | None = None,
+) -> float:
+    """Run ``raw`` (unless its run is given as ``base``) and its ``image``,
+    assert equal sample times (within ``times_rtol``) and verdicts, and
+    return the largest norm difference over its column's peak, taken over
+    the ``NORM_COLUMNS`` and the physical components."""
+    if base is None:
+        base = _run(tmp_path, raw, "base")
     other = _run(tmp_path, image, "image")
     assert base.series.times.shape == other.series.times.shape
     assert np.allclose(base.series.times, other.series.times, rtol=times_rtol, atol=0.0)
@@ -103,17 +174,17 @@ def norm_gap(tmp_path: Path, raw: dict, image: dict, times_rtol: float = 0.0) ->
     return max(float(np.abs(x - y).max() / np.abs(x).max()) for x, y in columns)
 
 
-def mirror_gap(tmp_path: Path, raw: dict) -> float:
+def mirror_gap(tmp_path: Path, raw: dict, base: harness.ScenarioResult | None = None) -> float:
     """``norm_gap`` of ``raw`` and its mirror, whose sample times are
     equal."""
-    return norm_gap(tmp_path, raw, mirrored(raw))
+    return norm_gap(tmp_path, raw, mirrored(raw), base=base)
 
 
 class TestMirror:
     def test_shipped_scenarios(self, tmp_path):
-        for path in sorted(SCENARIOS.glob("*.json")):
-            gap = mirror_gap(tmp_path, json.loads(path.read_text()))
-            assert gap <= MIRROR_RTOL, (path.stem, gap)
+        for raw, base in _shipped():
+            gap = mirror_gap(tmp_path, raw, base)
+            assert gap <= MIRROR_RTOL, (raw["name"], gap)
 
     @settings(
         max_examples=MIRROR_DRAWS,
@@ -132,10 +203,9 @@ class TestMirror:
 class TestTranslation:
     @pytest.mark.parametrize("cells", [-1000, -7, 1, 333])
     def test_shipped_scenarios(self, tmp_path, cells):
-        for path in sorted(SCENARIOS.glob("*.json")):
-            raw = json.loads(path.read_text())
-            gap = norm_gap(tmp_path, raw, translated(raw, cells), TRANSLATION_RTOL)
-            assert gap <= TRANSLATION_RTOL, (path.stem, gap)
+        for raw, base in _shipped():
+            gap = norm_gap(tmp_path, raw, translated(raw, cells), TRANSLATION_RTOL, base)
+            assert gap <= TRANSLATION_RTOL, (raw["name"], gap)
 
     @settings(
         max_examples=TRANSLATION_DRAWS,
@@ -150,6 +220,126 @@ class TestTranslation:
         cells = data.draw(st.integers(-4000, 4000))
         gap = norm_gap(tmp_path, raw, translated(raw, cells), TRANSLATION_RTOL)
         assert gap <= TRANSLATION_RTOL, (raw, cells, gap)
+
+
+def _scaled_summary(summary: dict, factors: dict) -> dict:
+    """``summary``'s entries named in ``factors`` times their factor (an
+    absent probe onset stays absent)."""
+    return {
+        key: None if summary[key] is None else summary[key] * f
+        for key, f in factors.items()
+        if key in summary
+    }
+
+
+def assert_rate_scaling(base: harness.ScenarioResult, image: harness.ScenarioResult, k: int):
+    """``image`` is ``base`` with ``a`` and ``dd`` times c = 2**k and
+    times over c: the same norms at times over c, equal verdicts."""
+    c = math.ldexp(1.0, k)
+    a, b = base.series, image.series
+    assert np.array_equal(b.times, a.times / c)
+    for name in NORM_COLUMNS:
+        assert np.array_equal(getattr(b, name), getattr(a, name)), name
+    assert np.array_equal(b.comp_l2, a.comp_l2)
+    sa, sb = harness.summarize(base), harness.summarize(image)
+    exact = {"dx": 1.0, "dt": 1 / c, "stripe_snap_error": 1.0, "residence_bound": 1 / c,
+             "probe_speed": c, "probe_t_pred": 1 / c, "probe_onset": 1 / c,
+             "probe_plateau_min": 1.0}
+    assert _scaled_summary(sa, exact) == {key: sb[key] for key in _scaled_summary(sa, exact)}
+    # The scan's eigenvalues, and so the rate and the constants fitted with
+    # it, may differ in the last bits; t**(1/2) is exact for even k only.
+    close = {"gamma": c, "c_low_curvature": c, "c_high": 1.0, "c_low": c**-0.5}
+    for key, value in _scaled_summary(sa, close).items():
+        rel = 0.0 if key == "c_low" and k % 2 == 0 else UNITS_RTOL
+        assert sb[key] == pytest.approx(value, rel=rel, abs=0.0), key
+    keys = ("validation_ok", "checks", "tail_stabilized", "envelope_checked", "envelope_ok",
+            "probe_within_one_stride", "shifts", "n_samples")
+    assert {key: sa.get(key) for key in keys} == {key: sb.get(key) for key in keys}
+
+
+def assert_length_scaling(base: harness.ScenarioResult, image: harness.ScenarioResult, k: int):
+    """``image`` is ``base`` with lengths and times times c = 2**k, k even,
+    and ``dd`` over c: the same cell values on cells c times as wide."""
+    c, root_c = math.ldexp(1.0, k), math.ldexp(1.0, k // 2)
+    a, b = base.series, image.series
+    assert np.array_equal(b.times, a.times * c)
+    assert np.array_equal(b.linf, a.linf)
+    assert np.array_equal(b.l1, a.l1 * c)
+    assert np.array_equal(b.l2_total, a.l2_total * root_c)
+    assert np.array_equal(b.comp_l2, a.comp_l2 * root_c)
+    sa, sb = harness.summarize(base), harness.summarize(image)
+    exact = {"dx": c, "dt": c, "stripe_snap_error": c, "residence_bound": c,
+             "probe_speed": 1.0, "probe_t_pred": c, "probe_onset": c, "probe_plateau_min": 1.0}
+    assert _scaled_summary(sa, exact) == {key: sb[key] for key in _scaled_summary(sa, exact)}
+    keys = ("validation_ok", "checks", "envelope_checked", "probe_within_one_stride", "shifts",
+            "n_samples")
+    assert {key: sa.get(key) for key in keys} == {key: sb.get(key) for key in keys}
+
+
+class TestUnits:
+    @pytest.mark.parametrize("k", [2, -5])
+    def test_rates_shipped_scenarios(self, tmp_path, k):
+        for raw, base in _shipped():
+            assert_rate_scaling(base, _run(tmp_path, rate_scaled(raw, k), "image"), k)
+
+    @pytest.mark.parametrize("k", [2, -2])
+    def test_lengths_shipped_scenarios(self, tmp_path, k):
+        for raw, base in _shipped():
+            assert_length_scaling(base, _run(tmp_path, length_scaled(raw, k), "image"), k)
+
+    @settings(
+        max_examples=UNITS_DRAWS,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_drawn_physical_scenarios(self, tmp_path, data):
+        raw = data.draw(dyadic_physical_scenarios())
+        base = _run(tmp_path, raw, "base")
+        k = data.draw(st.sampled_from([-3, 2, 5]))
+        assert_rate_scaling(base, _run(tmp_path, rate_scaled(raw, k), "rates"), k)
+        k = data.draw(st.sampled_from([-2, 2, 4]))
+        assert_length_scaling(base, _run(tmp_path, length_scaled(raw, k), "lengths"), k)
+
+
+def lossless(raw: dict) -> dict:
+    """The scenario document ``raw`` with one stripe spanning its domain."""
+    out = copy.deepcopy(raw)
+    out["region"]["stripes"] = [[raw["domain"]["x_min"], raw["domain"]["x_max"]]]
+    return out
+
+
+def assert_conserved(series) -> None:
+    l2 = series.l2_total
+    assert np.abs(l2 - l2[0]).max() <= LOSSLESS_RTOL * l2[0], np.abs(l2 / l2[0] - 1.0).max()
+
+
+class TestLosslessLimit:
+    def test_shipped_probes(self, tmp_path):
+        for raw, _ in _shipped():
+            if raw["kind"] == "conservation-probe":
+                assert_conserved(_run(tmp_path, lossless(raw), "lossless").series)
+
+    @settings(
+        max_examples=LOSSLESS_DRAWS,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_drawn_physical_scenarios(self, tmp_path, data):
+        path = tmp_path / "lossless.json"
+        path.write_text(json.dumps(lossless(data.draw(dyadic_physical_scenarios()))))
+        s = harness.load_scenario(path)
+        traj = solver.run(
+            s.system, s.region, s.data, x_min=s.x_min, x_max=s.x_max,
+            t_final=s.t_final, stride=s.stride, n_cells=s.n_cells,
+        )
+        assert not traj.grid.damp_mask.any()
+        assert_conserved(traj)
 
 
 @st.composite

@@ -7,6 +7,7 @@ import pytest
 from helpers import damped_wave_system, random_valid_system, three_speed_system
 
 from locdamp.model import (
+    EigenStructure,
     HyperbolicSystem,
     diagonalize,
     coupling_check_eigvec,
@@ -26,6 +27,28 @@ class TestConstruction:
             HyperbolicSystem(a=np.eye(2), n1=-1, dd=np.eye(1))
         with pytest.raises(ValueError, match="dd"):
             HyperbolicSystem(a=np.eye(3), n1=1, dd=np.eye(1))
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[0.0, 1.0], [1.0]], "[1]: expected length 2 as in row 0, got 1"),
+            ([[0.0, 1.0], [1.0, 0.0, 2.0]], "[1]: expected length 2 as in row 0, got 3"),
+            ([[0.0, 1.0], 1.0], "[1]: expected a list of numbers"),
+            ([0.0, [1.0, 0.0]], "[0]: expected a list of numbers"),
+            ([[0.0, 1.0], "ab"], "[1]: expected a list of numbers"),
+            ([[0.0, {}], [1.0, 0.0]], ": expected a matrix of numbers"),
+        ],
+    )
+    def test_rows_numpy_cannot_stack_name_the_field(self, rows, message):
+        cases = [
+            ("a", lambda: HyperbolicSystem(a=rows, n1=1, dd=[[1.0]])),
+            ("dd", lambda: HyperbolicSystem(a=np.eye(3), n1=1, dd=rows)),
+            ("eigs.basis", lambda: EigenStructure(lambdas=[-1.0, 1.0], basis=rows)),
+        ]
+        for name, build in cases:
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == name + message
 
     def test_finite_entries_required(self):
         with pytest.raises(ValueError, match="finite"):

@@ -7,6 +7,7 @@ stripe outside the light cone of the data.
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -226,6 +227,36 @@ class TestBump:
             Bump(kind="spike", component=0, center=0.0, width=1.0)
         with pytest.raises(ValueError, match="width"):
             Bump(kind="box", component=0, center=0.0, width=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["center", "width", "amplitude"])
+    def test_non_finite_field_named(self, field, value):
+        fields = dict(kind="gaussian", component=0, center=0.0, width=1.0, amplitude=1.0)
+        with pytest.raises(ValueError) as err:
+            Bump(**{**fields, field: value})
+        assert str(err.value) == f"{field}: must be finite"
+
+    @pytest.mark.parametrize(
+        "bumps, message",
+        [
+            # finite amplitudes whose sum overflows
+            ([("gaussian", 1.5e308, 1.0)] * 2, "initial data is not finite on the grid"),
+            # a cosine arch so narrow that its phase overflows off its support
+            ([("cosine", 1.0, 1e-300)], "initial data is zero on the grid"),
+        ],
+    )
+    def test_sample_refuses_data_without_warning(self, bumps, message):
+        data = InitialDataSpec(
+            bumps=tuple(
+                Bump(kind=kind, component=0, center=0.5, width=width, amplitude=amp)
+                for kind, amp, width in bumps
+            )
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                data.sample(np.linspace(-2.0, 2.0, 64), 1)
+        assert str(err.value) == message
 
     def test_data_spec(self):
         data = InitialDataSpec(

@@ -534,6 +534,14 @@ class TestFullspaceEvolve:
         with pytest.raises(ValueError, match="initial data is zero on the grid"):
             fullspace_evolve(sys, x, np.zeros((2, 256)), [0.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_refused(self, bad):
+        x = -16.0 + 0.125 * np.arange(256)
+        u0 = _gaussian_data(x, [0.0, 0.0])
+        u0[1, 7] = bad
+        with pytest.raises(ValueError, match="initial data is not finite on the grid"):
+            fullspace_evolve(damped_wave_system(), x, u0, [0.0, 1.0])
+
     def test_chained_samples_match_one_time_calls(self):
         sys = damped_wave_system()
         x = -32.0 + 0.25 * np.arange(256)
