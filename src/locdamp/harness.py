@@ -254,7 +254,7 @@ def calibrate(
     lo, hi = data.support()
     sigma_min = min(b.width for b in data.bumps)
     vmax = float(np.abs(sys.eigs.lambdas).max())
-    span = (hi - lo) + 2.0 * vmax * t_max + 16.0 * sigma_min + 8.0
+    span = (hi - lo) + 2.0 * vmax * t_max + 16.0 * sigma_min
     dx_ref = sigma_min / REF_POINTS_PER_SIGMA
     m = 1 << int(np.ceil(np.log2(span / dx_ref)))
     length = m * dx_ref
@@ -532,6 +532,7 @@ def summarize(result: ScenarioResult) -> dict[str, Any]:
         "validation_ok": result.validation.ok,
         "checks": {c.name: c.passed for c in result.validation.checks},
         "t_final": s.t_final,
+        "time_snap_error": abs(s.t_final - float(result.series.times[-1])),
         "n_samples": int(result.series.times.size),
     }
     if isinstance(result.series, solver.Trajectory):

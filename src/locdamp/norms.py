@@ -41,11 +41,11 @@ class NormSeries:
 
     Bands split at wavenumber 1 (high band strict); ``comp_l2`` holds the
     physical components, shape ``(n, len(times))``.  The low band is kept
-    as its modes: ``low_modes`` stacks each sample's real-FFT bins with
-    xi <= 1, shape ``(len(times), n, n_low)`` with ``n_low`` about
-    ``L / 2 pi + 1`` for a box of length ``L``, and ``n_cells`` is the grid
-    size they were taken on.  Its sup, ``linf_low``, is synthesized from
-    them on first read, one transform per block of samples
+    as its Fourier coefficients: ``low_modes`` stacks each sample's
+    real-FFT bins with xi <= 1 over ``n_cells``, the grid size they were
+    taken on, shape ``(len(times), n, n_low)`` with ``n_low`` about
+    ``L / 2 pi + 1`` for a box of length ``L``.  Its sup, ``linf_low``, is
+    synthesized from them on first read, one transform per block of samples
     (``samples_per_block``), so runs that never read it never pay for it;
     the reference calibration reads it, while the envelope check
     synthesizes single samples, only where a bound on the modes does not
@@ -122,7 +122,8 @@ def freq_split(what: np.ndarray, split: BandSplit) -> tuple[np.ndarray, np.ndarr
 
     Energies follow the real-FFT Parseval weights so the two bands sum to
     the total, each band summed over every bin with the other's zeroed.
-    The low modes are the real-FFT bins with xi <= 1.
+    The low modes are the Fourier coefficients (bins over ``n_cells``) with
+    xi <= 1, none larger than the field's sup.
     """
     # Parseval weights: a bin that stands for a conjugate pair counts twice
     power = np.abs(what)
@@ -137,10 +138,7 @@ def freq_split(what: np.ndarray, split: BandSplit) -> tuple[np.ndarray, np.ndarr
     power[..., n_low:] = 0.0
     l2_low = np.sum(power, axis=-1)
     scale = split.dx / split.n_cells
-    # a copy, so the columns do not keep the whole spectrum alive
-    return (
-        np.sqrt(scale * l2_high), np.sqrt(scale * l2_low), what[..., :n_low].copy()
-    )
+    return np.sqrt(scale * l2_high), np.sqrt(scale * l2_low), what[..., :n_low] / split.n_cells
 
 
 def field_norms(
@@ -213,10 +211,12 @@ def in_blocks(samples: Iterable[np.ndarray], n_samples: int, entries: int) -> It
 
 def low_band_sup(low_modes: np.ndarray, n_cells: int) -> float | np.ndarray:
     """Sup over ``n_cells`` cells of the pointwise norm of the field whose
-    real-FFT bins are ``low_modes`` followed by zeros: a float for the
-    modes ``(n, n_low)`` of one field, an array for a stack
-    ``(k, n, n_low)``, all transformed at once."""
-    w_low, e = _pow2_normalize(np.fft.irfft(low_modes, n=n_cells, axis=-1))
+    Fourier coefficients are ``low_modes`` followed by zeros: a float for
+    the modes ``(n, n_low)`` of one field, an array for a stack
+    ``(k, n, n_low)``, all transformed at once; coefficients far from 1 are
+    rescaled by a power of two first (``_pow2_normalize``)."""
+    modes, e = _pow2_normalize(np.ascontiguousarray(low_modes).view(np.float64))
+    w_low = np.fft.irfft(modes.view(low_modes.dtype), n=n_cells, axis=-1, norm="forward")
     sup = pow2_scale(np.sqrt(np.sum(w_low ** 2, axis=-2).max(axis=-1)), e)
     return sup if sup.ndim else float(sup)
 
@@ -225,13 +225,12 @@ def low_band_bound(low_modes: np.ndarray, n_cells: int) -> float:
     """An upper bound on ``low_band_sup(low_modes, n_cells)`` read off the
     modes, without a transform back to the grid.
 
-    Component i of the synthesized field is (1/m) times the sum of c_0,
+    Component i of the synthesized field is the sum of c_0,
     2 Re(c_k e^(2 pi i j k / m)) over the paired bins and, when the prefix
     holds the Nyquist bin of an even m, +-c_N; so its magnitude is at most
-    B_i = (|c_0| + 2 sum |c_k| + |c_N|) / m, and the pointwise norm at most
-    hypot(B_i).  Each |c_k| is divided by m before the sums and the
-    components are combined with ``math.hypot``, so the bound neither
-    overflows nor underflows at amplitudes of 2**+-1000.
+    B_i = |c_0| + 2 sum |c_k| + |c_N|, and the pointwise norm at most
+    hypot(B_i), combined with ``math.hypot`` so that it neither overflows
+    nor underflows at amplitudes of 2**+-1000.
 
     It is returned times a margin for the rounding of both sides, in units
     of eps = 2**-53: 8 per factor of two of m for the transform, n_low for
@@ -250,7 +249,7 @@ def low_band_bound(low_modes: np.ndarray, n_cells: int) -> float:
     m = int(n_cells)
     weights = np.ones(n_low)
     weights[_paired_bins(n_low, m)] = 2.0
-    per_component = (np.abs(low_modes) / m) @ weights
+    per_component = np.abs(low_modes) @ weights
     margin = 1.0 + 2.0 ** -52 * (8.0 * math.log2(m) + n_low + n + 8.0)
     return math.hypot(*per_component) * margin
 

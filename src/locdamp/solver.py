@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -49,7 +50,7 @@ def rational_shifts(lambdas: Sequence[float]) -> tuple[float, np.ndarray]:
 
     Returns ``(v_unit, shifts)`` with ``lambdas[i] == shifts[i] * v_unit``
     exactly in rational arithmetic.  Raises ``GridError`` when a speed is
-    not close to a small fraction or the common denominator explodes.
+    not close to a nonzero small fraction or the common denominator explodes.
     """
     lams = [float(v) for v in lambdas]
     if any(v == 0.0 for v in lams):
@@ -57,7 +58,7 @@ def rational_shifts(lambdas: Sequence[float]) -> tuple[float, np.ndarray]:
     fracs = []
     for v in lams:
         f = Fraction(v).limit_denominator(SPEED_DENOMINATOR_MAX)
-        if abs(float(f) - v) > SPEED_RATIONAL_RTOL * max(1.0, abs(v)):
+        if f == 0 or abs(float(f) - v) > SPEED_RATIONAL_RTOL * max(1.0, abs(v)):
             raise GridError(
                 f"speeds: {v!r} is not a ratio of small integers; "
                 "exact shifting needs commensurate speeds"
@@ -83,11 +84,18 @@ def default_cell_count(region: UndampedRegion, x_min: float, x_max: float) -> in
 
 
 def sample_steps(t_final: float, dt: float, stride: int) -> list[int]:
-    """Step counts a run samples at: 0, every ``stride`` steps, and the last step."""
+    """Step counts a run samples at: 0, every ``stride`` steps, and the last
+    step, the whole number of steps nearest ``t_final``; no more steps than
+    a Python ``range`` can count."""
     stride = int(stride)
     if stride < 1:
         raise ValueError("stride: must be a positive step count")
-    n_total = int(round(float(t_final) / dt))
+    steps = float(t_final) / dt
+    if not steps < sys.maxsize:
+        raise ValueError(
+            f"t_final: {steps:.6g} time steps of {dt:.6g} are more than a run can count"
+        )
+    n_total = int(round(steps))
     if n_total < 1:
         raise ValueError("t_final: shorter than one time step")
     return [*range(0, n_total, stride), n_total]

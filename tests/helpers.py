@@ -88,10 +88,10 @@ def eigenbasis_symbol(sys: HyperbolicSystem, eigs: EigenStructure, xi: float) ->
 def eager_linf_low(what: np.ndarray, m: int, dx: float) -> float:
     """Sup of the pointwise norm of the xi <= 1 band of the field on ``m``
     cells of width ``dx`` whose real FFT is ``what``, computed eagerly: the
-    whole spectrum with the high band zeroed, transformed back on every
-    cell."""
+    whole spectrum with the high band zeroed, as Fourier coefficients
+    (bins over ``m``), transformed back on every cell."""
     high = 2.0 * np.pi * np.arange(what.shape[1]) / (m * dx) > 1.0
-    w_low = np.fft.irfft(what * ~high, n=m, axis=1)
+    w_low = np.fft.irfft(what * ~high / m, n=m, axis=1, norm="forward")
     return float(np.sqrt(np.sum(w_low ** 2, axis=0)).max())
 
 

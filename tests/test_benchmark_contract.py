@@ -8,11 +8,14 @@ CSV or summary schema or values would otherwise only show when the
 benchmark runs.  The micro-layers and the tracer time the norm layer
 through the call a run makes, so a change to the shapes it is passed
 would otherwise time code that no run executes.  The benchmark's modules
-are loaded from their files, unchanged.
+are loaded from their files, unchanged, and its own self-tests run here
+too, since they pin outputs bit for bit that the checks here compare to a
+tolerance.
 """
 
 import importlib.util
 import math
+import subprocess
 import sys
 from pathlib import Path
 
@@ -69,6 +72,16 @@ def test_shipped_outputs_pass_the_gate(gate_and_reference, tmp_path, name):
     check = gate.check_output(reference.get(f"shipped/{name}"), csv_path, summary_path)
     assert check.ok, check.problems
 
+
+def test_benchmark_self_tests_pass():
+    # ``perfbench/test_perfbench.py`` requires the recorded outputs bit for
+    # bit (``test_gate_passes_recorded_output``), where the gate above
+    # allows a relative 1e-10
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "perfbench"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def test_norm_calls_carry_the_shapes_the_benchmark_times(monkeypatch, tmp_path):

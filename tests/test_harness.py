@@ -86,6 +86,19 @@ STEPPING_REJECTIONS = [
     ("box", _box_bumps, "calibrate: reference calibration needs gaussian bumps"),
     ("zero", _zero_amplitudes, "initial data is zero on the grid"),
     ("overflow", _overflowing_data, "initial data is not finite on the grid"),
+    # speeds far from 1: one that rounds to 0 as a small fraction, and a
+    # time step too short for the run's steps to be counted
+    (
+        "slow_speeds",
+        _set("system", a=[[0.0, 1e-300], [1e-300, 0.0]]),
+        "speeds: -9.999999999999999e-301 is not a ratio of small integers; "
+        "exact shifting needs commensurate speeds",
+    ),
+    (
+        "fast_speeds",
+        _set("system", a=[[0.0, 1e300], [1e300, 0.0]]),
+        "t_final: 1.2e+303 time steps of 1e-302 are more than a run can count",
+    ),
 ]
 FULLSPACE_REJECTIONS = [
     ("no_cells", _set("domain", n_cells=0), "n_cells: need at least 16, got 0"),
@@ -902,6 +915,23 @@ class TestExport:
         }
         assert blob["shifts"] == [-1, 1]
 
+    @pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.json")))
+    def test_shipped_runs_end_at_t_final(self, name):
+        result = harness.run_scenario(harness.load_scenario(SCENARIOS / f"{name}.json"))
+        assert result.series.times[-1] == result.scenario.t_final
+        assert harness.summarize(result)["time_snap_error"] == 0.0
+
+    def test_time_snap_error_is_the_distance_to_the_last_sample(self, tmp_path):
+        # the run takes whole steps of 0.01, so it ends at 4.01, not 4.0123
+        raw = json.loads((SCENARIOS / "probe_scalar.json").read_text())
+        raw["time"]["t_final"] = 4.0123
+        result = harness.run_scenario(harness.load_scenario(_write(tmp_path, raw)))
+        summary = harness.summarize(result)
+        assert summary["t_final"] == 4.0123
+        assert result.series.times[-1] == pytest.approx(4.01, rel=1e-15)
+        assert summary["time_snap_error"] == 4.0123 - result.series.times[-1]
+        assert summary["time_snap_error"] == pytest.approx(0.0023, rel=1e-12)
+
 
 def _strict_json(text: str):
     """``text`` parsed as RFC 8259 JSON, which has no NaN or Infinity."""
@@ -1404,30 +1434,6 @@ class TestCli:
         assert code == 2
         assert "initial_data.bumps[0].amplitude: expected a finite number" in out
         assert "envelopes hold" not in out
-
-
-def _scaled(scenario: harness.Scenario, k: int) -> harness.Scenario:
-    bumps = tuple(
-        dataclasses.replace(b, amplitude=math.ldexp(b.amplitude, k)) for b in scenario.data.bumps
-    )
-    return dataclasses.replace(scenario, data=dataclasses.replace(scenario.data, bumps=bumps))
-
-
-class TestScaleFree:
-    """The system is linear: data scaled by 2**k gives norms scaled by
-    exactly 2**k and the same summary, far past the range where squaring
-    the raw field would overflow or underflow."""
-
-    @pytest.mark.parametrize("name", ["probe_421", "damped_wave"])
-    def test_norms_scale_exactly_with_the_data(self, name):
-        scenario = harness.load_scenario(SCENARIOS / f"{name}.json")
-        base = harness.run_scenario(scenario)
-        for k in (-1000, -600, 600, 1000):
-            result = harness.run_scenario(_scaled(scenario, k))
-            for column in (*norms.NORM_COLUMNS, "comp_l2", "linf_low"):
-                expected = np.ldexp(getattr(base.series, column), k)
-                assert np.array_equal(getattr(result.series, column), expected), (k, column)
-            assert harness.summarize(result) == harness.summarize(base), k
 
 
 def _non_finite(node, key=None) -> list:

@@ -27,7 +27,18 @@ c and ``dd`` over c give the same cell values on cells c times as wide,
 so the pointwise sup is unchanged, ``l1`` scales by c and ``l2_total``
 and the component norms by c**(1/2), exactly for even k.  The band norms
 and the rate scan do not scale under lengths: the band split (wavenumber
-1) and the scan range (wavenumbers 1 to 100) are fixed wavenumbers.
+1) and the scan range (wavenumbers 1 to 100) are fixed wavenumbers; the
+reference box the envelope constants are calibrated on does scale, with
+as many points at every k.
+
+Amplitude: the system is linear, so data times 2**k give norms times
+2**k exactly and the same summary, also near both ends of the float
+range, where squaring the raw field, or summing its Fourier coefficients
+unscaled, would overflow or underflow.
+
+Probe coherence: a conservation probe's box rides one characteristic
+inside its stripe until the predicted onset, so no damped cell holds any
+of it and ``plateau_min`` is 1 to the rounding of the energy sums.
 
 Lossless limit: one stripe spanning the domain leaves no cell damped, so
 the shifts only move values and ``l2_total`` is conserved to rounding.
@@ -37,6 +48,7 @@ import copy
 import functools
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +82,16 @@ LOSSLESS_DRAWS = 8
 # Largest change of ``l2_total`` allowed over a lossless run, over its
 # initial value.
 LOSSLESS_RTOL = 1e-14
+# Data scales 2**k of the amplitude property, out to the top and the
+# bottom of the float range, past where squaring the raw field would
+# overflow or underflow.
+AMPLITUDE_EXPONENTS = (-1000, -600, 600, 1020)
+# Length scales 2**k of the calibration box property.
+BOX_EXPONENTS = range(-20, 5)
+# Hypothesis draws of the probe coherence property, and the largest
+# distance of a probe's ``plateau_min`` from 1 allowed.
+PROBE_DRAWS = 30
+PLATEAU_ATOL = 1e-14
 
 
 def mirrored(raw: dict) -> dict:
@@ -126,10 +148,23 @@ def length_scaled(raw: dict, k: int) -> dict:
     return out
 
 
-def _run(tmp_path: Path, raw: dict, label: str) -> harness.ScenarioResult:
+def amplitude_scaled(raw: dict, k: int) -> dict:
+    """The scenario document ``raw`` with every bump's amplitude times
+    2**k."""
+    out = copy.deepcopy(raw)
+    for bump in out["initial_data"]["bumps"]:
+        bump["amplitude"] = math.ldexp(bump["amplitude"], k)
+    return out
+
+
+def _load(tmp_path: Path, raw: dict, label: str) -> harness.Scenario:
     path = tmp_path / f"{label}.json"
     path.write_text(json.dumps(raw))
-    return harness.run_scenario(harness.load_scenario(path))
+    return harness.load_scenario(path)
+
+
+def _run(tmp_path: Path, raw: dict, label: str) -> harness.ScenarioResult:
+    return harness.run_scenario(_load(tmp_path, raw, label))
 
 
 @functools.lru_cache(maxsize=None)
@@ -242,9 +277,9 @@ def assert_rate_scaling(base: harness.ScenarioResult, image: harness.ScenarioRes
         assert np.array_equal(getattr(b, name), getattr(a, name)), name
     assert np.array_equal(b.comp_l2, a.comp_l2)
     sa, sb = harness.summarize(base), harness.summarize(image)
-    exact = {"dx": 1.0, "dt": 1 / c, "stripe_snap_error": 1.0, "residence_bound": 1 / c,
-             "probe_speed": c, "probe_t_pred": 1 / c, "probe_onset": 1 / c,
-             "probe_plateau_min": 1.0}
+    exact = {"dx": 1.0, "dt": 1 / c, "stripe_snap_error": 1.0, "time_snap_error": 1 / c,
+             "residence_bound": 1 / c, "probe_speed": c, "probe_t_pred": 1 / c,
+             "probe_onset": 1 / c, "probe_plateau_min": 1.0}
     assert _scaled_summary(sa, exact) == {key: sb[key] for key in _scaled_summary(sa, exact)}
     # The scan's eigenvalues, and so the rate and the constants fitted with
     # it, may differ in the last bits; t**(1/2) is exact for even k only.
@@ -268,7 +303,7 @@ def assert_length_scaling(base: harness.ScenarioResult, image: harness.ScenarioR
     assert np.array_equal(b.l2_total, a.l2_total * root_c)
     assert np.array_equal(b.comp_l2, a.comp_l2 * root_c)
     sa, sb = harness.summarize(base), harness.summarize(image)
-    exact = {"dx": c, "dt": c, "stripe_snap_error": c, "residence_bound": c,
+    exact = {"dx": c, "dt": c, "stripe_snap_error": c, "time_snap_error": c, "residence_bound": c,
              "probe_speed": 1.0, "probe_t_pred": c, "probe_onset": c, "probe_plateau_min": 1.0}
     assert _scaled_summary(sa, exact) == {key: sb[key] for key in _scaled_summary(sa, exact)}
     keys = ("validation_ok", "checks", "envelope_checked", "probe_within_one_stride", "shifts",
@@ -302,6 +337,72 @@ class TestUnits:
         assert_rate_scaling(base, _run(tmp_path, rate_scaled(raw, k), "rates"), k)
         k = data.draw(st.sampled_from([-2, 2, 4]))
         assert_length_scaling(base, _run(tmp_path, length_scaled(raw, k), "lengths"), k)
+
+    @pytest.mark.parametrize("k", BOX_EXPONENTS)
+    def test_calibration_box_scales_with_lengths(self, tmp_path, monkeypatch, k):
+        # the same points, c times as far apart, on the shipped envelope
+        # scenarios; the box is read where the reference would be run, so
+        # no reference is evolved
+        c = math.ldexp(1.0, k)
+        for raw, base in _shipped():
+            if raw["kind"] == "verify-envelope":
+                image = _load(tmp_path, length_scaled(raw, k), "image")
+                x = reference_box(monkeypatch, image, base.series.times * c, base.scan)
+                x0 = reference_box(monkeypatch, base.scenario, base.series.times, base.scan)
+                assert x.size == x0.size, (raw["name"], x.size, x0.size)
+                assert np.array_equal(x, x0 * c), raw["name"]
+
+
+class _ReferenceBox(Exception):
+    def __init__(self, x: np.ndarray):
+        self.x = x
+
+
+def reference_box(monkeypatch, scenario: harness.Scenario, times, scan) -> np.ndarray:
+    """The points ``harness.calibrate`` would run the constant-damping
+    reference of ``scenario`` on, for trajectory ``times`` and the rate of
+    ``scan``."""
+    def stop(sys, data, x, times):
+        raise _ReferenceBox(x)
+
+    monkeypatch.setattr(harness, "_reference", stop)
+    with pytest.raises(_ReferenceBox) as box:
+        harness.calibrate(scenario.system, scenario.data, times, scan)
+    return box.value.x
+
+
+class TestAmplitude:
+    @pytest.mark.parametrize("k", AMPLITUDE_EXPONENTS)
+    def test_shipped_scenarios(self, tmp_path, k):
+        for raw, base in _shipped():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                image = _run(tmp_path, amplitude_scaled(raw, k), "image")
+            for name in (*NORM_COLUMNS, "comp_l2", "linf_low"):
+                expected = np.ldexp(getattr(base.series, name), k)
+                assert np.array_equal(getattr(image.series, name), expected), (raw["name"], name)
+            assert harness.summarize(image) == harness.summarize(base), raw["name"]
+
+
+class TestProbeCoherence:
+    def test_shipped_probes(self):
+        for raw, base in _shipped():
+            if raw["kind"] == "conservation-probe":
+                assert abs(base.probe.plateau_min - 1.0) <= PLATEAU_ATOL, raw["name"]
+
+    @settings(
+        max_examples=PROBE_DRAWS,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_drawn_probes(self, tmp_path, data):
+        raw = data.draw(dyadic_probe_scenarios())
+        probe = _run(tmp_path, raw, "probe").probe
+        assert probe.t_pred < raw["time"]["t_final"]
+        assert abs(probe.plateau_min - 1.0) <= PLATEAU_ATOL, (raw, probe)
 
 
 def lossless(raw: dict) -> dict:
@@ -350,17 +451,8 @@ def dyadic_physical_scenarios(draw) -> dict:
     geometry is exact.  The speeds are whole numbers in a random
     orthogonal basis and the domain holds the data's 9-sigma support
     carried by the fastest speed for the whole run."""
-    n = draw(st.integers(1, 3))
-    speeds = draw(
-        st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]), min_size=n, max_size=n, unique=True)
-    )
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    a = q @ np.diag(np.array(speeds, dtype=float)) @ q.T
-    n1 = draw(st.integers(0, n - 1))
-    g = rng.standard_normal((n - n1, n - n1))
-    dd = g @ g.T + (0.3 + rng.random()) * np.eye(n - n1)
-
+    speeds, system = draw(whole_speed_systems())
+    n = len(speeds)
     dx = 2.0 ** -draw(st.integers(2, 5))
     width = draw(st.integers(4, 10))  # cells per sigma
     steps = draw(st.integers(20, 150))
@@ -385,9 +477,72 @@ def dyadic_physical_scenarios(draw) -> dict:
     return {
         "name": "drawn",
         "kind": draw(st.sampled_from(["verify-envelope", "fullspace"])),
-        "system": {"a": a.tolist(), "n1": n1, "dd": dd.tolist()},
+        "system": system,
         "region": {"stripes": [[lo * dx, hi * dx] for lo, hi in stripe_cells]},
         "domain": {"x_min": -half * dx, "x_max": half * dx, "n_cells": 2 * half},
         "time": {"t_final": steps * dx, "stride": draw(st.integers(1, 20))},
         "initial_data": {"basis": "physical", "bumps": bumps},
+    }
+
+
+@st.composite
+def whole_speed_systems(draw) -> tuple[list[int], dict]:
+    """Distinct whole speeds of 1 to 3 components, in increasing order, and
+    a system document with those speeds in a random orthogonal basis and
+    coercive damping on a random trailing block."""
+    n = draw(st.integers(1, 3))
+    speeds = draw(
+        st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]), min_size=n, max_size=n, unique=True)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = q @ np.diag(np.array(speeds, dtype=float)) @ q.T
+    n1 = draw(st.integers(0, n - 1))
+    g = rng.standard_normal((n - n1, n - n1))
+    dd = g @ g.T + (0.3 + rng.random()) * np.eye(n - n1)
+    return sorted(speeds), {"a": a.tolist(), "n1": n1, "dd": dd.tolist()}
+
+
+@st.composite
+def dyadic_probe_scenarios(draw) -> dict:
+    """A conservation probe on cells of width 2**-p: a box of whole cells
+    on one characteristic component, inside a stripe whose edges are cell
+    edges, maybe beside a second stripe, run past the time its leading
+    edge reaches the stripe's downstream edge, on a domain that holds
+    whatever the fastest speed carries over the run."""
+    speeds, system = draw(whole_speed_systems())
+    component = draw(st.integers(0, len(speeds) - 1))
+    speed = speeds[component]
+    dx = 2.0 ** -draw(st.integers(2, 5))
+    box = draw(st.integers(2, 12))
+    # stripe cells ahead of the box's leading edge and behind its trailing one
+    lead, trail = draw(st.integers(0, 80)), draw(st.integers(0, 20))
+    width = box + lead + trail
+    left = trail if speed > 0 else lead  # the box's first cell in the stripe
+    steps = lead // abs(speed) + draw(st.integers(1, 40))  # run length in dx / speed 1
+    margin = max(abs(v) for v in speeds) * steps + 24
+    stripe_cells = [(0, width)]
+    if draw(st.booleans()):
+        gap, other = draw(st.integers(1, 8)), draw(st.integers(2, 12))
+        side = draw(st.sampled_from([-1, 1]))
+        start = width + gap if side > 0 else -gap - other
+        stripe_cells.append((start, start + other))
+    return {
+        "name": "drawn_probe",
+        "kind": "conservation-probe",
+        "system": system,
+        "region": {"stripes": [[lo * dx, hi * dx] for lo, hi in sorted(stripe_cells)]},
+        "domain": {"x_min": -margin * dx, "x_max": (width + margin) * dx,
+                   "n_cells": width + 2 * margin},
+        "time": {"t_final": steps * dx, "stride": draw(st.integers(1, 5))},
+        "initial_data": {
+            "basis": "characteristic",
+            "bumps": [{
+                "kind": "box",
+                "component": component,
+                "center": (left + 0.5 * box) * dx,
+                "width": box * dx,
+                "amplitude": draw(st.sampled_from([0.3, 1.0, 1.7])),
+            }],
+        },
     }

@@ -74,6 +74,13 @@ class TestRationalShifts:
         with pytest.raises(GridError, match="zero speed"):
             rational_shifts([0.0, 1.0])
 
+    @pytest.mark.parametrize("lams", [[1e-300], [-1e-10, 1.0], [5e-324, 2.0]])
+    def test_speed_that_rounds_to_zero_rejected(self, lams):
+        # within the absolute tolerance of 0, but a fraction 0 gives no
+        # shift and, alone, no common unit
+        with pytest.raises(GridError, match="not a ratio of small integers"):
+            rational_shifts(lams)
+
 
 # Nonzero speeds p/q with small p and q: commensurate by construction.
 SPEED_FRACTIONS = st.builds(
@@ -358,6 +365,12 @@ class TestSampleSteps:
             sample_steps(1e-6, 0.125, 1)
         with pytest.raises(ValueError, match="stride"):
             sample_steps(1.0, 0.125, 0)
+
+    @pytest.mark.parametrize("dt", [1e-302, 5e-324])
+    def test_uncountable_step_count_rejected(self, dt):
+        # 1.2e303 steps, and at the smallest dt infinitely many
+        with pytest.raises(ValueError, match=r"^t_final: \S+ time steps of \S+ are more than"):
+            sample_steps(12.0, dt, 5)
 
 
 class TestRun:
