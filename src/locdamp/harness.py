@@ -17,7 +17,7 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -486,17 +486,20 @@ def _check_energy(series: NormSeries, validation: ValidationReport) -> None:
 
 
 def _run_fullspace(s: Scenario) -> NormSeries:
-    grid = solver.build_grid(s.system.eigs, s.region, s.x_min, s.x_max, s.n_cells)
-    steps = solver.sample_steps(s.t_final, grid.dt, s.stride)
-    x = grid.x_min + grid.dx * np.arange(grid.n_cells)
-    return _reference(s.system, s.data, x, [k * grid.dt for k in steps])
+    """The reference run on the stepping grid's cells and sample times; the
+    stripes are not stepped, so only the default resolution reads them."""
+    n_cells, dx, v_unit, _ = solver.lay_out(s.system.eigs, s.region, s.x_min, s.x_max, s.n_cells)
+    dt = dx / v_unit
+    steps = solver.sample_steps(s.t_final, dt, s.stride)
+    x = s.x_min + dx * np.arange(n_cells)
+    return _reference(s.system, s.data, x, (k * dt for k in steps))
 
 
 def _reference(
     sys: HyperbolicSystem,
     data: solver.InitialDataSpec,
     x: np.ndarray,
-    times: list[float],
+    times: Iterable[float],
 ) -> NormSeries:
     """Constant-damping reference run of ``data`` sampled on the uniform
     grid ``x``, given in either basis, mapped to physical components;

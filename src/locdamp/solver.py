@@ -11,6 +11,7 @@ approximated silently.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -83,7 +84,24 @@ def default_cell_count(region: UndampedRegion, x_min: float, x_max: float) -> in
     return int(np.ceil((x_max - x_min) / dx))
 
 
-def sample_steps(t_final: float, dt: float, stride: int) -> list[int]:
+@dataclass(frozen=True)
+class SampleSteps:
+    """Step counts a run samples at: each of ``every``, then ``last``.  Held
+    as a ``range`` and one step, so a run that stops early has not counted
+    out the rest."""
+
+    every: range
+    last: int
+
+    def __len__(self) -> int:
+        return len(self.every) + 1
+
+    def __iter__(self) -> Iterator[int]:
+        yield from self.every
+        yield self.last
+
+
+def sample_steps(t_final: float, dt: float, stride: int) -> SampleSteps:
     """Step counts a run samples at: 0, every ``stride`` steps, and the last
     step, the whole number of steps nearest ``t_final``; no more steps than
     a Python ``range`` can count."""
@@ -98,7 +116,7 @@ def sample_steps(t_final: float, dt: float, stride: int) -> list[int]:
     n_total = int(round(steps))
     if n_total < 1:
         raise ValueError("t_final: shorter than one time step")
-    return [*range(0, n_total, stride), n_total]
+    return SampleSteps(range(0, n_total, stride), n_total)
 
 
 @dataclass(frozen=True)
@@ -124,6 +142,32 @@ class Grid:
         return BandSplit.of(self.n_cells, self.dx)
 
 
+def lay_out(
+    eigs: EigenStructure,
+    region: UndampedRegion,
+    x_min: float,
+    x_max: float,
+    n_cells: int | None = None,
+) -> tuple[int, float, float, np.ndarray]:
+    """Cut the domain into cells and lock the time step to the speeds.
+
+    Returns ``(n_cells, dx, v_unit, shifts)``: a step of ``dx / v_unit``
+    moves characteristic i by ``shifts[i]`` whole cells.  The stripes of
+    ``region`` are read only for the default resolution, 200 cells across
+    the narrowest one.
+    """
+    x_min, x_max = float(x_min), float(x_max)
+    if not x_min < x_max:
+        raise GridError(f"domain: need x_min < x_max, got [{x_min}, {x_max}]")
+    if n_cells is None:
+        n_cells = default_cell_count(region, x_min, x_max)
+    n_cells = int(n_cells)
+    if n_cells < 16:
+        raise GridError(f"n_cells: need at least 16, got {n_cells}")
+    v_unit, shifts = rational_shifts(eigs.lambdas)
+    return n_cells, (x_max - x_min) / n_cells, v_unit, shifts
+
+
 def build_grid(
     eigs: EigenStructure,
     region: UndampedRegion,
@@ -137,19 +181,11 @@ def build_grid(
     cell); the damping mask is decided by cell centers, which cannot sit
     on a snapped edge.
     """
+    n_cells, dx, v_unit, shifts = lay_out(eigs, region, x_min, x_max, n_cells)
     x_min, x_max = float(x_min), float(x_max)
-    if not x_min < x_max:
-        raise GridError(f"domain: need x_min < x_max, got [{x_min}, {x_max}]")
     lo, hi = region.bounds
     if lo < x_min or hi > x_max:
         raise GridError("domain: undamped region must lie inside the domain")
-    if n_cells is None:
-        n_cells = default_cell_count(region, x_min, x_max)
-    n_cells = int(n_cells)
-    if n_cells < 16:
-        raise GridError(f"n_cells: need at least 16, got {n_cells}")
-    dx = (x_max - x_min) / n_cells
-    v_unit, shifts = rational_shifts(eigs.lambdas)
     dt = dx / v_unit
 
     snapped = []
@@ -219,9 +255,9 @@ class Bump:
 
     @property
     def half_extent(self) -> float:
-        # Gaussian tails beyond 8 sigma are treated as zero where a support
-        # is needed: the reference calibration's box and the probe's
-        # predicted onset.
+        # A gaussian is zero beyond 8 sigma, where it is below e^-32 of its
+        # amplitude: the sampler, the reference calibration's box and the
+        # probe's predicted onset share this support.
         if self.kind == "gaussian":
             return 8.0 * self.width
         if self.kind == "box":
@@ -231,7 +267,8 @@ class Bump:
     def profile(self, xs: np.ndarray) -> np.ndarray:
         z = xs - self.center
         if self.kind == "gaussian":
-            return self.amplitude * np.exp(-0.5 * (z / self.width) ** 2)
+            bell = self.amplitude * np.exp(-0.5 * (z / self.width) ** 2)
+            return np.where(np.abs(z) <= self.half_extent, bell, 0.0)
         if self.kind == "box":
             return np.where(np.abs(z) <= 0.5 * self.width, self.amplitude, 0.0)
         arch = np.cos(0.5 * np.pi * z / self.width) ** 2
@@ -360,7 +397,7 @@ def run(
 
     def sampled() -> Iterator[np.ndarray]:
         yield w
-        for start, stop in zip(steps, steps[1:]):
+        for start, stop in itertools.pairwise(steps):
             code = kernels.advance(
                 w, grid.shifts, damp_half, grid.damp_mask, stop - start, 1,
                 guard, guard_tol,

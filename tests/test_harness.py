@@ -76,6 +76,13 @@ def _overflowing_data(raw: dict) -> None:
     raw["initial_data"]["bumps"] = [bump, dict(bump)]
 
 
+def _narrow_bumps(raw: dict) -> None:
+    # widths of 1/20 of a cell, centred on cell edges: the nearest cell
+    # centres lie 10 widths out, beyond a gaussian's support
+    for bump in raw["initial_data"]["bumps"]:
+        bump["width"] = 0.0005
+
+
 def _set(section: str, **values):
     return lambda raw: raw[section].update(values)
 
@@ -85,6 +92,7 @@ STEPPING_REJECTIONS = [
     ("edge", _long_run, "mass reached the edge guard band near t = 15.23; enlarge the domain or shorten the run"),
     ("box", _box_bumps, "calibrate: reference calibration needs gaussian bumps"),
     ("zero", _zero_amplitudes, "initial data is zero on the grid"),
+    ("narrow", _narrow_bumps, "initial data is zero on the grid"),
     ("overflow", _overflowing_data, "initial data is not finite on the grid"),
     # speeds far from 1: one that rounds to 0 as a small fraction, and a
     # time step too short for the run's steps to be counted
@@ -111,6 +119,13 @@ FULLSPACE_REJECTIONS = [
     ("short_run", _set("time", t_final=1e-6), "t_final: shorter than one time step"),
     ("zero", _zero_amplitudes, "initial data is zero on the grid"),
     ("overflow", _overflowing_data, "initial data is not finite on the grid"),
+    # the sample times still come from the stepping grid's time lock
+    (
+        "incommensurate_speeds",
+        _set("system", a=[[0.1, 1.0], [1.0, 0.0]]),
+        "speeds: -0.9512492197250392 is not a ratio of small integers; "
+        "exact shifting needs commensurate speeds",
+    ),
 ]
 
 
@@ -1400,6 +1415,22 @@ class TestCli:
         assert captured.out.splitlines() == [f"error: {message}"]
         assert captured.err == ""
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("stripes", [[[200.0, 201.0]], [[0.0, 0.01]]], ids=["outside", "narrow"])
+    def test_fullspace_reads_no_stripes(self, tmp_path, stripes):
+        # a stripe outside the domain, and one narrower than a cell
+        raw = json.loads((SCENARIOS / "fullspace_damped_wave.json").read_text())
+        raw["region"]["stripes"] = stripes
+        runs = [
+            cli.main(["simulate", str(path), "--out", str(out)])
+            for path, out in [
+                (SCENARIOS / "fullspace_damped_wave.json", tmp_path / "shipped"),
+                (_write(tmp_path, raw), tmp_path / "edited"),
+            ]
+        ]
+        assert runs == [0, 0]
+        csv = [(tmp_path / d / harness.CSV_NAME).read_bytes() for d in ("shipped", "edited")]
+        assert csv[0] == csv[1]
 
     def test_simulate_zero_probe_exits_2(self, tmp_path, capsys):
         raw = _good_raw()

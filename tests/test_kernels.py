@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import cone_cells, counting_cells, near_bumps
 from locdamp import harness, kernels, solver
 from locdamp.chartimes import UndampedRegion
 from locdamp.model import HyperbolicSystem
@@ -30,6 +31,11 @@ STEPPING_SCENARIOS = sorted(
     p.name
     for p in SCENARIO_DIR.glob("*.json")
     if harness.load_scenario(p).kind != "fullspace"
+)
+ENVELOPE_SCENARIOS = sorted(
+    p.name
+    for p in SCENARIO_DIR.glob("*.json")
+    if harness.load_scenario(p).kind == "verify-envelope"
 )
 
 
@@ -385,6 +391,23 @@ class TestWindowedKernel:
         cone_hi = hi + steps * max(max(shifts), 0)
         assert not v[:, :cone_lo].any() and not v[:, cone_hi:].any()
         assert v[:, cone_lo:cone_hi].any()
+
+
+class TestLightCone:
+    @pytest.mark.parametrize("name", ENVELOPE_SCENARIOS)
+    def test_cells_touched_stay_in_the_cone_of_the_support(self, name):
+        # gaussian data are zero beyond 8 widths, so the kernel steps no
+        # cell outside the light cone of the cells within 8 widths of a bump
+        scenario = harness.load_scenario(SCENARIO_DIR / name)
+        with counting_cells() as count:
+            traj = _run_shipped(name)
+        grid = traj.grid
+        cols = np.flatnonzero(near_bumps(scenario.data.bumps, grid.centers))
+        steps = solver.sample_steps(scenario.t_final, grid.dt, scenario.stride).last
+        cone = cone_cells(
+            scenario.system.n, grid.n_cells, cols[0], cols[-1] + 1, grid.shifts, steps
+        )
+        assert 0 < count.cells <= cone
 
 
 def _energy(v):

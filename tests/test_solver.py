@@ -7,15 +7,18 @@ stripe outside the light cone of the data.
 """
 
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import damped_wave_system, random_valid_system, three_speed_system
+from helpers import damped_wave_system, near_bumps, random_valid_system, three_speed_system
+from locdamp import harness
 from locdamp.chartimes import UndampedRegion
 from locdamp.model import HyperbolicSystem, diagonalize
 from locdamp.solver import (
@@ -34,6 +37,13 @@ from locdamp.solver import (
 )
 from locdamp.norms import BandSplit, freq_split, low_band_sup
 from locdamp.spectral import fullspace_evolve
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+GAUSSIAN_SCENARIOS = sorted(
+    p.stem
+    for p in SCENARIOS.glob("*.json")
+    if all(b.kind == "gaussian" for b in harness.load_scenario(p).data.bumps)
+)
 
 
 class TestRationalShifts:
@@ -216,6 +226,24 @@ class TestBump:
         assert b.profile(np.array([1.5]))[0] == pytest.approx(np.exp(-0.5))
         assert b.half_extent == 4.0
 
+    def test_gaussian_is_zero_beyond_eight_widths(self):
+        b = Bump(kind="gaussian", component=0, center=0.0, width=0.5, amplitude=3.0)
+        edges = np.array([-4.0, 4.0])
+        inside = np.concatenate([edges, np.linspace(-4.0, 4.0, 801)])
+        outside = np.concatenate([np.nextafter(edges, [-np.inf, np.inf]), [-10.0, 10.0]])
+        z = inside / 0.5
+        assert np.array_equal(b.profile(inside), 3.0 * np.exp(-0.5 * z ** 2))
+        assert b.profile(edges).min() > 0.0
+        assert not b.profile(outside).any()
+
+    @pytest.mark.parametrize("name", GAUSSIAN_SCENARIOS)
+    def test_shipped_gaussians_sample_on_their_support(self, name):
+        s = harness.load_scenario(SCENARIOS / f"{name}.json")
+        grid = build_grid(s.system.eigs, s.region, s.x_min, s.x_max, s.n_cells)
+        u = s.data.sample(grid.centers, s.system.n)
+        assert np.abs(u[u != 0.0]).min() >= np.finfo(float).tiny  # no subnormal
+        assert np.array_equal(u.any(axis=0), near_bumps(s.data.bumps, grid.centers))
+
     def test_box(self):
         b = Bump(kind="box", component=0, center=0.0, width=2.0, amplitude=3.0)
         vals = b.profile(np.array([-1.01, -0.99, 0.0, 0.99, 1.01]))
@@ -351,20 +379,37 @@ class TestPureTransport:
 
 class TestSampleSteps:
     def test_stride_divides_the_run(self):
-        assert sample_steps(2.0, 0.02, 50) == [0, 50, 100]
+        assert list(sample_steps(2.0, 0.02, 50)) == [0, 50, 100]
 
     def test_short_last_chunk_kept(self):
         # 1.0 / 0.125 = 8 steps, sampled every 3
-        assert sample_steps(1.0, 0.125, 3) == [0, 3, 6, 8]
+        assert list(sample_steps(1.0, 0.125, 3)) == [0, 3, 6, 8]
 
     def test_stride_longer_than_run(self):
-        assert sample_steps(1.0, 0.125, 10**9) == [0, 8]
+        assert list(sample_steps(1.0, 0.125, 10**9)) == [0, 8]
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="t_final: shorter than one time step"):
             sample_steps(1e-6, 0.125, 1)
         with pytest.raises(ValueError, match="stride"):
             sample_steps(1.0, 0.125, 0)
+
+    def test_run_stopped_early_holds_no_schedule(self):
+        # speeds of 1e4 sample 2.4 million steps, but the bumps reach the
+        # edge guard band after about 1500
+        s = harness.load_scenario(SCENARIOS / "damped_wave.json")
+        system = HyperbolicSystem(a=1e4 * s.system.a, n1=s.system.n1, dd=s.system.dd)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BoundaryError):
+                run(
+                    system, s.region, s.data, x_min=s.x_min, x_max=s.x_max,
+                    t_final=s.t_final, stride=s.stride, n_cells=s.n_cells,
+                )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
     @pytest.mark.parametrize("dt", [1e-302, 5e-324])
     def test_uncountable_step_count_rejected(self, dt):
