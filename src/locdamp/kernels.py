@@ -5,24 +5,51 @@ by a whole number of cells with zero inflow, an edge-band guard, then the
 second half-relax.
 
 Work is confined to the light cone of the initial nonzero columns: the
-kernel keeps a half-open column window outside which ``v`` is exactly
-zero, relaxes and shifts only inside it, and widens it after each shift
-by the largest left and right shift.  A field that fills the domain gives
-the full-width window.  A half-relaxation is one matrix product over the
-whole window, written back on its damped cells only; a column rounds
+kernel keeps a half-open column window ``[lo, hi)`` outside which ``v``
+is exactly zero, and relaxes and shifts only inside it.  Row i moves
+``shifts[i]`` cells, so after a step the window is ``[lo + min(shifts),
+hi + max(shifts))`` clipped to the grid: the cone follows the data on
+both sides, and a cell-local relaxation cannot spread it.  The window is
+run state (``Cone``): a run builds it once from its first field and hands
+it to every call, which starts from it and writes back where it ended,
+along with the cells it touched; without one a call scans ``v`` for it.
+A field that fills the domain gives the full-width window.
+
+A row is shifted by one copy over the union of its old and new window,
+which reads the zeros beside the window, so no zero fill is needed but
+for inflow at a grid edge.  A half-relaxation is one matrix product over
+the whole window, written back on its damped cells only; a column rounds
 the same in any product of two or more columns, so this gives the bits
 of a product over the damped cells alone.  A step's second half and the
 next step's first act on the same window, so within one call they run
 as two products back to back with one write-back: a column of a product
 depends only on the same column of its input, so the damped columns come
-out as two write-backs would leave them.  The guard scans an edge
-band only once the window reaches it: outside the window every entry is
-zero and cannot trip it.
+out as two write-backs would leave them.  The guard scans an edge band
+only once the window reaches it: outside the window every entry is zero
+and cannot trip it.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
+
+
+@dataclass
+class Cone:
+    """The light-cone window ``[lo, hi)`` of a field, outside which it is
+    exactly zero (empty when ``lo == hi``), and the cells stepped so far:
+    rows times window width, summed over the steps taken."""
+
+    lo: int
+    hi: int
+    cells: int = 0
+
+    @classmethod
+    def of(cls, v: np.ndarray) -> Cone:
+        """The window of the nonzero columns of ``v``, by one scan."""
+        return cls(*_nonzero_window(v))
 
 
 def _nonzero_window(v: np.ndarray) -> tuple[int, int]:
@@ -44,10 +71,24 @@ def _relax(
         # which rounds unlike the same column of a wider product, so widen
         # the window into a zero column at whichever end the grid allows
         lo, hi = (lo, hi + 1) if hi < v.shape[1] else (lo - 1, hi)
-    w = v[:, lo:hi]
+    window = w = v[:, lo:hi]
     for _ in range(halves):
         w = damp_half @ w
-    np.copyto(v[:, lo:hi], w, where=damped[lo:hi])
+    np.copyto(window, w, where=damped[lo:hi])
+
+
+def _shift_at_edge(row: np.ndarray, s: int, a: int, b: int) -> None:
+    """``row[x] = row[x - s]`` for x in ``[a, b)``, a range on the grid,
+    with zero inflow: zero where ``x - s`` lies off the grid."""
+    c, d = max(a, s), min(b, row.size + s)
+    if c < d:
+        row[c:d] = row[c - s:d - s]
+        if a < c:
+            row[a:c] = 0.0
+        if d < b:
+            row[d:b] = 0.0
+    else:
+        row[a:b] = 0.0
 
 
 def advance(
@@ -59,49 +100,65 @@ def advance(
     apply_damping: int,
     guard_cells: int,
     guard_tol: float,
+    cone: Cone | None = None,
 ) -> int:
     """Run ``n_steps`` split steps on ``v`` (components × cells) in place.
 
     Returns 0 on completion, or the 1-based step index at which some entry
     within ``guard_cells`` of either edge exceeded ``guard_tol >= 0`` in
     magnitude (checked after the shift, before the second half-relax).
+    ``mask`` is true (nonzero) where damping acts.  ``cone``, when given,
+    holds the window of ``v`` and is left holding the window of the result
+    and the cells stepped; without it the window is found by a scan.
     """
-    m = v.shape[1]
-    damped = mask != 0
+    if cone is None:
+        cone = Cone.of(v)
+    n, m = v.shape
+    damped = mask if mask.dtype == np.bool_ else mask != 0
     relax = bool(apply_damping) and bool(damped.any())
     moves = [int(s) for s in shifts]
-    row_shifts = [(i, s) for i, s in enumerate(moves) if s != 0]
-    grow_left, grow_right = min(0, *moves), max(0, *moves)
+    # each moving row with the cells its window gains on the left (a
+    # negative shift) and on the right (a positive one)
+    rows = [(v[i], s, min(s, 0), max(s, 0)) for i, s in enumerate(moves) if s != 0]
+    grow_left, grow_right = min(moves), max(moves)
+    reach = max(grow_right, -grow_left)
     guard = min(int(guard_cells), m)
     left = v[:, :guard]
     right = v[:, m - guard:]
-    lo, hi = _nonzero_window(v)
+    lo, hi = cone.lo, cone.hi
     n_steps = int(n_steps)
+    cells = code = 0
     if relax and n_steps > 0:
         _relax(v, damp_half, damped, lo, hi)
 
     for step in range(n_steps):
-        # copy the part of the window that stays on the grid to its shifted
-        # place, then zero the window cells beside it (a test beats an empty slice)
-        for i, s in row_shifts:
-            row = v[i]
-            a, b = max(lo, -s), min(hi, m - s)
-            if a < b:
-                row[a + s:b + s] = row[a:b]
-            c, d = min(hi, a + s), max(lo, b + s)
-            if lo < c:
-                row[lo:c] = 0.0
-            if d < hi:
-                row[d:hi] = 0.0
-        lo, hi = max(0, lo + grow_left), min(m, hi + grow_right)
+        if lo == hi:
+            break  # a zero field stays zero
+        # one copy per row over the union of its old and new window, which
+        # reads the zeros beside the old one
+        if reach <= lo and hi <= m - reach:
+            # every row's union and source lie on the grid
+            for row, s, neg, pos in rows:
+                row[lo + neg:hi + pos] = row[lo - pos:hi - neg]
+            lo, hi = lo + grow_left, hi + grow_right
+        else:
+            for row, s, neg, pos in rows:
+                _shift_at_edge(row, s, max(0, lo + neg), min(m, hi + pos))
+            lo, hi = max(0, lo + grow_left), min(m, hi + grow_right)
+            if lo >= hi:
+                lo = hi = 0  # every row has left the grid
+        cells += n * (hi - lo)
 
         if (lo < guard and np.abs(left).max() > guard_tol) or (
             hi > m - guard and np.abs(right).max() > guard_tol
         ):
-            return step + 1
+            code = step + 1
+            break
 
         if relax:
             # this step's second half and, but after the last step, the
             # next step's first
             _relax(v, damp_half, damped, lo, hi, 2 if step + 1 < n_steps else 1)
-    return 0
+    cone.lo, cone.hi = lo, hi
+    cone.cells += cells
+    return code

@@ -127,18 +127,16 @@ def freq_split(what: np.ndarray, split: BandSplit) -> tuple[np.ndarray, np.ndarr
     """
     # Parseval weights: a bin that stands for a conjugate pair counts twice
     power = np.abs(what)
-    power = np.sum(np.square(power, out=power), axis=-2)
+    power = np.square(power, out=power).sum(axis=-2)
     power[..., _paired_bins(power.shape[-1], split.n_cells)] *= 2.0
-    # each band is summed over every bin, with the other band's bins zeroed
+    # one table of the two bands, each over every bin with the other
+    # band's bins zeroed, summed in one pass
     n_low = split.n_low
-    low = power[..., :n_low].copy()
-    power[..., :n_low] = 0.0
-    l2_high = np.sum(power, axis=-1)
-    power[..., :n_low] = low
-    power[..., n_low:] = 0.0
-    l2_low = np.sum(power, axis=-1)
-    scale = split.dx / split.n_cells
-    return np.sqrt(scale * l2_high), np.sqrt(scale * l2_low), what[..., :n_low] / split.n_cells
+    bands = np.zeros((2, *power.shape))
+    bands[0, ..., n_low:] = power[..., n_low:]
+    bands[1, ..., :n_low] = power[..., :n_low]
+    l2_high, l2_low = np.sqrt(split.dx / split.n_cells * bands.sum(axis=-1))
+    return l2_high, l2_low, what[..., :n_low] / split.n_cells
 
 
 def field_norms(
@@ -164,8 +162,8 @@ def field_norms(
     )
     dx = split.dx
     sq = np.square(w)
-    l2_total = np.sqrt(np.sum(sq, axis=(-2, -1)) * dx)
-    point = np.sum(sq, axis=-2)
+    l2_total = np.sqrt(sq.sum(axis=(-2, -1)) * dx)
+    point = sq.sum(axis=-2)
     # freed before the components are made, so that one temporary the size
     # of the stack lives at a time
     del sq
@@ -178,7 +176,7 @@ def field_norms(
         "linf": point.max(axis=-1),
         "low_modes": low_modes,
         "l1": point.sum(axis=-1) * dx,
-        "comp_l2": np.sqrt(np.sum(np.square(u, out=u), axis=-1) * dx),
+        "comp_l2": np.sqrt(np.square(u, out=u).sum(axis=-1) * dx),
     }, e)
 
 

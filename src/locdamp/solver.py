@@ -131,7 +131,7 @@ class Grid:
     v_unit: float
     shifts: np.ndarray
     centers: np.ndarray
-    damp_mask: np.ndarray  # uint8, 1 where damping acts
+    damp_mask: np.ndarray  # bool, true where damping acts; built once per grid
     region: UndampedRegion  # snapped to cell edges
     snap_error: float
     guard_cells: int
@@ -208,7 +208,6 @@ def build_grid(
     undamped = np.zeros(n_cells, dtype=bool)
     for a, b in snapped_region.stripes:
         undamped |= (centers > a) & (centers < b)
-    mask = (~undamped).astype(np.uint8)
 
     guard = max(2, int(np.abs(shifts).max()))
     return Grid(
@@ -220,7 +219,7 @@ def build_grid(
         v_unit=v_unit,
         shifts=shifts,
         centers=centers,
-        damp_mask=mask,
+        damp_mask=~undamped,
         region=snapped_region,
         snap_error=snap_err,
         guard_cells=guard,
@@ -318,11 +317,14 @@ class InitialDataSpec:
 
 @dataclass(frozen=True)
 class Trajectory(NormSeries):
-    """Sampled norm history of one run plus the final characteristic field."""
+    """Sampled norm history of one run plus the final characteristic field
+    and the kernel's work: rows times light-cone width, summed over the
+    steps taken (``kernels.Cone.cells``)."""
 
     grid: Grid
     eigs: EigenStructure
     final_w: np.ndarray
+    cells_touched: int
 
     @property
     def stride_dt(self) -> float:
@@ -376,7 +378,10 @@ def run(
     time of contact.  The sampled initial field is held to the same rule,
     since a step would shift data in the outermost cells out unseen.
     Samples are normed in stacks (``in_blocks``), one ``_norm_row`` per
-    stack.
+    stack.  The kernel's light cone (``kernels.Cone``) is found by one scan
+    of the first sample and carried from call to call, so no call rescans
+    the grid; it follows the data on both sides and counts the cells
+    stepped (``Trajectory.cells_touched``).
     """
     eigs = sys.eigs
     grid = build_grid(eigs, region, x_min, x_max, n_cells)
@@ -395,12 +400,14 @@ def run(
     if max(np.abs(w[:, :guard]).max(), np.abs(w[:, -guard:]).max()) > guard_tol:
         raise _edge_contact(0.0)
 
+    cone = kernels.Cone.of(w)
+
     def sampled() -> Iterator[np.ndarray]:
         yield w
         for start, stop in itertools.pairwise(steps):
             code = kernels.advance(
                 w, grid.shifts, damp_half, grid.damp_mask, stop - start, 1,
-                guard, guard_tol,
+                guard, guard_tol, cone,
             )
             if code:
                 raise _edge_contact((start + code) * grid.dt)
@@ -413,5 +420,5 @@ def run(
     times = [k * grid.dt for k in steps]
     return Trajectory.from_blocks(
         times, blocks, exponent=e0, n_cells=grid.n_cells, grid=grid, eigs=eigs,
-        final_w=np.ldexp(w, e0, out=w),
+        final_w=np.ldexp(w, e0, out=w), cells_touched=cone.cells,
     )

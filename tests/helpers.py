@@ -1,12 +1,9 @@
 """Shared system builders and independent oracles for the test suite."""
 
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Iterator
 
 import numpy as np
 
-from locdamp import kernels
 from locdamp.chartimes import UndampedRegion
 from locdamp.model import EigenStructure, HyperbolicSystem, source_matrix
 
@@ -110,45 +107,6 @@ def near_bumps(bumps, xs: np.ndarray) -> np.ndarray:
     for b in bumps:
         near |= np.abs(xs - b.center) <= b.half_extent
     return near
-
-
-def cone_cells(rows: int, m: int, lo: int, hi: int, shifts, n_steps: int) -> int:
-    """Rows times window width, summed over ``n_steps`` steps, of the
-    light cone from the columns ``[lo, hi)`` of an ``m``-cell grid: after
-    each step the window widens by the largest left and right shift,
-    clipped to the grid, as ``kernels.advance`` widens it."""
-    moves = [int(s) for s in shifts]
-    k = np.arange(1, int(n_steps) + 1)
-    widths = np.minimum(m, hi + k * max(0, *moves)) - np.maximum(0, lo + k * min(0, *moves))
-    return rows * int(widths.sum())
-
-
-@dataclass
-class CellCount:
-    cells: int = 0
-
-
-@contextmanager
-def counting_cells() -> Iterator[CellCount]:
-    """Count the cells ``kernels.advance`` touches inside the block: per
-    step taken, the rows times the width of the window the step relaxes,
-    the cone (``cone_cells``) from the first and last nonzero column of
-    the field it is handed.  The module attribute is wrapped, since
-    ``solver`` looks the kernel up there."""
-    count = CellCount()
-    advance = kernels.advance
-
-    def counted(v, shifts, damp_half, mask, n_steps, *rest):
-        lo, hi = kernels._nonzero_window(v)
-        code = advance(v, shifts, damp_half, mask, n_steps, *rest)
-        count.cells += cone_cells(*v.shape, lo, hi, shifts, code or n_steps)
-        return code
-
-    kernels.advance = counted
-    try:
-        yield count
-    finally:
-        kernels.advance = advance
 
 
 # ---------------------------------------------------------------------------

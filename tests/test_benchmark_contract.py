@@ -5,7 +5,9 @@ as missing instead of failing, so a refactor that renames a traced
 function would otherwise only show as an empty row in a benchmark report.
 The correctness gate reads only the exported files, so a change to the
 CSV or summary schema or values would otherwise only show when the
-benchmark runs.  The micro-layers and the tracer time the norm layer
+benchmark runs.  The tracer counts the kernel's work from the arguments
+a run passes it, so a change to what a run passes would otherwise count
+something else.  The micro-layers and the tracer time the norm layer
 through the call a run makes, so a change to the shapes it is passed
 would otherwise time code that no run executes.  The benchmark's modules
 are loaded from their files, unchanged, and its own self-tests run here
@@ -22,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from locdamp import harness, model, norms, solver
+from locdamp import harness, kernels, model, norms, solver
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -50,6 +52,49 @@ def test_every_traced_layer_resolves():
     assert layers["kernels.advance"].counts["cell_updates"] > 0
     assert layers["spectral.reference"].counts["sample_times"] > 0
     assert {"solver.run", "solver.grid", "solver.norms"} <= layers.keys()
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(
+        p.stem for p in (ROOT / "scenarios").glob("*.json")
+        if harness.load_scenario(p).kind != "fullspace"
+    ),
+)
+def test_kernel_calls_pass_what_the_benchmark_counts(monkeypatch, name):
+    # ``perfbench/tracing._kernel_counts`` reads the kernel's arguments by
+    # position: the field, the mask's damped cells, the step count and the
+    # damping flag; a run's carried cone follows them, also by position
+    calls = []
+    advance = kernels.advance
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return advance(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "advance", recording)
+    scenario = harness.load_scenario(ROOT / "scenarios" / f"{name}.json")
+    grid = harness.run_scenario(scenario).series.grid
+    damped = np.ones(grid.n_cells, dtype=bool)
+    for a, b in grid.region.stripes:
+        damped &= ~((grid.centers > a) & (grid.centers < b))
+    steps = list(solver.sample_steps(scenario.t_final, grid.dt, scenario.stride))
+    assert [args[4] for args, _ in calls] == np.diff(steps).tolist()
+
+    counts = _perfbench("tracing")._kernel_counts
+    n, m = scenario.system.n, grid.n_cells
+    for args, kwargs in calls:
+        assert kwargs == {}
+        v, shifts, damp_half, mask, n_steps, apply_damping, guard_cells, guard_tol, cone = args
+        assert v.shape == (n, m)
+        assert np.array_equal(shifts, grid.shifts)
+        assert mask.shape == (m,) and np.count_nonzero(mask) == np.count_nonzero(damped)
+        assert apply_damping == 1
+        assert isinstance(cone, kernels.Cone)
+        assert counts(0, *args) == {
+            "cell_updates": n * m * n_steps,
+            "bytes": n_steps * n * 8 * (2 * m + 4 * int(np.count_nonzero(damped))),
+        }
 
 
 def test_micro_layers_run():

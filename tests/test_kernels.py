@@ -3,7 +3,9 @@
 The oracle damps all masked cells in one gathered matrix product and
 shifts every whole row with ``np.roll``; the kernel damps the light cone
 of the initial nonzero columns in one product, written back on the masked
-cells, and shifts only that window by slice assignment.  A column rounds
+cells, and shifts only that window by slice assignment.  A run carries
+the cone from call to call (``kernels.Cone``); a call without one scans
+the field for it, and both give the oracle's bits.  A column rounds
 the same in any product of two or more columns, so the two agree bit for
 bit, on the shipped scenarios, on stripe masks and on random, fragmented
 masks alike.  Physical invariants (lossless transport
@@ -11,16 +13,16 @@ conserves energy, contractive damping never adds any) are property-tested
 on random compact data.
 """
 
-from pathlib import Path
-
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import cone_cells, counting_cells, near_bumps
+from helpers import near_bumps
 from locdamp import harness, kernels, solver
 from locdamp.chartimes import UndampedRegion
 from locdamp.model import HyperbolicSystem
@@ -129,8 +131,10 @@ class TestAgainstOracle:
         kernel = kernels.advance
 
         def checked(v, *args):
+            # the run's carried cone is the ninth argument, which the
+            # oracle does without
             vo = v.copy()
-            code_o = oracle_advance(vo, *args)
+            code_o = oracle_advance(vo, *args[:7])
             code = kernel(v, *args)
             calls.append(code == code_o and np.array_equal(v, vo))
             return code
@@ -376,21 +380,110 @@ class TestWindowedKernel:
                 assert np.array_equal(relaxed, oracle(v, halves)), (col, halves)
 
     @pytest.mark.parametrize("steps", [1, 7, 40])
-    @pytest.mark.parametrize("shifts", [[3, -1, 1], [-2, -1, -3], [1, 2, 0]])
+    @pytest.mark.parametrize("shifts", [[3, -1, 1], [-2, -1, -3], [1, 2, 0], [2, 3, 1]])
     def test_light_cone(self, shifts, steps):
-        # damping mixes the rows, so the cone is set by the extreme shifts
+        # damping mixes the rows, so the cone is set by the extreme shifts,
+        # and it follows them on both sides
         rng = np.random.default_rng(6000 + steps)
         m, lo, hi = 400, 180, 200
         v = _compact(rng, 3, m, [(lo, hi)])
+        cone = kernels.Cone.of(v)
         code = kernels.advance(
             v, np.array(shifts), _contractive_half_step(rng, 3), _stripe_mask(m, 4),
-            steps, 1, 0, 1e-14,
+            steps, 1, 0, 1e-14, cone,
         )
         assert code == 0
-        cone_lo = lo + steps * min(min(shifts), 0)
-        cone_hi = hi + steps * max(max(shifts), 0)
+        cone_lo = lo + steps * min(shifts)
+        cone_hi = hi + steps * max(shifts)
+        assert (cone.lo, cone.hi) == (cone_lo, cone_hi)
         assert not v[:, :cone_lo].any() and not v[:, cone_hi:].any()
-        assert v[:, cone_lo:cone_hi].any()
+        assert v[:, cone_lo].any() and v[:, cone_hi - 1].any()
+        assert cone.cells == _cone_cells(3, m, lo, hi, shifts, steps)
+
+    def test_cone_empties_when_the_data_leave_the_grid(self):
+        v = np.zeros((2, 40))
+        v[:, 30:34] = 1.0
+        cone = kernels.Cone.of(v)
+        mask = np.ones(40, dtype=bool)
+        assert kernels.advance(v, np.array([3, 4]), np.eye(2), mask, 5, 0, 0, 0.0, cone) == 0
+        assert not v.any()
+        assert (cone.lo, cone.hi) == (0, 0)
+        # windows [33, 38), [36, 40) and [39, 40); the steps after the last
+        # row left touch no cell
+        assert cone.cells == 2 * (5 + 4 + 1)
+        assert kernels.advance(v, np.array([3, 4]), np.eye(2), mask, 5, 0, 0, 0.0, cone) == 0
+        assert cone.cells == 2 * (5 + 4 + 1)
+
+
+CARRY_CELLS = 120
+
+
+@st.composite
+def carried_runs(draw):
+    """A compact field on ``CARRY_CELLS`` cells, shifts that include 0,
+    both signs and rows moved off the grid in one step, a random or stripe
+    mask as bool or uint8, the guard on or off, and its steps split into
+    calls of random lengths, empty ones included."""
+    n = draw(st.integers(1, 4))
+    m = CARRY_CELLS
+    shift = st.integers(-4, 4) | st.sampled_from([-m - 2, -m, m, m + 5])
+    lo = draw(st.integers(0, m - 1))
+    return {
+        "seed": draw(st.integers(0, 2**32 - 1)),
+        "n": n,
+        "shifts": draw(st.lists(shift, min_size=n, max_size=n)),
+        "span": (lo, draw(st.integers(lo + 1, min(m, lo + 40)))),
+        "stripes": draw(st.sampled_from([0, 1, 3, 32])),
+        "bool_mask": draw(st.booleans()),
+        "guard": draw(st.sampled_from([0, 3])),
+        "damping": draw(st.sampled_from([0, 1])),
+        "chunks": draw(st.lists(st.integers(0, 12), min_size=1, max_size=6)),
+    }
+
+
+class TestCarriedCone:
+    @settings(max_examples=200, deadline=None)
+    @given(p=carried_runs())
+    def test_carried_cone_is_bit_neutral_and_exact(self, p):
+        # one cone carried over calls of any lengths gives the bits and trip
+        # step of a scan per call and of the oracle, and after every call it
+        # holds every nonzero column
+        rng = np.random.default_rng(p["seed"])
+        m, n = CARRY_CELLS, p["n"]
+        v = _compact(rng, n, m, [p["span"]])
+        mask = (
+            _stripe_mask(m, p["stripes"]) if p["stripes"]
+            else rng.integers(0, 2, size=m).astype(np.uint8)
+        )
+        if p["bool_mask"]:
+            mask = mask != 0
+        args = (
+            np.array(p["shifts"], dtype=np.int64), _contractive_half_step(rng, n), mask
+        )
+        rest = (p["damping"], p["guard"], 1e-14 * np.abs(v).max())
+        carried, scanned, oracle = v.copy(), v.copy(), v.copy()
+        cone = kernels.Cone.of(carried)
+        for steps in p["chunks"]:
+            code = kernels.advance(carried, *args, steps, *rest, cone)
+            assert kernels.advance(scanned, *args, steps, *rest) == code
+            assert oracle_advance(oracle, *args, steps, *rest) == code
+            assert carried.tobytes() == scanned.tobytes()
+            assert carried.tobytes() == oracle.tobytes()
+            cols = np.flatnonzero(carried.any(axis=0))
+            assert cols.size == 0 or cone.lo <= cols[0] <= cols[-1] < cone.hi
+            if code:
+                break
+
+
+def _cone_cells(rows: int, m: int, lo: int, hi: int, shifts, n_steps: int) -> int:
+    """Rows times window width, summed over ``n_steps`` steps, of the light
+    cone from the columns ``[lo, hi)`` of an ``m``-cell grid: after step k
+    it is ``[lo + k min(shifts), hi + k max(shifts))``, clipped to the
+    grid."""
+    k = np.arange(1, int(n_steps) + 1)
+    right = np.minimum(m, hi + k * max(shifts))
+    left = np.maximum(0, lo + k * min(shifts))
+    return rows * int(np.maximum(0, right - left).sum())
 
 
 class TestLightCone:
@@ -399,15 +492,30 @@ class TestLightCone:
         # gaussian data are zero beyond 8 widths, so the kernel steps no
         # cell outside the light cone of the cells within 8 widths of a bump
         scenario = harness.load_scenario(SCENARIO_DIR / name)
-        with counting_cells() as count:
-            traj = _run_shipped(name)
+        traj = _run_shipped(name)
         grid = traj.grid
         cols = np.flatnonzero(near_bumps(scenario.data.bumps, grid.centers))
         steps = solver.sample_steps(scenario.t_final, grid.dt, scenario.stride).last
-        cone = cone_cells(
+        cone = _cone_cells(
             scenario.system.n, grid.n_cells, cols[0], cols[-1] + 1, grid.shifts, steps
         )
-        assert 0 < count.cells <= cone
+        assert 0 < traj.cells_touched <= cone
+
+    def test_the_grid_is_scanned_once_per_run(self, monkeypatch):
+        # a stride-1 run calls the kernel once per step; the cone it carries
+        # is found by one scan of the first sample, not one per call
+        widths = []
+        scan = kernels._nonzero_window
+
+        def recording(v):
+            widths.append(v.shape[1])
+            return scan(v)
+
+        monkeypatch.setattr(kernels, "_nonzero_window", recording)
+        scenario = harness.load_scenario(SCENARIO_DIR / "probe_scalar.json")
+        result = harness.run_scenario(replace(scenario, n_cells=8192, stride=1))
+        assert result.series.times.size > 1000
+        assert widths.count(8192) == 1
 
 
 def _energy(v):

@@ -184,7 +184,9 @@ class TestBuildGrid:
         eigs = diagonalize(np.diag([1.0]))
         region = UndampedRegion(stripes=((0.0, 1.0), (2.0, 4.0)))
         grid = build_grid(eigs, region, -4.0, 6.0, 1000)
-        undamped = grid.damp_mask == 0
+        # built once as bool, so no kernel call converts it
+        assert grid.damp_mask.dtype == np.bool_
+        undamped = ~grid.damp_mask
         inside = np.zeros_like(undamped)
         for a, b in region.stripes:
             inside |= (grid.centers > a) & (grid.centers < b)
@@ -439,6 +441,10 @@ class TestRun:
         assert traj.times.tolist() == [0.0, 1.0, 2.0]
         assert traj.l2_total.shape == (3,)
         assert traj.comp_l2.shape == (2, 3)
+        # the data fill the 200 cells within 8 widths of the center and the
+        # speeds are -1 and 1 cells per step, so the 2-row cone widens by 2
+        # cells a step, on both sides of the data
+        assert traj.cells_touched == 2 * sum(200 + 2 * k for k in range(1, 101))
 
     def test_stride_longer_than_run(self):
         sys = damped_wave_system()
