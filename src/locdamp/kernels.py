@@ -77,20 +77,6 @@ def _relax(
     np.copyto(window, w, where=damped[lo:hi])
 
 
-def _shift_at_edge(row: np.ndarray, s: int, a: int, b: int) -> None:
-    """``row[x] = row[x - s]`` for x in ``[a, b)``, a range on the grid,
-    with zero inflow: zero where ``x - s`` lies off the grid."""
-    c, d = max(a, s), min(b, row.size + s)
-    if c < d:
-        row[c:d] = row[c - s:d - s]
-        if a < c:
-            row[a:c] = 0.0
-        if d < b:
-            row[d:b] = 0.0
-    else:
-        row[a:b] = 0.0
-
-
 def advance(
     v: np.ndarray,
     shifts: np.ndarray,
@@ -107,21 +93,23 @@ def advance(
     Returns 0 on completion, or the 1-based step index at which some entry
     within ``guard_cells`` of either edge exceeded ``guard_tol >= 0`` in
     magnitude (checked after the shift, before the second half-relax).
-    ``mask`` is true (nonzero) where damping acts.  ``cone``, when given,
+    ``mask`` is true (nonzero) where damping acts; ``apply_damping`` false
+    skips the relaxations, and a mask with no damped cell leaves the same
+    bits at the cost of the products, so a caller that knows its mask
+    passes ``apply_damping`` for it once.  ``cone``, when given,
     holds the window of ``v`` and is left holding the window of the result
     and the cells stepped; without it the window is found by a scan.
     """
     if cone is None:
         cone = Cone.of(v)
     n, m = v.shape
-    damped = mask if mask.dtype == np.bool_ else mask != 0
-    relax = bool(apply_damping) and bool(damped.any())
+    damped = mask.astype(bool, copy=False)
+    relax = bool(apply_damping)
     moves = [int(s) for s in shifts]
     # each moving row with the cells its window gains on the left (a
     # negative shift) and on the right (a positive one)
     rows = [(v[i], s, min(s, 0), max(s, 0)) for i, s in enumerate(moves) if s != 0]
     grow_left, grow_right = min(moves), max(moves)
-    reach = max(grow_right, -grow_left)
     guard = min(int(guard_cells), m)
     left = v[:, :guard]
     right = v[:, m - guard:]
@@ -134,19 +122,23 @@ def advance(
     for step in range(n_steps):
         if lo == hi:
             break  # a zero field stays zero
-        # one copy per row over the union of its old and new window, which
-        # reads the zeros beside the old one
-        if reach <= lo and hi <= m - reach:
-            # every row's union and source lie on the grid
-            for row, s, neg, pos in rows:
-                row[lo + neg:hi + pos] = row[lo - pos:hi - neg]
-            lo, hi = lo + grow_left, hi + grow_right
-        else:
-            for row, s, neg, pos in rows:
-                _shift_at_edge(row, s, max(0, lo + neg), min(m, hi + pos))
-            lo, hi = max(0, lo + grow_left), min(m, hi + grow_right)
-            if lo >= hi:
-                lo = hi = 0  # every row has left the grid
+        # row[x] = row[x - s] by one copy over the union [a, b) of the row's
+        # old and new window, which reads the zeros beside the old one; the
+        # cells of [a, b) whose source x - s lies off the grid get zero inflow
+        for row, s, neg, pos in rows:
+            a, b = max(0, lo + neg), min(m, hi + pos)
+            c, d = max(a, s), min(b, m + s)
+            if c < d:
+                row[c:d] = row[c - s:d - s]
+                if a < c:
+                    row[a:c] = 0.0
+                if d < b:
+                    row[d:b] = 0.0
+            else:
+                row[a:b] = 0.0
+        lo, hi = max(0, lo + grow_left), min(m, hi + grow_right)
+        if lo >= hi:
+            lo = hi = 0  # every row has left the grid
         cells += n * (hi - lo)
 
         if (lo < guard and np.abs(left).max() > guard_tol) or (

@@ -381,7 +381,8 @@ def run(
     stack.  The kernel's light cone (``kernels.Cone``) is found by one scan
     of the first sample and carried from call to call, so no call rescans
     the grid; it follows the data on both sides and counts the cells
-    stepped (``Trajectory.cells_touched``).
+    stepped (``Trajectory.cells_touched``).  Whether the grid has a damped
+    cell is read once per run, not once per call.
     """
     eigs = sys.eigs
     grid = build_grid(eigs, region, x_min, x_max, n_cells)
@@ -401,12 +402,13 @@ def run(
         raise _edge_contact(0.0)
 
     cone = kernels.Cone.of(w)
+    relax = int(grid.damp_mask.any())
 
     def sampled() -> Iterator[np.ndarray]:
         yield w
         for start, stop in itertools.pairwise(steps):
             code = kernels.advance(
-                w, grid.shifts, damp_half, grid.damp_mask, stop - start, 1,
+                w, grid.shifts, damp_half, grid.damp_mask, stop - start, relax,
                 guard, guard_tol, cone,
             )
             if code:
