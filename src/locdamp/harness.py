@@ -486,9 +486,15 @@ def _check_energy(series: NormSeries, validation: ValidationReport) -> None:
 
 
 def _run_fullspace(s: Scenario) -> NormSeries:
-    """The reference run on the stepping grid's cells and sample times; the
-    stripes are not stepped, so only the default resolution reads them."""
-    n_cells, dx, v_unit, _ = solver.lay_out(s.system.eigs, s.region, s.x_min, s.x_max, s.n_cells)
+    """The reference run on the stepping grid's cells and sample times.  It
+    steps no stripe, so its default resolution comes from the data, as the
+    calibration box's does: ``REF_POINTS_PER_SIGMA`` cells per narrowest
+    bump width."""
+    n_cells = s.n_cells
+    if n_cells is None:
+        dx_ref = min(b.width for b in s.data.bumps) / REF_POINTS_PER_SIGMA
+        n_cells = math.ceil((s.x_max - s.x_min) / dx_ref)
+    n_cells, dx, v_unit, _ = solver.lay_out(s.system.eigs, s.region, s.x_min, s.x_max, n_cells)
     dt = dx / v_unit
     steps = solver.sample_steps(s.t_final, dt, s.stride)
     x = s.x_min + dx * np.arange(n_cells)

@@ -17,16 +17,26 @@ A field that fills the domain gives the full-width window.
 
 A row is shifted by one copy over the union of its old and new window,
 which reads the zeros beside the window, so no zero fill is needed but
-for inflow at a grid edge.  A half-relaxation is one matrix product over
-the whole window, written back on its damped cells only; a column rounds
-the same in any product of two or more columns, so this gives the bits
-of a product over the damped cells alone.  A step's second half and the
-next step's first act on the same window, so within one call they run
+for inflow at a grid edge.  A step picks its copy from the window it
+carries.  While the window is at least ``reach = max|shifts|`` cells
+from both edges (the interior step), every row's source and destination
+lie on the grid: each moving row is one slice copy, and the window moves
+by ``min(shifts)`` and ``max(shifts)`` unclipped.  Within ``reach`` of an
+edge (the edge step) the copy is clipped to the grid, the cells whose
+source lies off it get zero inflow, and the window is clipped too.
+
+A half-relaxation is one matrix product over the whole window, written
+back on its damped cells only; a column rounds the same in any product
+of two or more columns, so this gives the bits of a product over the
+damped cells alone.  A step's second half and the next step's first act
+on the same window, so within one call they run inline in the step loop
 as two products back to back with one write-back: a column of a product
 depends only on the same column of its input, so the damped columns come
-out as two write-backs would leave them.  The guard scans an edge band
-only once the window reaches it: outside the window every entry is zero
-and cannot trip it.
+out as two write-backs would leave them.  Only a call's opening half and
+a one-column window go through ``_relax``, which widens a one-column
+window into a zero column, as BLAS's matrix-vector code rounds unlike a
+wider product.  The guard scans an edge band only once the window
+reaches it: outside the window every entry is zero and cannot trip it.
 """
 
 from __future__ import annotations
@@ -110,6 +120,9 @@ def advance(
     # negative shift) and on the right (a positive one)
     rows = [(v[i], s, min(s, 0), max(s, 0)) for i, s in enumerate(moves) if s != 0]
     grow_left, grow_right = min(moves), max(moves)
+    # a window at least this far from both edges has every row's source and
+    # destination on the grid
+    reach = max(-grow_left, grow_right)
     guard = min(int(guard_cells), m)
     left = v[:, :guard]
     right = v[:, m - guard:]
@@ -122,23 +135,30 @@ def advance(
     for step in range(n_steps):
         if lo == hi:
             break  # a zero field stays zero
-        # row[x] = row[x - s] by one copy over the union [a, b) of the row's
-        # old and new window, which reads the zeros beside the old one; the
-        # cells of [a, b) whose source x - s lies off the grid get zero inflow
-        for row, s, neg, pos in rows:
-            a, b = max(0, lo + neg), min(m, hi + pos)
-            c, d = max(a, s), min(b, m + s)
-            if c < d:
-                row[c:d] = row[c - s:d - s]
-                if a < c:
-                    row[a:c] = 0.0
-                if d < b:
-                    row[d:b] = 0.0
-            else:
-                row[a:b] = 0.0
-        lo, hi = max(0, lo + grow_left), min(m, hi + grow_right)
-        if lo >= hi:
-            lo = hi = 0  # every row has left the grid
+        # row[x] = row[x - s] by one copy over the union of the row's old and
+        # new window, which reads the zeros beside the old one
+        if reach <= lo and hi <= m - reach:
+            for row, _, neg, pos in rows:
+                row[lo + neg:hi + pos] = row[lo - pos:hi - neg]
+            lo += grow_left
+            hi += grow_right
+        else:
+            # near an edge: clip the union [a, b) to the grid, and give zero
+            # inflow to its cells whose source x - s lies off the grid
+            for row, s, neg, pos in rows:
+                a, b = max(0, lo + neg), min(m, hi + pos)
+                c, d = max(a, s), min(b, m + s)
+                if c < d:
+                    row[c:d] = row[c - s:d - s]
+                    if a < c:
+                        row[a:c] = 0.0
+                    if d < b:
+                        row[d:b] = 0.0
+                else:
+                    row[a:b] = 0.0
+            lo, hi = max(0, lo + grow_left), min(m, hi + grow_right)
+            if lo >= hi:
+                lo = hi = 0  # every row has left the grid
         cells += n * (hi - lo)
 
         if (lo < guard and np.abs(left).max() > guard_tol) or (
@@ -150,7 +170,14 @@ def advance(
         if relax:
             # this step's second half and, but after the last step, the
             # next step's first
-            _relax(v, damp_half, damped, lo, hi, 2 if step + 1 < n_steps else 1)
+            if hi - lo < 2:
+                _relax(v, damp_half, damped, lo, hi, 2 if step + 1 < n_steps else 1)
+            else:
+                window = v[:, lo:hi]
+                w = damp_half @ window
+                if step + 1 < n_steps:
+                    w = damp_half @ w
+                np.copyto(window, w, where=damped[lo:hi])
     cone.lo, cone.hi = lo, hi
     cone.cells += cells
     return code

@@ -984,9 +984,15 @@ class TestStrictSummary:
 
 
 class TestDefaultResolution:
-    # 200 cells across the narrowest stripe is the shipped n_cells of each
+    # the default resolution is the shipped n_cells of each: 200 cells
+    # across the narrowest stripe for a stepping kind, and for a fullspace
+    # run, which steps no stripe, REF_POINTS_PER_SIGMA per narrowest bump width
     @pytest.mark.parametrize(
-        "name", ["probe_scalar", "probe_321", "probe_421", "damped_wave", "three_speed_321"]
+        "name",
+        [
+            "probe_scalar", "probe_321", "probe_421", "damped_wave", "three_speed_321",
+            "fullspace_damped_wave",
+        ],
     )
     def test_default_cell_count_matches_shipped(self, tmp_path, name):
         raw = json.loads((SCENARIOS / f"{name}.json").read_text())

@@ -416,6 +416,7 @@ class TestWindowedKernel:
 
 
 CARRY_CELLS = 120
+MAX_SHIFT = 4
 
 
 @st.composite
@@ -423,21 +424,45 @@ def carried_runs(draw):
     """A compact field on ``CARRY_CELLS`` cells, shifts that include 0,
     both signs and rows moved off the grid in one step, a random or stripe
     mask as bool or uint8, the guard on or off, and its steps split into
-    calls of random lengths, empty ones included."""
+    calls of random lengths, empty ones included.
+
+    The field lies anywhere, starts within ``2 * MAX_SHIFT`` cells of
+    either edge, where a step must clip its copies, or fills the grid; the
+    shifts of two or more rows may be forced to have both signs; the calls
+    may be one step each."""
     n = draw(st.integers(1, 4))
     m = CARRY_CELLS
-    shift = st.integers(-4, 4) | st.sampled_from([-m - 2, -m, m, m + 5])
-    lo = draw(st.integers(0, m - 1))
+    shift = st.integers(-MAX_SHIFT, MAX_SHIFT) | st.sampled_from([-m - 2, -m, m, m + 5])
+    shifts = draw(st.lists(shift, min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        shifts[0] = -draw(st.integers(1, MAX_SHIFT))
+        shifts[-1] = draw(st.integers(1, MAX_SHIFT))
+    near = 2 * MAX_SHIFT
+    where = draw(st.sampled_from(["anywhere", "left edge", "right edge", "full"]))
+    if where == "anywhere":
+        lo = draw(st.integers(0, m - 1))
+        span = (lo, draw(st.integers(lo + 1, min(m, lo + 40))))
+    elif where == "left edge":
+        lo = draw(st.integers(0, near))
+        span = (lo, draw(st.integers(lo + 1, lo + 40)))
+    elif where == "right edge":
+        hi = draw(st.integers(m - near, m))
+        span = (draw(st.integers(hi - 40, hi - 1)), hi)
+    else:
+        span = (0, m)
+    chunks = st.lists(st.integers(0, 12), min_size=1, max_size=6) | st.lists(
+        st.just(1), min_size=1, max_size=30
+    )
     return {
         "seed": draw(st.integers(0, 2**32 - 1)),
         "n": n,
-        "shifts": draw(st.lists(shift, min_size=n, max_size=n)),
-        "span": (lo, draw(st.integers(lo + 1, min(m, lo + 40)))),
+        "shifts": shifts,
+        "span": span,
         "stripes": draw(st.sampled_from([0, 1, 3, 32])),
         "bool_mask": draw(st.booleans()),
         "guard": draw(st.sampled_from([0, 3])),
         "damping": draw(st.sampled_from([0, 1])),
-        "chunks": draw(st.lists(st.integers(0, 12), min_size=1, max_size=6)),
+        "chunks": draw(chunks),
     }
 
 
