@@ -219,6 +219,12 @@ class EnvelopeCalibration:
     ref: NormSeries
 
 
+def _ref_dx(data: solver.InitialDataSpec) -> float:
+    """The reference grid's spacing: ``REF_POINTS_PER_SIGMA`` cells per
+    narrowest bump width."""
+    return min(b.width for b in data.bumps) / REF_POINTS_PER_SIGMA
+
+
 def calibrate(
     sys: HyperbolicSystem,
     data: solver.InitialDataSpec,
@@ -255,7 +261,7 @@ def calibrate(
     sigma_min = min(b.width for b in data.bumps)
     vmax = float(np.abs(sys.eigs.lambdas).max())
     span = (hi - lo) + 2.0 * vmax * t_max + 16.0 * sigma_min
-    dx_ref = sigma_min / REF_POINTS_PER_SIGMA
+    dx_ref = _ref_dx(data)
     m = 1 << int(np.ceil(np.log2(span / dx_ref)))
     length = m * dx_ref
     mid = 0.5 * (lo + hi)
@@ -492,8 +498,7 @@ def _run_fullspace(s: Scenario) -> NormSeries:
     bump width."""
     n_cells = s.n_cells
     if n_cells is None:
-        dx_ref = min(b.width for b in s.data.bumps) / REF_POINTS_PER_SIGMA
-        n_cells = math.ceil((s.x_max - s.x_min) / dx_ref)
+        n_cells = math.ceil((s.x_max - s.x_min) / _ref_dx(s.data))
     n_cells, dx, v_unit, _ = solver.lay_out(s.system.eigs, s.region, s.x_min, s.x_max, n_cells)
     dt = dx / v_unit
     steps = solver.sample_steps(s.t_final, dt, s.stride)

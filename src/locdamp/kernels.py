@@ -29,13 +29,10 @@ A half-relaxation is one matrix product over the whole window, written
 back on its damped cells only; a column rounds the same in any product
 of two or more columns, so this gives the bits of a product over the
 damped cells alone.  A step's second half and the next step's first act
-on the same window, so within one call they run inline in the step loop
-as two products back to back with one write-back: a column of a product
-depends only on the same column of its input, so the damped columns come
-out as two write-backs would leave them.  Only a call's opening half and
-a one-column window go through ``_relax``, which widens a one-column
-window into a zero column, as BLAS's matrix-vector code rounds unlike a
-wider product.  The guard scans an edge band only once the window
+on the same window, so within one call they run as two products back to
+back with one write-back: a column of a product depends only on the same
+column of its input, so the damped columns come out as two write-backs
+would leave them.  The guard scans an edge band only once the window
 reaches it: outside the window every entry is zero and cannot trip it.
 """
 
@@ -170,14 +167,7 @@ def advance(
         if relax:
             # this step's second half and, but after the last step, the
             # next step's first
-            if hi - lo < 2:
-                _relax(v, damp_half, damped, lo, hi, 2 if step + 1 < n_steps else 1)
-            else:
-                window = v[:, lo:hi]
-                w = damp_half @ window
-                if step + 1 < n_steps:
-                    w = damp_half @ w
-                np.copyto(window, w, where=damped[lo:hi])
+            _relax(v, damp_half, damped, lo, hi, 2 if step + 1 < n_steps else 1)
     cone.lo, cone.hi = lo, hi
     cone.cells += cells
     return code
