@@ -54,7 +54,10 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ValueError("--t-grid: start must not be negative")
     if step <= 0 or stop < start:
         raise ValueError("--t-grid: need stop >= start and step > 0")
-    n = int(np.floor((stop - start) / step + 1e-9)) + 1
+    rows = (stop - start) / step
+    if not math.isfinite(rows):
+        raise ValueError("--t-grid: (stop - start) / step is not a finite row count")
+    n = int(np.floor(rows + 1e-9)) + 1
     return start + step * np.arange(n)
 
 

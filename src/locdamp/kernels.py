@@ -4,16 +4,20 @@ Each split step is half-relax (masked cells only), a shift of every row
 by a whole number of cells with zero inflow, an edge-band guard, then the
 second half-relax.
 
-Work is confined to the light cone of the initial nonzero columns: the
-kernel keeps a half-open column window ``[lo, hi)`` outside which ``v``
-is exactly zero, and relaxes and shifts only inside it.  Row i moves
-``shifts[i]`` cells, so after a step the window is ``[lo + min(shifts),
-hi + max(shifts))`` clipped to the grid: the cone follows the data on
-both sides, and a cell-local relaxation cannot spread it.  The window is
-run state (``Cone``): a run builds it once from its first field and hands
-it to every call, which starts from it and writes back where it ended,
-along with the cells it touched; without one a call scans ``v`` for it.
-A field that fills the domain gives the full-width window.
+The stepper's run state is a ``Cone``, built once per run on the field it
+steps and handed to every call, which starts from it and writes back
+where it ended: the row views, each row's shift and their reach, the
+guard band's views, the ``bool`` mask with its undamped runs, which rows
+are live, and the light-cone window ``[lo, hi)`` outside which every
+entry is +0.0.  A call without one builds it by one scan of ``v``.
+
+A row is live unless it is +0.0 throughout.  Shifting moves no value
+into a dead row, so it is never copied, and the window follows the live
+rows alone: after a step it is ``[lo + min, hi + max)`` of their shifts,
+clipped to the grid.  Only a relaxation on a damped cell mixes rows, so
+one whose window holds a damped cell makes every row live, and a cone
+with dead rows skips one whose window holds none, which would write
+nothing.  A field that fills the domain gives the full-width window.
 
 A row is shifted by one copy over the union of its old and new window,
 which reads the zeros beside the window, so no zero fill is needed but
@@ -21,9 +25,17 @@ for inflow at a grid edge.  A step picks its copy from the window it
 carries.  While the window is at least ``reach = max|shifts|`` cells
 from both edges (the interior step), every row's source and destination
 lie on the grid: each moving row is one slice copy, and the window moves
-by ``min(shifts)`` and ``max(shifts)`` unclipped.  Within ``reach`` of an
-edge (the edge step) the copy is clipped to the grid, the cells whose
-source lies off it get zero inflow, and the window is clipped too.
+unclipped.  Within ``reach`` of an edge (the edge step) the copy is
+clipped to the grid, the cells whose source lies off it get zero inflow,
+and the window is clipped too.
+
+A step whose window stays inside one undamped run (the whole grid when
+damping is off) and at least ``max(guard, reach)`` cells from both edges
+is pure transport: its relaxations write no damped cell, and its guard
+bands hold only zeros, so none can trip.  A call takes as many such steps
+as lie ahead, j, in one jump: each moving live row moves ``j * shift``
+cells by one copy and the cells it left are set to +0.0, the bits j steps
+would leave.
 
 A half-relaxation is one matrix product over the whole window, written
 back on its damped cells only; a column rounds the same in any product
@@ -38,32 +50,87 @@ reaches it: outside the window every entry is zero and cannot trip it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
 
 import numpy as np
 
 
-@dataclass
 class Cone:
-    """The light-cone window ``[lo, hi)`` of a field, outside which it is
-    exactly zero (empty when ``lo == hi``), and the cells stepped so far:
-    rows times window width, summed over the steps taken."""
+    """The stepper's run state on the field ``v`` (components × cells), for
+    the given shifts, damping mask and guard band.  Besides the state named
+    in the module docstring it counts the work so far: ``cells``, rows
+    times window width summed over the steps taken, jumped ones included,
+    and how many steps were ``jumped`` and how many ``stepped``."""
 
-    lo: int
-    hi: int
-    cells: int = 0
+    def __init__(
+        self, v: np.ndarray, shifts: np.ndarray, mask: np.ndarray, guard_cells: int
+    ) -> None:
+        m = v.shape[1]
+        self.field = v
+        self.rows = list(v)
+        self.shifts = [int(s) for s in shifts]
+        # a window at least this far from both edges has every row's source
+        # and destination on the grid
+        self.reach = max(abs(s) for s in self.shifts)
+        self.damped = mask.astype(bool, copy=False)
+        self.guard = guard = min(int(guard_cells), m)
+        self.left = v[:, :guard]
+        self.right = v[:, m - guard:]
+        self.lo, self.hi, self.live = _nonzero_window(v)
+        # the undamped runs [start, end), and where a jump may take the window,
+        # clear of guard and reach: indexed by whether damping applies, the
+        # whole grid or inside one undamped run
+        padded = np.ones(m + 2, dtype=bool)
+        padded[1:-1] = self.damped
+        edges = np.flatnonzero(padded[1:] != padded[:-1]).tolist()
+        self.runs = (edges[0::2], edges[1::2])
+        margin = max(guard, self.reach)
+        self.zones = tuple(
+            _clip(starts, ends, margin, m - margin) for starts, ends in (([0], [m]), self.runs)
+        )
+        self.cells = self.jumped = self.stepped = 0
+        self._follow_live_rows()
 
-    @classmethod
-    def of(cls, v: np.ndarray) -> Cone:
-        """The window of the nonzero columns of ``v``, by one scan."""
-        return cls(*_nonzero_window(v))
+    def _follow_live_rows(self) -> None:
+        """The live rows that move, each with the cells its window gains on
+        the left (a negative shift) and on the right (a positive one), and
+        the live shifts' extremes, which move the window."""
+        live = [(row, s) for row, s, on in zip(self.rows, self.shifts, self.live) if on]
+        self.moving = [(row, s, min(s, 0), max(s, 0)) for row, s in live if s != 0]
+        self.grow_left = min((s for _, s in live), default=0)
+        self.grow_right = max((s for _, s in live), default=0)
+        self.dormant = not all(self.live)
+
+    def mixes(self, lo: int, hi: int) -> bool:
+        """Whether a relaxation of the window ``[lo, hi)`` mixes the rows,
+        that is, whether the window holds a damped cell; if it does, every
+        row becomes live."""
+        starts, ends = self.runs
+        i = bisect_right(starts, lo) - 1
+        if lo == hi or (i >= 0 and hi <= ends[i]):
+            return False
+        self.live = [True] * len(self.rows)
+        self._follow_live_rows()
+        return True
 
 
-def _nonzero_window(v: np.ndarray) -> tuple[int, int]:
-    """Half-open column range holding every nonzero entry of ``v``; empty
-    (``(0, 0)``) when ``v`` is zero."""
-    cols = np.flatnonzero(v.any(axis=0))
-    return (int(cols[0]), int(cols[-1]) + 1) if cols.size else (0, 0)
+def _clip(starts: list[int], ends: list[int], a: int, b: int) -> tuple[list[int], list[int]]:
+    """The nonempty intersections of the ranges ``[starts[i], ends[i])``
+    with ``[a, b)``, as their starts and their ends."""
+    kept = [(max(s, a), min(e, b)) for s, e in zip(starts, ends) if max(s, a) < min(e, b)]
+    return [s for s, _ in kept], [e for _, e in kept]
+
+
+def _nonzero_window(v: np.ndarray) -> tuple[int, int, list[bool]]:
+    """Half-open column range holding every entry of ``v`` that is not
+    +0.0, and per row whether it holds one; the range is empty
+    (``(0, 0)``) when none does."""
+    bits = v.view(np.uint64)
+    cols = np.flatnonzero(bits.any(axis=0))
+    if not cols.size:
+        return 0, 0, [False] * len(v)
+    lo, hi = int(cols[0]), int(cols[-1]) + 1
+    return lo, hi, bits[:, lo:hi].any(axis=1).tolist()
 
 
 def _relax(
@@ -103,46 +170,74 @@ def advance(
     ``mask`` is true (nonzero) where damping acts; ``apply_damping`` false
     skips the relaxations, and a mask with no damped cell leaves the same
     bits at the cost of the products, so a caller that knows its mask
-    passes ``apply_damping`` for it once.  ``cone``, when given,
-    holds the window of ``v`` and is left holding the window of the result
-    and the cells stepped; without it the window is found by a scan.
+    passes ``apply_damping`` for it once.  ``cone``, when given, is the
+    run state built on ``v`` for these ``shifts``, ``mask`` and
+    ``guard_cells``, which the call reads from it; it is left holding the
+    state of the result and the work done.  Without it the call builds
+    one by a scan of ``v``.
     """
     if cone is None:
-        cone = Cone.of(v)
+        cone = Cone(v, shifts, mask, guard_cells)
+    elif cone.field is not v:
+        raise ValueError("cone: built on another field")
     n, m = v.shape
-    damped = mask.astype(bool, copy=False)
     relax = bool(apply_damping)
-    moves = [int(s) for s in shifts]
-    # each moving row with the cells its window gains on the left (a
-    # negative shift) and on the right (a positive one)
-    rows = [(v[i], s, min(s, 0), max(s, 0)) for i, s in enumerate(moves) if s != 0]
-    grow_left, grow_right = min(moves), max(moves)
-    # a window at least this far from both edges has every row's source and
-    # destination on the grid
-    reach = max(-grow_left, grow_right)
-    guard = min(int(guard_cells), m)
-    left = v[:, :guard]
-    right = v[:, m - guard:]
+    damped, guard, reach = cone.damped, cone.guard, cone.reach
+    left, right = cone.left, cone.right
+    zone_starts, zone_ends = cone.zones[relax]
+    moving, grow_left, grow_right = cone.moving, cone.grow_left, cone.grow_right
+    dormant = cone.dormant
     lo, hi = cone.lo, cone.hi
     n_steps = int(n_steps)
-    cells = code = 0
-    if relax and n_steps > 0:
-        _relax(v, damp_half, damped, lo, hi)
+    step = cells = jumped = code = 0
+    # half-relaxations owed to the window: step 1's first half, then each
+    # step's second half and, but after the last step, the next step's first
+    owed = 1 if relax and n_steps > 0 else 0
 
-    for step in range(n_steps):
-        if lo == hi:
-            break  # a zero field stays zero
+    while True:
+        if owed and (not dormant or cone.mixes(lo, hi)):
+            if dormant:  # this relaxation made every row live
+                dormant = False
+                moving, grow_left, grow_right = cone.moving, cone.grow_left, cone.grow_right
+            _relax(v, damp_half, damped, lo, hi, owed)
+        if step == n_steps or lo == hi:
+            break  # done, or a zero field, which stays zero
+
+        # jump while the window after each step stays in one zone
+        i = bisect_right(zone_starts, lo + grow_left) - 1
+        if i >= 0 and hi + grow_right <= zone_ends[i]:
+            j = n_steps - step
+            if grow_left < 0:
+                j = min(j, (lo - zone_starts[i]) // -grow_left)
+            if grow_right > 0:
+                j = min(j, (zone_ends[i] - hi) // grow_right)
+            for row, s, _, _ in moving:
+                d = j * s
+                row[lo + d:hi + d] = row[lo:hi]
+                if d > 0:
+                    row[lo:min(hi, lo + d)] = 0.0
+                else:
+                    row[max(lo, hi + d):hi] = 0.0
+            cells += n * (j * (hi - lo) + (grow_right - grow_left) * j * (j + 1) // 2)
+            lo += j * grow_left
+            hi += j * grow_right
+            step += j
+            jumped += j
+            owed = 0  # the jumped steps' relaxations write nothing
+            continue
+
         # row[x] = row[x - s] by one copy over the union of the row's old and
         # new window, which reads the zeros beside the old one
+        step += 1
         if reach <= lo and hi <= m - reach:
-            for row, _, neg, pos in rows:
+            for row, _, neg, pos in moving:
                 row[lo + neg:hi + pos] = row[lo - pos:hi - neg]
             lo += grow_left
             hi += grow_right
         else:
             # near an edge: clip the union [a, b) to the grid, and give zero
             # inflow to its cells whose source x - s lies off the grid
-            for row, s, neg, pos in rows:
+            for row, s, neg, pos in moving:
                 a, b = max(0, lo + neg), min(m, hi + pos)
                 c, d = max(a, s), min(b, m + s)
                 if c < d:
@@ -161,13 +256,11 @@ def advance(
         if (lo < guard and np.abs(left).max() > guard_tol) or (
             hi > m - guard and np.abs(right).max() > guard_tol
         ):
-            code = step + 1
+            code = step
             break
-
-        if relax:
-            # this step's second half and, but after the last step, the
-            # next step's first
-            _relax(v, damp_half, damped, lo, hi, 2 if step + 1 < n_steps else 1)
+        owed = (2 if step < n_steps else 1) if relax else 0
     cone.lo, cone.hi = lo, hi
     cone.cells += cells
+    cone.jumped += jumped
+    cone.stepped += step - jumped
     return code

@@ -319,12 +319,15 @@ class InitialDataSpec:
 class Trajectory(NormSeries):
     """Sampled norm history of one run plus the final characteristic field
     and the kernel's work: rows times light-cone width, summed over the
-    steps taken (``kernels.Cone.cells``)."""
+    steps taken (``kernels.Cone.cells``), and how many of those steps were
+    jumped and how many stepped."""
 
     grid: Grid
     eigs: EigenStructure
     final_w: np.ndarray
     cells_touched: int
+    steps_jumped: int
+    steps_stepped: int
 
     @property
     def stride_dt(self) -> float:
@@ -378,10 +381,11 @@ def run(
     time of contact.  The sampled initial field is held to the same rule,
     since a step would shift data in the outermost cells out unseen.
     Samples are normed in stacks (``in_blocks``), one ``_norm_row`` per
-    stack.  The kernel's light cone (``kernels.Cone``) is found by one scan
-    of the first sample and carried from call to call, so no call rescans
-    the grid; it follows the data on both sides and counts the cells
-    stepped (``Trajectory.cells_touched``).  Whether the grid has a damped
+    stack.  The kernel's run state (``kernels.Cone``) is built once, by one
+    scan of the first sample, and carried from call to call, so no call
+    rescans the grid or redoes its setup; it counts the cells stepped and
+    the steps jumped and stepped (``Trajectory.cells_touched``,
+    ``steps_jumped``, ``steps_stepped``).  Whether the grid has a damped
     cell is read once per run, not once per call.
     """
     eigs = sys.eigs
@@ -401,7 +405,7 @@ def run(
     if max(np.abs(w[:, :guard]).max(), np.abs(w[:, -guard:]).max()) > guard_tol:
         raise _edge_contact(0.0)
 
-    cone = kernels.Cone.of(w)
+    cone = kernels.Cone(w, grid.shifts, grid.damp_mask, guard)
     relax = int(grid.damp_mask.any())
 
     def sampled() -> Iterator[np.ndarray]:
@@ -423,4 +427,5 @@ def run(
     return Trajectory.from_blocks(
         times, blocks, exponent=e0, n_cells=grid.n_cells, grid=grid, eigs=eigs,
         final_w=np.ldexp(w, e0, out=w), cells_touched=cone.cells,
+        steps_jumped=cone.jumped, steps_stepped=cone.stepped,
     )

@@ -1213,6 +1213,16 @@ class TestCli:
         assert code == 2
         assert out.splitlines()[-1] == "error: --t-grid: start, stop and step must be finite"
 
+    # 1e308 / 1e-10 overflows to inf: refused before any row is allocated
+    @pytest.mark.parametrize("spec", ["0:1e308:1e-10", "0:1:5e-324"])
+    def test_times_row_count_not_finite_exits_2(self, capsys, spec):
+        code = cli.main(["times", str(SCENARIOS / "damped_wave.json"), "--t-grid", spec])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert out.splitlines() == [
+            "error: --t-grid: (stop - start) / step is not a finite row count"
+        ]
+
     def test_times_negative_start_exits_2(self, capsys):
         code = cli.main(["times", str(SCENARIOS / "damped_wave.json"), "--t-grid=-2:1:1"])
         out = capsys.readouterr().out

@@ -2,10 +2,11 @@
 
 The oracle damps all masked cells in one gathered matrix product and
 shifts every whole row with ``np.roll``; the kernel damps the light cone
-of the initial nonzero columns in one product, written back on the masked
-cells, and shifts only that window by slice assignment.  A run carries
-the cone from call to call (``kernels.Cone``); a call without one scans
-the field for it, and both give the oracle's bits.  A column rounds
+of the live rows in one product, written back on the masked cells,
+shifts only that window by slice assignment, and carries the window
+through undamped stretches in one jump.  A run carries its run state
+from call to call (``kernels.Cone``); a call without one builds it by a
+scan of the field, and both give the oracle's bits.  A column rounds
 the same in any product of two or more columns, so the two agree bit for
 bit, on the shipped scenarios, on stripe masks and on random, fragmented
 masks alike.  Physical invariants (lossless transport
@@ -387,10 +388,10 @@ class TestWindowedKernel:
         rng = np.random.default_rng(6000 + steps)
         m, lo, hi = 400, 180, 200
         v = _compact(rng, 3, m, [(lo, hi)])
-        cone = kernels.Cone.of(v)
+        mask = _stripe_mask(m, 4)
+        cone = kernels.Cone(v, np.array(shifts), mask, 0)
         code = kernels.advance(
-            v, np.array(shifts), _contractive_half_step(rng, 3), _stripe_mask(m, 4),
-            steps, 1, 0, 1e-14, cone,
+            v, np.array(shifts), _contractive_half_step(rng, 3), mask, steps, 1, 0, 1e-14, cone
         )
         assert code == 0
         cone_lo = lo + steps * min(shifts)
@@ -403,8 +404,8 @@ class TestWindowedKernel:
     def test_cone_empties_when_the_data_leave_the_grid(self):
         v = np.zeros((2, 40))
         v[:, 30:34] = 1.0
-        cone = kernels.Cone.of(v)
         mask = np.ones(40, dtype=bool)
+        cone = kernels.Cone(v, np.array([3, 4]), mask, 0)
         assert kernels.advance(v, np.array([3, 4]), np.eye(2), mask, 5, 0, 0, 0.0, cone) == 0
         assert not v.any()
         assert (cone.lo, cone.hi) == (0, 0)
@@ -419,27 +420,50 @@ CARRY_CELLS = 120
 MAX_SHIFT = 4
 
 
+def _undamped_runs(mask):
+    """The undamped runs ``[a, b)`` of a damping mask."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([1], mask != 0, [1]))))
+    return list(zip(edges[0::2].tolist(), edges[1::2].tolist()))
+
+
 @st.composite
 def carried_runs(draw):
-    """A compact field on ``CARRY_CELLS`` cells, shifts that include 0,
-    both signs and rows moved off the grid in one step, a random or stripe
-    mask as bool or uint8, the guard on or off, and its steps split into
-    calls of random lengths, empty ones included.
+    """A compact field on ``CARRY_CELLS`` cells with some rows zero (dead),
+    shifts of both signs that may include 0 and a row moved off the grid in
+    one step, a random, stripe or all-undamped mask as bool or uint8, the
+    guard on or off, damping on or off, and its steps split into calls of
+    random lengths, empty ones included.
 
     The field lies anywhere, starts within ``2 * MAX_SHIFT`` cells of
-    either edge, where a step must clip its copies, or fills the grid; the
-    shifts of two or more rows may be forced to have both signs; the calls
-    may be one step each."""
+    either edge, where a step must clip its copies, fills the grid, or lies
+    inside one undamped run, where steps jump until the window would reach
+    a damped cell, the guard band or the grid's edge, within a call or at
+    its end; the shifts of two or more rows may be forced to have both
+    signs; the calls may be one step each or long enough to jump and then
+    step."""
     n = draw(st.integers(1, 4))
     m = CARRY_CELLS
-    shift = st.integers(-MAX_SHIFT, MAX_SHIFT) | st.sampled_from([-m - 2, -m, m, m + 5])
-    shifts = draw(st.lists(shift, min_size=n, max_size=n))
+    shifts = draw(st.lists(st.integers(-MAX_SHIFT, MAX_SHIFT), min_size=n, max_size=n))
     if n > 1 and draw(st.booleans()):
         shifts[0] = -draw(st.integers(1, MAX_SHIFT))
         shifts[-1] = draw(st.integers(1, MAX_SHIFT))
+    if draw(st.integers(0, 3)) == 0:
+        shifts[draw(st.integers(0, n - 1))] = draw(st.sampled_from([-m - 2, -m, m, m + 5]))
+    stripes = draw(st.sampled_from(["random", "undamped", 1, 3, 32]))
+    if stripes == "random":
+        mask = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)), dtype=np.uint8)
+    elif stripes == "undamped":
+        mask = np.zeros(m, dtype=np.uint8)
+    else:
+        mask = _stripe_mask(m, stripes)
     near = 2 * MAX_SHIFT
-    where = draw(st.sampled_from(["anywhere", "left edge", "right edge", "full"]))
-    if where == "anywhere":
+    where = draw(st.sampled_from(["anywhere", "left edge", "right edge", "full", "undamped run"]))
+    runs = _undamped_runs(mask)
+    if where == "undamped run" and runs:
+        a, b = draw(st.sampled_from(runs))
+        lo = draw(st.integers(a, b - 1))
+        span = (lo, draw(st.integers(lo + 1, min(b, lo + 12))))
+    elif where in ("anywhere", "undamped run"):
         lo = draw(st.integers(0, m - 1))
         span = (lo, draw(st.integers(lo + 1, min(m, lo + 40))))
     elif where == "left edge":
@@ -450,16 +474,18 @@ def carried_runs(draw):
         span = (draw(st.integers(hi - 40, hi - 1)), hi)
     else:
         span = (0, m)
-    chunks = st.lists(st.integers(0, 12), min_size=1, max_size=6) | st.lists(
-        st.just(1), min_size=1, max_size=30
+    chunks = (
+        st.lists(st.integers(0, 12), min_size=1, max_size=6)
+        | st.lists(st.just(1), min_size=1, max_size=30)
+        | st.lists(st.integers(0, 60), min_size=1, max_size=3)
     )
     return {
         "seed": draw(st.integers(0, 2**32 - 1)),
         "n": n,
         "shifts": shifts,
+        "dead": draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True)),
         "span": span,
-        "stripes": draw(st.sampled_from([0, 1, 3, 32])),
-        "bool_mask": draw(st.booleans()),
+        "mask": mask != 0 if draw(st.booleans()) else mask,
         "guard": draw(st.sampled_from([0, 3])),
         "damping": draw(st.sampled_from([0, 1])),
         "chunks": draw(chunks),
@@ -470,24 +496,18 @@ class TestCarriedCone:
     @settings(max_examples=200, deadline=None)
     @given(p=carried_runs())
     def test_carried_cone_is_bit_neutral_and_exact(self, p):
-        # one cone carried over calls of any lengths gives the bits and trip
-        # step of a scan per call and of the oracle, and after every call it
-        # holds every nonzero column
+        # one run state carried over calls of any lengths gives the bits,
+        # zero signs included, and trip step of a scan per call and of the
+        # oracle; after every call its window holds every nonzero column
+        # and every row it calls dead is +0.0 throughout
         rng = np.random.default_rng(p["seed"])
         m, n = CARRY_CELLS, p["n"]
         v = _compact(rng, n, m, [p["span"]])
-        mask = (
-            _stripe_mask(m, p["stripes"]) if p["stripes"]
-            else rng.integers(0, 2, size=m).astype(np.uint8)
-        )
-        if p["bool_mask"]:
-            mask = mask != 0
-        args = (
-            np.array(p["shifts"], dtype=np.int64), _contractive_half_step(rng, n), mask
-        )
+        v[p["dead"]] = 0.0
+        args = (np.array(p["shifts"], dtype=np.int64), _contractive_half_step(rng, n), p["mask"])
         rest = (p["damping"], p["guard"], 1e-14 * np.abs(v).max())
         carried, scanned, oracle = v.copy(), v.copy(), v.copy()
-        cone = kernels.Cone.of(carried)
+        cone = kernels.Cone(carried, args[0], p["mask"], p["guard"])
         for steps in p["chunks"]:
             code = kernels.advance(carried, *args, steps, *rest, cone)
             assert kernels.advance(scanned, *args, steps, *rest) == code
@@ -496,8 +516,49 @@ class TestCarriedCone:
             assert carried.tobytes() == oracle.tobytes()
             cols = np.flatnonzero(carried.any(axis=0))
             assert cols.size == 0 or cone.lo <= cols[0] <= cols[-1] < cone.hi
+            dead = ~np.array(cone.live)
+            assert not carried[dead].view(np.uint64).any()
             if code:
                 break
+
+
+# (mask, damping, guard, spans of the live rows, dead rows, shifts, calls,
+# steps jumped, steps stepped, trip step of the last call) on 120 cells:
+# jumps that end where the window would reach a damped cell, the guard
+# band or, with the guard off, the cells within reach of the grid's edge
+JUMP_CASES = {
+    # live row 0 moves 2 cells a step inside the undamped run [40, 80): 10
+    # steps jump, then 5 more and the window stands at [75, 80)
+    "run_edge": ("stripe", 1, 3, [(45, 50)], [1], [2, -3], [10, 20], 15, 15, 0),
+    # no damped cell: the window grows both ways until it would come within
+    # 3 cells of the left edge, and the step after that trips the guard
+    "guard_band": ("open", 1, 3, [(50, 60)], [], [-1, 1], [30, 30], 47, 1, 18),
+    # damping off, guard off: jumps until the window would come within
+    # reach (3 cells) of the right edge, then edge steps push the data off
+    "grid_edge": ("open", 0, 0, [(10, 20)], [], [3, 0], [40], 32, 8, 0),
+}
+
+
+class TestJump:
+    @pytest.mark.parametrize("case", sorted(JUMP_CASES))
+    def test_jump_ends_where_transport_would(self, case):
+        mask_kind, damping, guard, spans, dead, shifts, calls, jumped, stepped, trip = (
+            JUMP_CASES[case]
+        )
+        rng = np.random.default_rng(8000)
+        m, n = CARRY_CELLS, len(shifts)
+        mask = _stripe_mask(m, 1) if mask_kind == "stripe" else np.zeros(m, dtype=np.uint8)
+        v = _compact(rng, n, m, spans)
+        v[dead] = 0.0
+        args = (np.array(shifts), _contractive_half_step(rng, n), mask)
+        rest = (damping, guard, 1e-14 * np.abs(v).max())
+        oracle = v.copy()
+        cone = kernels.Cone(v, args[0], mask, guard)
+        codes = [kernels.advance(v, *args, steps, *rest, cone) for steps in calls]
+        assert codes == [oracle_advance(oracle, *args, steps, *rest) for steps in calls]
+        assert codes[-1] == trip
+        assert v.tobytes() == oracle.tobytes()
+        assert (cone.jumped, cone.stepped) == (jumped, stepped)
 
 
 def _cone_cells(rows: int, m: int, lo: int, hi: int, shifts, n_steps: int) -> int:
@@ -525,6 +586,47 @@ class TestLightCone:
             scenario.system.n, grid.n_cells, cols[0], cols[-1] + 1, grid.shifts, steps
         )
         assert 0 < traj.cells_touched <= cone
+
+    @pytest.mark.parametrize(
+        "name, jumped, cells",
+        [("probe_scalar.json", 190, 4000), ("probe_321.json", 190, 143670),
+         ("probe_421.json", 190, 209505)],
+    )
+    def test_probe_jumps_until_its_box_would_reach_damping(self, name, jumped, cells):
+        # the box sits on characteristic 0 inside the stripe, every other
+        # row zero: the steps jump until its window would reach a damped
+        # cell or the guard band; the first relaxation on a damped cell
+        # then makes every row live, and the window grows by the spread of
+        # the shifts each step
+        scenario = harness.load_scenario(SCENARIO_DIR / name)
+        traj = _run_shipped(name)
+        grid = traj.grid
+        n, m = scenario.system.n, grid.n_cells
+        (bump,) = scenario.data.bumps
+        cols = np.flatnonzero(scenario.data.sample(grid.centers, n)[bump.component])
+        lo, hi = int(cols[0]), int(cols[-1]) + 1
+        s = int(grid.shifts[bump.component])
+        first_damped = hi + int(np.argmax(grid.damp_mask[hi:]))
+        margin = max(grid.guard_cells, int(np.abs(grid.shifts).max()))
+        assert (min(first_damped, m - margin) - hi) // s == jumped
+        steps = solver.sample_steps(scenario.t_final, grid.dt, scenario.stride).last
+        assert (traj.steps_jumped, traj.steps_stepped) == (jumped, steps - jumped)
+        width, spread = hi - lo, int(np.ptp(grid.shifts))
+        grown = sum(width + k * spread for k in range(1, steps - jumped))
+        assert traj.cells_touched == n * ((jumped + 1) * width + grown) == cells
+
+    @pytest.mark.parametrize("name", ENVELOPE_SCENARIOS)
+    def test_envelope_runs_jump_no_step(self, name):
+        # their data start on damped cells, so every row is live at once and
+        # the window never fits inside a stripe
+        scenario = harness.load_scenario(SCENARIO_DIR / name)
+        result = harness.run_scenario(scenario)
+        traj = result.series
+        steps = solver.sample_steps(scenario.t_final, traj.grid.dt, scenario.stride).last
+        assert (traj.steps_jumped, traj.steps_stepped) == (0, steps)
+        assert not {"cells_touched", "steps_jumped", "steps_stepped"} & set(
+            harness.summarize(result)
+        )
 
     def test_the_grid_is_scanned_once_per_run(self, monkeypatch):
         # a stride-1 run calls the kernel once per step; the cone it carries
