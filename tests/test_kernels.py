@@ -616,7 +616,7 @@ class TestLightCone:
         assert traj.cells_touched == n * ((jumped + 1) * width + grown) == cells
 
     @pytest.mark.parametrize("name", ENVELOPE_SCENARIOS)
-    def test_envelope_runs_jump_no_step(self, name):
+    def test_envelope_runs_never_jump(self, name):
         # their data start on damped cells, so every row is live at once and
         # the window never fits inside a stripe
         scenario = harness.load_scenario(SCENARIO_DIR / name)
