@@ -9,7 +9,9 @@ steps and handed to every call, which starts from it and writes back
 where it ended: the row views, each row's shift and their reach, the
 guard band's views, the ``bool`` mask with its undamped runs, which rows
 are live, and the light-cone window ``[lo, hi)`` outside which every
-entry is +0.0.  A call without one builds it by one scan of ``v``.
+entry is +0.0.  A call without one builds it by one scan of ``v``, and
+a call given one built for another field, other shift or mask arrays or
+another guard band refuses it.
 
 A row is live unless it is +0.0 throughout.  Shifting moves no value
 into a dead row, so it is never copied, and the window follows the live
@@ -66,7 +68,8 @@ class Cone:
         self, v: np.ndarray, shifts: np.ndarray, mask: np.ndarray, guard_cells: int
     ) -> None:
         m = v.shape[1]
-        self.field = v
+        # what it was built for, which a call must pass again
+        self.built_for = (v, shifts, mask, guard_cells)
         self.rows = list(v)
         self.shifts = [int(s) for s in shifts]
         # a window at least this far from both edges has every row's source
@@ -103,15 +106,25 @@ class Cone:
 
     def mixes(self, lo: int, hi: int) -> bool:
         """Whether a relaxation of the window ``[lo, hi)`` mixes the rows,
-        that is, whether the window holds a damped cell; if it does, every
-        row becomes live."""
+        that is, whether the window holds a damped cell."""
         starts, ends = self.runs
         i = bisect_right(starts, lo) - 1
-        if lo == hi or (i >= 0 and hi <= ends[i]):
-            return False
+        return lo < hi and not (i >= 0 and hi <= ends[i])
+
+    def wake(self) -> None:
+        """Make every row live, as a relaxation that mixes the rows does."""
         self.live = [True] * len(self.rows)
         self._follow_live_rows()
-        return True
+
+    def fits(
+        self, v: np.ndarray, shifts: np.ndarray, mask: np.ndarray, guard_cells: int
+    ) -> bool:
+        """Whether the cone was built on ``v`` for these arguments."""
+        field, built_shifts, built_mask, built_guard = self.built_for
+        return (
+            field is v and built_shifts is shifts and built_mask is mask
+            and built_guard == guard_cells
+        )
 
 
 def _clip(starts: list[int], ends: list[int], a: int, b: int) -> tuple[list[int], list[int]]:
@@ -173,20 +186,19 @@ def advance(
     passes ``apply_damping`` for it once.  ``cone``, when given, is the
     run state built on ``v`` for these ``shifts``, ``mask`` and
     ``guard_cells``, which the call reads from it; it is left holding the
-    state of the result and the work done.  Without it the call builds
-    one by a scan of ``v``.
+    state of the result and the work done.  A cone built on another array
+    or for other shift or mask objects or another guard band raises
+    ``ValueError``.  Without it the call builds one by a scan of ``v``.
     """
     if cone is None:
         cone = Cone(v, shifts, mask, guard_cells)
-    elif cone.field is not v:
-        raise ValueError("cone: built on another field")
+    elif not cone.fits(v, shifts, mask, guard_cells):
+        raise ValueError("cone: built for another field, shifts, mask or guard band")
     n, m = v.shape
     relax = bool(apply_damping)
     damped, guard, reach = cone.damped, cone.guard, cone.reach
     left, right = cone.left, cone.right
     zone_starts, zone_ends = cone.zones[relax]
-    moving, grow_left, grow_right = cone.moving, cone.grow_left, cone.grow_right
-    dormant = cone.dormant
     lo, hi = cone.lo, cone.hi
     n_steps = int(n_steps)
     step = cells = jumped = code = 0
@@ -195,13 +207,14 @@ def advance(
     owed = 1 if relax and n_steps > 0 else 0
 
     while True:
-        if owed and (not dormant or cone.mixes(lo, hi)):
-            if dormant:  # this relaxation made every row live
-                dormant = False
-                moving, grow_left, grow_right = cone.moving, cone.grow_left, cone.grow_right
-            _relax(v, damp_half, damped, lo, hi, owed)
+        if owed:
+            if cone.dormant and cone.mixes(lo, hi):
+                cone.wake()
+            if not cone.dormant:
+                _relax(v, damp_half, damped, lo, hi, owed)
         if step == n_steps or lo == hi:
             break  # done, or a zero field, which stays zero
+        moving, grow_left, grow_right = cone.moving, cone.grow_left, cone.grow_right
 
         # jump while the window after each step stays in one zone
         i = bisect_right(zone_starts, lo + grow_left) - 1

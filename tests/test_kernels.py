@@ -388,11 +388,10 @@ class TestWindowedKernel:
         rng = np.random.default_rng(6000 + steps)
         m, lo, hi = 400, 180, 200
         v = _compact(rng, 3, m, [(lo, hi)])
-        mask = _stripe_mask(m, 4)
-        cone = kernels.Cone(v, np.array(shifts), mask, 0)
-        code = kernels.advance(
-            v, np.array(shifts), _contractive_half_step(rng, 3), mask, steps, 1, 0, 1e-14, cone
-        )
+        shifts, mask = np.array(shifts), _stripe_mask(m, 4)
+        cone = kernels.Cone(v, shifts, mask, 0)
+        damp_half = _contractive_half_step(rng, 3)
+        code = kernels.advance(v, shifts, damp_half, mask, steps, 1, 0, 1e-14, cone)
         assert code == 0
         cone_lo = lo + steps * min(shifts)
         cone_hi = hi + steps * max(shifts)
@@ -404,16 +403,33 @@ class TestWindowedKernel:
     def test_cone_empties_when_the_data_leave_the_grid(self):
         v = np.zeros((2, 40))
         v[:, 30:34] = 1.0
-        mask = np.ones(40, dtype=bool)
-        cone = kernels.Cone(v, np.array([3, 4]), mask, 0)
-        assert kernels.advance(v, np.array([3, 4]), np.eye(2), mask, 5, 0, 0, 0.0, cone) == 0
+        shifts, mask = np.array([3, 4]), np.ones(40, dtype=bool)
+        cone = kernels.Cone(v, shifts, mask, 0)
+        assert kernels.advance(v, shifts, np.eye(2), mask, 5, 0, 0, 0.0, cone) == 0
         assert not v.any()
         assert (cone.lo, cone.hi) == (0, 0)
         # windows [33, 38), [36, 40) and [39, 40); the steps after the last
         # row left touch no cell
         assert cone.cells == 2 * (5 + 4 + 1)
-        assert kernels.advance(v, np.array([3, 4]), np.eye(2), mask, 5, 0, 0, 0.0, cone) == 0
+        assert kernels.advance(v, shifts, np.eye(2), mask, 5, 0, 0, 0.0, cone) == 0
         assert cone.cells == 2 * (5 + 4 + 1)
+
+    @pytest.mark.parametrize("other", ["field", "shifts", "mask", "guard"])
+    def test_a_cone_built_for_other_arguments_is_refused(self, other):
+        # the call reads the shifts, mask and guard band from the cone, so
+        # one built for others would step with them; equal copies are
+        # others too
+        v = np.zeros((2, 40))
+        v[:, 10:14] = 1.0
+        built = {"field": v, "shifts": np.array([1, -1]), "mask": np.zeros(40, dtype=bool), "guard": 2}
+        cone = kernels.Cone(*built.values())
+        passed = dict(built)
+        passed[other] = built[other] + 1 if other == "guard" else built[other].copy()
+        field, shifts, mask, guard = passed.values()
+        before = field.copy()
+        with pytest.raises(ValueError, match="cone: built for another"):
+            kernels.advance(field, shifts, np.eye(2), mask, 3, 1, guard, 0.0, cone)
+        assert field.tobytes() == before.tobytes()
 
 
 CARRY_CELLS = 120
@@ -429,7 +445,7 @@ def _undamped_runs(mask):
 @st.composite
 def carried_runs(draw):
     """A compact field on ``CARRY_CELLS`` cells with some rows zero (dead),
-    shifts of both signs that may include 0 and a row moved off the grid in
+    shifts of both signs that may include 0 and rows moved off the grid in
     one step, a random, stripe or all-undamped mask as bool or uint8, the
     guard on or off, damping on or off, and its steps split into calls of
     random lengths, empty ones included.
@@ -443,12 +459,19 @@ def carried_runs(draw):
     step."""
     n = draw(st.integers(1, 4))
     m = CARRY_CELLS
-    shifts = draw(st.lists(st.integers(-MAX_SHIFT, MAX_SHIFT), min_size=n, max_size=n))
+    shift = st.integers(-MAX_SHIFT, MAX_SHIFT)
+    off_grid = st.sampled_from([-m - 2, -m, m, m + 5])
+    # an oversized shift makes the reach the whole grid, which rules every
+    # jump out: in a quarter of the examples any row may have one (several
+    # rows may leave the grid in one step, one off each edge), in another
+    # quarter exactly one row has one, and in the rest none does
+    oversized = draw(st.sampled_from(["any row", "one row", "none", "none"]))
+    shifts = draw(st.lists(shift | off_grid if oversized == "any row" else shift, min_size=n, max_size=n))
     if n > 1 and draw(st.booleans()):
         shifts[0] = -draw(st.integers(1, MAX_SHIFT))
         shifts[-1] = draw(st.integers(1, MAX_SHIFT))
-    if draw(st.integers(0, 3)) == 0:
-        shifts[draw(st.integers(0, n - 1))] = draw(st.sampled_from([-m - 2, -m, m, m + 5]))
+    if oversized == "one row":
+        shifts[draw(st.integers(0, n - 1))] = draw(off_grid)
     stripes = draw(st.sampled_from(["random", "undamped", 1, 3, 32]))
     if stripes == "random":
         mask = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)), dtype=np.uint8)
