@@ -167,7 +167,8 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     # ScenarioError is a ValueError, so it goes first.  A run can still reject
-    # a loaded scenario: edge guard band, zero data, box bumps to calibrate.
+    # a loaded scenario: edge guard band, zero data, a rate the scan cannot
+    # resolve.
     # The loader turns its own OSError into a ScenarioError, so an OSError
     # here comes from writing the outputs.
     try:

@@ -3,7 +3,8 @@
 A scenario JSON file fixes the system, the stripe geometry, the grid, and
 the initial data.  Three kinds are supported: ``verify-envelope`` runs the
 localized-damping solver and checks its norms against delayed decay
-envelopes calibrated on the constant-damping reference; ``conservation-probe``
+envelopes whose constants are read off the constant-damping system's
+symbol; ``conservation-probe``
 tracks the loss-free plateau of a bump seeded on one characteristic inside
 a stripe; ``fullspace`` runs the periodic reference evolution alone.
 
@@ -17,26 +18,26 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any
 
 import numpy as np
 
 from locdamp import solver
 from locdamp.chartimes import UndampedRegion, residence_bound
 from locdamp.model import EigenStructure, HyperbolicSystem, ValidationReport, validate_system
-from locdamp.norms import NORM_COLUMNS, NormSeries, low_band_bound, low_band_sup
+from locdamp.norms import NORM_COLUMNS, NormSeries, bin_weights, low_band_bound, low_band_sup
 from locdamp.spectral import (
     RATE_RESOLUTION_FACTOR,
     SpectralScan,
     fullspace_evolve,
     gamma_estimate,
+    propagator_sup,
 )
 
 SCENARIO_KINDS = ("verify-envelope", "conservation-probe", "fullspace")
-# Envelope bookkeeping: multiplicative headroom baked into the calibrated
-# constants, multiplicative slack allowed at verification time, and the
-# relative norm floor below which a band is considered numerically empty.
-CALIBRATION_HEADROOM = 1.1
+# Envelope bookkeeping: multiplicative slack allowed at verification time,
+# and the relative norm floor below which a band is considered numerically
+# empty.
 ENVELOPE_SLACK = 1.05
 NORM_FLOOR_RTOL = 1e-14
 # Coercive damping never adds energy: a run whose l2_total rises between
@@ -45,10 +46,9 @@ ENERGY_RISE_RTOL = 1e-12
 # The probe's plateau ends when total energy first drops below this
 # fraction of its initial value.
 ONSET_FRACTION = 0.99
-# Reference-evolution layout: grid points per gaussian width and the cap
-# on how many trajectory times the calibration re-evaluates.
+# The ``fullspace`` kind's default resolution: grid points per narrowest
+# bump width.
 REF_POINTS_PER_SIGMA = 4
-REF_MAX_TIMES = 33
 
 CSV_NAME = "norms.csv"
 SUMMARY_NAME = "summary.json"
@@ -211,33 +211,24 @@ def load_scenario(path: str | Path) -> Scenario:
 
 @dataclass(frozen=True)
 class EnvelopeCalibration:
-    """Constants tying the localized run to the constant-damping reference."""
+    """Constants of the constant-damping semigroup that bound the delayed
+    envelopes: the uniform rate ``gamma`` and ``c_high`` above wavenumber
+    one, the diffusive rate ``kappa`` and ``c_low`` at or below it."""
 
     gamma: float
     c_high: float
     c_low: float
-    ref: NormSeries
+    kappa: float
 
 
-def _ref_dx(data: solver.InitialDataSpec) -> float:
-    """The reference grid's spacing: ``REF_POINTS_PER_SIGMA`` cells per
-    narrowest bump width."""
-    return min(b.width for b in data.bumps) / REF_POINTS_PER_SIGMA
-
-
-def calibrate(
-    sys: HyperbolicSystem,
-    data: solver.InitialDataSpec,
-    times,
-    scan: SpectralScan,
-) -> EnvelopeCalibration:
-    """Fix the envelope constants from a constant-damping reference run.
-
-    The high-band constant makes the reference satisfy its own envelope
-    with 10% headroom; likewise the low-band constant for the dispersive
-    sup bound.  Needs gaussian data (band-limited on a modest grid) and a
-    positive uniform rate that the ``scan`` resolves.
-    """
+def calibrate(sys: HyperbolicSystem, scan: SpectralScan, max_lag: float) -> EnvelopeCalibration:
+    """The envelope constants of ``sys``, read off its symbol
+    M(xi) = -i xi Lambda - S on the frequencies of ``scan`` at lags t up to
+    ``max_lag`` (``propagator_sup``): ``c_high`` the largest
+    e^(gamma t) ||exp(t M(xi))||_2 over xi >= 1, ``kappa`` the least
+    -abscissa / xi^2 over xi in (0, 1], and ``c_low`` the largest
+    e^(kappa xi^2 t) ||exp(t M(xi))||_2 there.  Refuses a rate ``gamma``
+    that the scan does not resolve or that is not positive."""
     gamma = scan.gamma
     if not (scan.resolved and gamma > 0.0):
         raise ValueError(
@@ -245,43 +236,15 @@ def calibrate(
             f"2^{math.log2(RATE_RESOLUTION_FACTOR):g} times the scan's resolution "
             f"{scan.resolution:.6g}"
         )
-    if any(b.kind != "gaussian" for b in data.bumps):
-        raise ValueError("calibrate: reference calibration needs gaussian bumps")
-
-    t_arr = np.asarray(list(times), dtype=float)
-    t_pos = t_arr[t_arr > 0.0]
-    if t_pos.size == 0:
-        raise ValueError("calibrate: need at least one positive sample time")
-    if t_pos.size > REF_MAX_TIMES:
-        idx = np.linspace(0, t_pos.size - 1, REF_MAX_TIMES).round().astype(int)
-        t_pos = t_pos[np.unique(idx)]
-    t_max = float(t_pos.max())
-
-    lo, hi = data.support()
-    sigma_min = min(b.width for b in data.bumps)
-    vmax = float(np.abs(sys.eigs.lambdas).max())
-    span = (hi - lo) + 2.0 * vmax * t_max + 16.0 * sigma_min
-    dx_ref = _ref_dx(data)
-    m = 1 << int(np.ceil(np.log2(span / dx_ref)))
-    length = m * dx_ref
-    mid = 0.5 * (lo + hi)
-    x = (mid - 0.5 * length) + dx_ref * np.arange(m)
-
-    ref = _reference(sys, data, x, [0.0, *t_pos])
-
-    l2_0 = float(ref.l2_total[0])
-    l1_0 = float(ref.l1[0])
-    if l2_0 <= 0.0 or l1_0 <= 0.0:
-        raise ValueError("calibrate: initial data has zero mass")
-    # A high band under the norm floor is round-off, not decay:
-    # verify_envelope ignores it, and exp(gamma t) would blow it up here.
-    high = ref.l2_high > NORM_FLOOR_RTOL * l2_0
-    high_ratios = ref.l2_high[high] * np.exp(gamma * ref.times[high]) / l2_0
-    c_high = CALIBRATION_HEADROOM * float(high_ratios.max(initial=0.0))
-    pos = ref.times > 0.0
-    low_ratios = ref.linf_low[pos] * np.sqrt(ref.times[pos]) / l1_0
-    c_low = CALIBRATION_HEADROOM * float(low_ratios.max())
-    return EnvelopeCalibration(gamma=gamma, c_high=c_high, c_low=c_low, ref=ref)
+    xi = scan.xi
+    low = (xi > 0.0) & (xi <= 1.0)
+    kappa = float(np.min(-scan.abscissa[low] / xi[low] ** 2))
+    return EnvelopeCalibration(
+        gamma=gamma,
+        c_high=propagator_sup(sys, xi[xi >= 1.0], gamma, max_lag),
+        c_low=propagator_sup(sys, xi[low], kappa * xi[low] ** 2, max_lag),
+        kappa=kappa,
+    )
 
 
 @dataclass(frozen=True)
@@ -312,10 +275,13 @@ def verify_envelope(traj: solver.Trajectory, cal: EnvelopeCalibration) -> Envelo
     """Check both decay envelopes, each delayed by the residence bound of
     the stripes the run simulated (``traj.grid.region``).
 
-    High band: energy above wavenumber one under C * exp(-gamma (t - tau)).
-    Low band: sup of the smoothed field under C_low (t - tau)^(-1/2) times
-    the initial integral.  Times earlier than one sampling stride past the
-    delay are exempt; a 5% multiplicative slack absorbs discretisation.
+    High band: energy above wavenumber one under C_high
+    exp(-gamma (t - tau)) l2_0.  Low band: sup of the smoothed field under
+    (l1_0 C_low / L) sum_k m_k exp(-kappa xi_k^2 (t - tau)) over the low bins
+    of the run's box of length L, m_k their Parseval weights: no Fourier
+    coefficient exceeds the initial integral l1_0.  Times earlier than one
+    sampling stride past the delay are exempt; a 5% multiplicative slack
+    absorbs discretisation.
     The low-band sup is synthesized (``low_band_sup``) only at checked
     samples where ``low_band_bound``, read off the stored modes, does not
     already settle the check, so the verdicts and measured values are
@@ -333,32 +299,33 @@ def verify_envelope(traj: solver.Trajectory, cal: EnvelopeCalibration) -> Envelo
     times = traj.times
     floor_high = NORM_FLOOR_RTOL * l2_0
     floor_low = NORM_FLOOR_RTOL * l1_0
+    checked = np.flatnonzero(times >= tb + traj.stride_dt * (1.0 - 1e-9))
+    lags = times[checked] - tb
+    length = traj.n_cells * traj.grid.dx
+    n_low = traj.low_modes.shape[-1]
+    xi_sq = (2.0 * np.pi / length * np.arange(n_low)) ** 2
+    weights = bin_weights(n_low, traj.n_cells) * (l1_0 * cal.c_low / length)
+    allowed_lows = np.exp(-cal.kappa * np.multiply.outer(lags, xi_sq)) @ weights
 
     violations: list[Violation] = []
-    n_checked = 0
-    t_start = tb + traj.stride_dt * (1.0 - 1e-9)
-    for i, t in enumerate(times):
-        if t < t_start:
-            continue
-        n_checked += 1
-        lag = t - tb
+    for i, lag, allowed_low in zip(checked.tolist(), lags.tolist(), allowed_lows.tolist()):
+        t = float(times[i])
         allowed_high = cal.c_high * math.exp(-cal.gamma * lag) * l2_0
         measured_high = float(traj.l2_high[i])
         if measured_high > floor_high and measured_high > allowed_high * ENVELOPE_SLACK:
-            violations.append(Violation(float(t), "high", measured_high, allowed_high))
-        allowed_low = cal.c_low * l1_0 / math.sqrt(lag)
+            violations.append(Violation(t, "high", measured_high, allowed_high))
         limit_low = max(floor_low, allowed_low * ENVELOPE_SLACK)
         modes = traj.low_modes[i]
         if low_band_bound(modes, traj.n_cells) > limit_low:
             measured_low = low_band_sup(modes, traj.n_cells)
             if measured_low > limit_low:
-                violations.append(Violation(float(t), "low", measured_low, allowed_low))
+                violations.append(Violation(t, "low", measured_low, allowed_low))
     return EnvelopeReport(
         residence_bound=tb,
         gamma=cal.gamma,
         c_high=cal.c_high,
         c_low=cal.c_low,
-        n_checked=n_checked,
+        n_checked=checked.size,
         violations=tuple(violations),
     )
 
@@ -472,7 +439,7 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
         return ScenarioResult(s, validation, traj, None, None, probe)
 
     scan = gamma_estimate(s.system)
-    cal = calibrate(s.system, s.data, traj.times, scan)
+    cal = calibrate(s.system, scan, traj.times[-1] - residence_bound(traj.eigs, traj.grid.region))
     envelope = verify_envelope(traj, cal)
     return ScenarioResult(s, validation, traj, scan, envelope, None)
 
@@ -492,33 +459,24 @@ def _check_energy(series: NormSeries, validation: ValidationReport) -> None:
 
 
 def _run_fullspace(s: Scenario) -> NormSeries:
-    """The reference run on the stepping grid's cells and sample times.  It
-    steps no stripe, so its default resolution comes from the data, as the
-    calibration box's does: ``REF_POINTS_PER_SIGMA`` cells per narrowest
-    bump width."""
+    """The reference run on the stepping grid's cells and sample times, of
+    the data given in either basis and mapped to physical components;
+    ``fullspace_evolve`` refuses a mapping that overflows.  It steps no
+    stripe, so its default resolution comes from the data:
+    ``REF_POINTS_PER_SIGMA`` cells per narrowest bump width."""
     n_cells = s.n_cells
     if n_cells is None:
-        n_cells = math.ceil((s.x_max - s.x_min) / _ref_dx(s.data))
+        n_cells = math.ceil(
+            (s.x_max - s.x_min) / (min(b.width for b in s.data.bumps) / REF_POINTS_PER_SIGMA)
+        )
     n_cells, dx, v_unit, _ = solver.lay_out(s.system.eigs, s.region, s.x_min, s.x_max, n_cells)
     dt = dx / v_unit
     steps = solver.sample_steps(s.t_final, dt, s.stride)
     x = s.x_min + dx * np.arange(n_cells)
-    return _reference(s.system, s.data, x, (k * dt for k in steps))
-
-
-def _reference(
-    sys: HyperbolicSystem,
-    data: solver.InitialDataSpec,
-    x: np.ndarray,
-    times: Iterable[float],
-) -> NormSeries:
-    """Constant-damping reference run of ``data`` sampled on the uniform
-    grid ``x``, given in either basis, mapped to physical components;
-    ``fullspace_evolve`` refuses a mapping that overflows."""
-    samples = data.sample(x, sys.n)
+    samples = s.data.sample(x, s.system.n)
     with np.errstate(over="ignore"):
-        u0 = samples if data.basis == "physical" else sys.eigs.basis @ samples
-    return fullspace_evolve(sys, x, u0, times)
+        u0 = samples if s.data.basis == "physical" else s.system.eigs.basis @ samples
+    return fullspace_evolve(s.system, x, u0, (k * dt for k in steps))
 
 
 def _fmt(value: float) -> str:

@@ -46,10 +46,9 @@ class NormSeries:
     taken on, shape ``(len(times), n, n_low)`` with ``n_low`` about
     ``L / 2 pi + 1`` for a box of length ``L``.  Its sup, ``linf_low``, is
     synthesized from them on first read, one transform per block of samples
-    (``samples_per_block``), so runs that never read it never pay for it;
-    the reference calibration reads it, while the envelope check
-    synthesizes single samples, only where a bound on the modes does not
-    settle them.  A series is built from the ``field_norms`` columns of
+    (``samples_per_block``); a run never reads it, and the envelope check
+    synthesizes single samples where a bound on the modes does not settle
+    them.  A series is built from the ``field_norms`` columns of
     consecutive stacks of samples (``from_blocks``).
     """
 
@@ -113,6 +112,14 @@ def _paired_bins(n_bins: int, n_cells: int) -> slice:
     cells that stand for a conjugate pair: all but the zero bin and, for
     an even ``n_cells``, the Nyquist bin."""
     return slice(1, min(n_bins, (n_cells + 1) // 2))
+
+
+def bin_weights(n_bins: int, n_cells: int) -> np.ndarray:
+    """Parseval weights of the first ``n_bins`` real-FFT bins over
+    ``n_cells`` cells: 2 on ``_paired_bins``, else 1."""
+    weights = np.ones(n_bins)
+    weights[_paired_bins(n_bins, n_cells)] = 2.0
+    return weights
 
 
 def freq_split(what: np.ndarray, split: BandSplit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -245,9 +252,7 @@ def low_band_bound(low_modes: np.ndarray, n_cells: int) -> float:
     """
     n, n_low = low_modes.shape
     m = int(n_cells)
-    weights = np.ones(n_low)
-    weights[_paired_bins(n_low, m)] = 2.0
-    per_component = np.abs(low_modes) @ weights
+    per_component = np.abs(low_modes) @ bin_weights(n_low, m)
     margin = 1.0 + 2.0 ** -52 * (8.0 * math.log2(m) + n_low + n + 8.0)
     return math.hypot(*per_component) * margin
 

@@ -255,8 +255,8 @@ class Bump:
     @property
     def half_extent(self) -> float:
         # A gaussian is zero beyond 8 sigma, where it is below e^-32 of its
-        # amplitude: the sampler, the reference calibration's box and the
-        # probe's predicted onset share this support.
+        # amplitude: the sampler and the probe's predicted onset share this
+        # support.
         if self.kind == "gaussian":
             return 8.0 * self.width
         if self.kind == "box":

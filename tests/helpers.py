@@ -1,8 +1,10 @@
 """Shared system builders and independent oracles for the test suite."""
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import expm, norm
 
 from locdamp.chartimes import UndampedRegion
 from locdamp.model import EigenStructure, HyperbolicSystem, source_matrix
@@ -83,6 +85,41 @@ def eigenbasis_symbol(sys: HyperbolicSystem, eigs: EigenStructure, xi: float) ->
     """The symbol at one frequency in the transport eigenbasis,
     -i*xi*diag(lambdas) - S, built one frequency at a time."""
     return -1j * float(xi) * np.diag(eigs.lambdas) - source_matrix(sys, eigs)
+
+
+def propagator_sup(sys: HyperbolicSystem, xi, rate, lags) -> float:
+    """The largest e^(rate t) ||exp(t M(xi))||_2 over the frequencies ``xi``
+    and the ``lags``, with ``rate`` one value or one per frequency, one
+    frequency and one lag at a time: scipy's ``expm`` of the eigenbasis
+    symbol and its 2-norm."""
+    xi = np.asarray(xi, dtype=float)
+    return max(
+        math.exp(r * t) * norm(expm(t * eigenbasis_symbol(sys, sys.eigs, x)), 2)
+        for x, r in zip(xi, np.broadcast_to(rate, xi.shape))
+        for t in lags
+    )
+
+
+# The scalar system whose one stripe lies beside its data: speed -2, so
+# the stripe [-9.25, -7] takes 1.125 to cross, and damping rate d.
+BESIDE_DAMPING = 1.1192159864499238
+BESIDE_DELAY = 1.125
+
+
+def stripe_beside_data(n_cells: int, t_final: float = 5.0, stride: int = 2) -> dict:
+    """The verify-envelope scenario of that system on [-31, 31]: a unit
+    gaussian at 0, whose left tail starts inside the stripe."""
+    return {
+        "name": "stripe_beside_data",
+        "kind": "verify-envelope",
+        "system": {"a": [[-2.0]], "n1": 0, "dd": [[BESIDE_DAMPING]]},
+        "region": {"stripes": [[-9.25, -7.0]]},
+        "domain": {"x_min": -31.0, "x_max": 31.0, "n_cells": n_cells},
+        "time": {"t_final": t_final, "stride": stride},
+        "initial_data": {
+            "bumps": [{"kind": "gaussian", "component": 0, "center": 0.0, "width": 1.0}]
+        },
+    }
 
 
 def eager_linf_low(what: np.ndarray, m: int, dx: float) -> float:

@@ -54,6 +54,20 @@ def test_every_traced_layer_resolves():
     assert {"solver.run", "solver.grid", "solver.norms"} <= layers.keys()
 
 
+def test_envelope_run_evolves_no_reference():
+    # the envelope constants are read off the symbol: a verify-envelope run
+    # is timed in the scan, the calibration and the check, and evolves no
+    # reference
+    tracing = _perfbench("tracing")
+    tracer = tracing.Tracer()
+    with tracing.patched(tracer, tracing.layer_table()) as missing:
+        assert missing == []
+        harness.run_scenario(harness.load_scenario(ROOT / "scenarios" / "damped_wave.json"))
+    layers = tracing.totals(tracer.take())
+    assert {"spectral.scan", "harness.calibrate", "harness.check"} <= layers.keys()
+    assert "spectral.reference" not in layers
+
+
 @pytest.mark.parametrize(
     "name",
     sorted(

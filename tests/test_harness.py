@@ -21,9 +21,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import locdamp
-from helpers import eager_linf_low, fit_decay_rate, fit_loglog_slope
+from helpers import (
+    BESIDE_DAMPING,
+    eager_linf_low,
+    eigenbasis_symbol,
+    fit_decay_rate,
+    fit_loglog_slope,
+    propagator_sup,
+    spectral_abscissa,
+    stripe_beside_data,
+)
 from locdamp import cli, harness, norms, solver, spectral
-from locdamp.chartimes import UndampedRegion
+from locdamp.chartimes import UndampedRegion, residence_bound
 from locdamp.model import diagonalize
 from locdamp.solver import Bump, InitialDataSpec, Trajectory
 from locdamp.norms import NormSeries
@@ -45,6 +54,13 @@ def _write(tmp_path: Path, raw) -> Path:
     return p
 
 
+def _scenario_path(tmp_path: Path, name: str) -> Path:
+    """A shipped scenario's file, or ``stripe_beside_data`` at 248 cells."""
+    if name == "stripe_beside_data":
+        return _write(tmp_path, stripe_beside_data(248))
+    return SCENARIOS / f"{name}.json"
+
+
 def _scan(system, **fields) -> spectral.SpectralScan:
     """The system's rate scan with ``fields`` replaced."""
     return dataclasses.replace(gamma_estimate(system), **fields)
@@ -58,11 +74,6 @@ def _errors_of(tmp_path: Path, raw) -> list[str]:
 
 def _long_run(raw: dict) -> None:
     raw["time"]["t_final"] = 500.0
-
-
-def _box_bumps(raw: dict) -> None:
-    for bump in raw["initial_data"]["bumps"]:
-        bump["kind"] = "box"
 
 
 def _zero_amplitudes(raw: dict) -> None:
@@ -90,7 +101,6 @@ def _set(section: str, **values):
 # (id, edit, message): runs that reject a stepping scenario or a fullspace one.
 STEPPING_REJECTIONS = [
     ("edge", _long_run, "mass reached the edge guard band near t = 15.23; enlarge the domain or shorten the run"),
-    ("box", _box_bumps, "calibrate: reference calibration needs gaussian bumps"),
     ("zero", _zero_amplitudes, "initial data is zero on the grid"),
     ("narrow", _narrow_bumps, "initial data is zero on the grid"),
     ("overflow", _overflowing_data, "initial data is not finite on the grid"),
@@ -503,24 +513,50 @@ class TestRunScenario:
                 assert l2[-1] > l2[0]
 
 
+def _run_calibration(result: harness.ScenarioResult) -> harness.EnvelopeCalibration:
+    """The constants ``run_scenario`` checked ``result`` against."""
+    max_lag = result.series.times[-1] - result.envelope.residence_bound
+    return harness.calibrate(result.scenario.system, result.scan, max_lag)
+
+
+def _oracle(sys, scan: spectral.SpectralScan, max_lag: float) -> tuple[float, float, float]:
+    """``(c_high, c_low, kappa)`` for ``calibrate``'s frequencies and lags,
+    one frequency and one lag at a time."""
+    xi = scan.xi
+    low = xi[(xi > 0.0) & (xi <= 1.0)]
+    kappa = min(-spectral_abscissa(eigenbasis_symbol(sys, sys.eigs, x)) / x**2 for x in low)
+    lags = np.linspace(0.0, max_lag, spectral.SUP_LAGS)
+    return (
+        propagator_sup(sys, xi[xi >= 1.0], scan.gamma, lags),
+        propagator_sup(sys, low, kappa * low**2, lags),
+        kappa,
+    )
+
+
 class TestCalibrate:
+    """The constants against an independent oracle (``helpers.propagator_sup``:
+    scipy's ``expm`` and 2-norm, one frequency and one lag at a time)."""
+
+    # (c_high, c_low, kappa), as measured at the shipped lags
+    MEASURED = {
+        "damped_wave": (1.73083, 1.73083, 0.5),
+        "three_speed_321": (3.04451, 2.53437, 0.43627),
+        "stripe_beside_data": (1.0, 1.0, BESIDE_DAMPING),
+    }
+
     def test_rejects_nonpositive_rate(self):
-        data = InitialDataSpec(
-            bumps=(Bump(kind="gaussian", component=0, center=0.0, width=0.25),)
-        )
         scenario = harness.load_scenario(SCENARIOS / "damped_wave.json")
         # 0 is not resolved; -0.5 is, but is not positive
         for gamma in (0.0, -0.5):
             scan = _scan(scenario.system, gamma=gamma)
             with pytest.raises(ValueError, match="positive"):
-                harness.calibrate(scenario.system, data, [1.0, 2.0], scan)
+                harness.calibrate(scenario.system, scan, 1.0)
 
     def test_rejects_a_rate_the_scan_cannot_resolve(self):
         scenario = harness.load_scenario(SCENARIOS / "damped_wave.json")
         with pytest.raises(ValueError) as err:
             harness.calibrate(
-                scenario.system, scenario.data, [1.0, 2.0],
-                _scan(scenario.system, gamma=1e-9, resolution=1e-14),
+                scenario.system, _scan(scenario.system, gamma=1e-9, resolution=1e-14), 1.0
             )
         assert str(err.value) == (
             "calibrate: uniform decay rate 1e-09 must be positive and exceed "
@@ -548,76 +584,85 @@ class TestCalibrate:
                 assert codes[j] in (0, 1), (j, out)
         assert [j for j, code in codes.items() if code != 2] == [-4, 0, 4]
 
-    def test_rejects_nongaussian_data(self):
-        data = InitialDataSpec(
-            bumps=(Bump(kind="box", component=0, center=0.0, width=0.5),)
-        )
-        scenario = harness.load_scenario(SCENARIOS / "damped_wave.json")
-        with pytest.raises(ValueError, match="gaussian"):
-            harness.calibrate(scenario.system, data, [1.0, 2.0], gamma_estimate(scenario.system))
+    @pytest.mark.parametrize("name", sorted(MEASURED))
+    def test_constants_equal_the_oracle(self, tmp_path, name):
+        scenario = harness.load_scenario(_scenario_path(tmp_path, name))
+        sys = scenario.system
+        scan = gamma_estimate(sys)
+        max_lag = scenario.t_final - residence_bound(sys.eigs, scenario.region)
+        cal = harness.calibrate(sys, scan, max_lag)
+        got = (cal.c_high, cal.c_low, cal.kappa)
+        assert cal.gamma == scan.gamma
+        assert got == pytest.approx(_oracle(sys, scan, max_lag), rel=1e-12)
+        assert got == pytest.approx(self.MEASURED[name], rel=1e-5)
 
-    def test_rejects_times_without_a_positive_sample(self):
+    def test_no_lag_gives_unit_constants(self, monkeypatch):
+        # a horizon that ends at or before the delay reads lag 0 alone,
+        # where every propagator is the identity: no exponential is taken
         scenario = harness.load_scenario(SCENARIOS / "damped_wave.json")
-        with pytest.raises(ValueError, match="at least one positive sample time"):
-            harness.calibrate(
-                scenario.system, scenario.data, [0.0], gamma_estimate(scenario.system)
-            )
+        scan = gamma_estimate(scenario.system)
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "_matrix_exp_batch", _refuse)
+            for max_lag in (0.0, -0.5):
+                cal = harness.calibrate(scenario.system, scan, max_lag)
+                assert (cal.c_high, cal.c_low) == (1.0, 1.0)
+        summary = harness.summarize(
+            harness.run_scenario(harness.load_scenario(SCENARIOS / "stripes_two.json"))
+        )
+        assert (summary["c_high"], summary["c_low"], summary["envelope_checked"]) == (1.0, 1.0, 0)
 
     @pytest.mark.parametrize("name", ["damped_wave", "stripes_two", "three_speed_321"])
     def test_one_exponential_per_distinct_step_count(self, name, monkeypatch):
-        # Trajectory times are float multiples of dt whose differences
-        # disagree in the last bits; equal step counts must still share
-        # one propagator.
-        scenario = harness.load_scenario(SCENARIOS / f"{name}.json")
-        traj = solver.run(
-            scenario.system,
-            scenario.region,
-            scenario.data,
-            x_min=scenario.x_min,
-            x_max=scenario.x_max,
-            t_final=scenario.t_final,
-            stride=scenario.stride,
-            n_cells=scenario.n_cells,
-        )
+        # each band's lags are whole multiples of one step, so its
+        # propagators are powers of one exponential; stripes_two reads lag
+        # 0 alone and takes none
+        exponentials = 0 if name == "stripes_two" else 2
+        result = harness.run_scenario(harness.load_scenario(SCENARIOS / f"{name}.json"))
         calls = []
         original = spectral._matrix_exp_batch
         monkeypatch.setattr(
             spectral, "_matrix_exp_batch", lambda ms: calls.append(1) or original(ms)
         )
-        cal = harness.calibrate(
-            scenario.system, scenario.data, traj.times, gamma_estimate(scenario.system)
-        )
-        steps = np.rint(np.diff(cal.ref.times) / traj.grid.dt).astype(int)
-        assert len(calls) == len(set(steps[steps > 0].tolist()))
+        _run_calibration(result)
+        assert len(calls) == exponentials
 
-    def test_reference_satisfies_its_own_envelopes(self):
+    def test_reference_satisfies_its_own_envelopes(self, monkeypatch):
+        # the fully damped evolution of damped_wave's data, and of a box,
+        # sits under the envelopes undelayed and without slack; a box is
+        # not band-limited, so the evolver's refusal of such data is lifted
         scenario = harness.load_scenario(SCENARIOS / "damped_wave.json")
-        times = np.linspace(0.0, 8.0, 17)
-        scan = gamma_estimate(scenario.system)
-        cal = harness.calibrate(scenario.system, scenario.data, times, scan)
-        ref = cal.ref
-        l2_0, l1_0 = float(ref.l2_total[0]), float(ref.l1[0])
-        # the constants were chosen with 10% headroom over the worst ratio,
-        # so the reference run sits strictly below its own envelopes
-        bound_high = cal.c_high * np.exp(-cal.gamma * ref.times) * l2_0
-        assert np.all(ref.l2_high <= bound_high * (1.0 + 1e-9))
-        pos = ref.times > 0.0
-        bound_low = cal.c_low * l1_0 / np.sqrt(ref.times[pos])
-        assert np.all(ref.linf_low[pos] <= bound_low * (1.0 + 1e-9))
-        assert cal.gamma == scan.gamma == pytest.approx(0.5, abs=1e-9)
+        sys = scenario.system
+        monkeypatch.setattr(spectral, "ALIASING_RTOL", math.inf)
+        times = np.linspace(0.0, 12.0, 49)
+        cal = harness.calibrate(sys, gamma_estimate(sys), 12.0)
+        m = scenario.n_cells
+        dx = (scenario.x_max - scenario.x_min) / m
+        x = scenario.x_min + dx * np.arange(m)
+        box = InitialDataSpec(bumps=(Bump(kind="box", component=0, center=0.0, width=1.0),))
+        for data in (scenario.data, box):
+            ref = spectral.fullspace_evolve(sys, x, data.sample(x, sys.n), times)
+            l2_0, l1_0 = float(ref.l2_total[0]), float(ref.l1[0])
+            assert np.all(ref.l2_high <= cal.c_high * np.exp(-cal.gamma * times) * l2_0)
+            n_low = ref.low_modes.shape[-1]
+            xi_sq = (2.0 * np.pi / (m * dx) * np.arange(n_low)) ** 2
+            weights = norms.bin_weights(n_low, m) * (l1_0 * cal.c_low / (m * dx))
+            allowed_low = np.exp(-cal.kappa * np.multiply.outer(times, xi_sq)) @ weights
+            assert np.all(ref.linf_low <= allowed_low)
 
     def test_horizon_past_the_one_shot_guard(self):
-        # t_max * 4 pi / sigma = 240 * 4 pi / 0.25 puts a single exponential's
-        # argument norm above 1e4; late high bands sit at round-off and
-        # must not inflate the constant
+        # 240 in 16 lags: the step's exponential has an argument of
+        # Frobenius norm about 2100 at xi = 100, and its 16th power still
+        # equals the oracle
         scenario = harness.load_scenario(SCENARIOS / "damped_wave.json")
-        scan = gamma_estimate(scenario.system)
-        short = harness.calibrate(scenario.system, scenario.data, np.linspace(0.0, 8.0, 17), scan)
-        cal = harness.calibrate(scenario.system, scenario.data, np.linspace(0.0, 240.0, 33), scan)
-        assert cal.ref.times[-1] == 240.0
-        assert np.all(np.isfinite(cal.ref.l2_total))
-        assert cal.c_high == pytest.approx(short.c_high, rel=0.05)
-        assert cal.c_low == pytest.approx(short.c_low, rel=0.05)
+        sys = scenario.system
+        scan = gamma_estimate(sys)
+        cal = harness.calibrate(sys, scan, 240.0)
+        got = (cal.c_high, cal.c_low, cal.kappa)
+        assert got == pytest.approx(_oracle(sys, scan, 240.0), rel=1e-12)
+
+
+def _refuse(*args):
+    raise AssertionError("no exponential is needed")
 
 
 class TestVerifyEnvelope:
@@ -634,7 +679,7 @@ class TestVerifyEnvelope:
         scenario, result = damped_wave_result
         traj = result.series
         assert isinstance(traj, Trajectory)
-        cal = harness.calibrate(scenario.system, scenario.data, traj.times, result.scan)
+        cal = _run_calibration(result)
         starved = dataclasses.replace(
             cal, c_high=cal.c_high / 50.0, c_low=cal.c_low / 50.0
         )
@@ -670,9 +715,28 @@ class TestVerifyEnvelope:
     def test_non_finite_constant_refused(self, damped_wave_result, field):
         _, result = damped_wave_result
         constants = {"c_high": 1.0, "c_low": 1.0, field: math.nan}
-        cal = harness.EnvelopeCalibration(gamma=0.5, ref=result.series, **constants)
+        cal = harness.EnvelopeCalibration(gamma=0.5, kappa=0.5, **constants)
         with pytest.raises(ValueError, match=f"^verify: not finite: {field}$"):
             harness.verify_envelope(result.series, cal)
+
+    @pytest.mark.parametrize("n_cells", [248, 992])
+    def test_stripe_beside_the_data_holds(self, tmp_path, capsys, n_cells):
+        # the constants fitted to a reference run of the data put the exact
+        # solution's high band 6% over its envelope at t = 4.75; the
+        # symbol's constants hold it
+        code = cli.main(["verify", str(_write(tmp_path, stripe_beside_data(n_cells)))])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert out.splitlines()[-1] == "envelopes hold"
+
+    @pytest.mark.parametrize("name, caught", [("damped_wave", 147), ("stripe_beside_data", 4)])
+    def test_dropping_the_delay_is_caught(self, tmp_path, monkeypatch, name, caught):
+        # with the delay taken as 0 the high band exceeds its envelope
+        scenario = harness.load_scenario(_scenario_path(tmp_path, name))
+        monkeypatch.setattr(harness, "residence_bound", lambda eigs, region: 0.0)
+        env = harness.run_scenario(scenario).envelope
+        assert env.residence_bound == 0.0
+        assert [v.band for v in env.violations] == ["high"] * caught
 
     def test_checks_start_one_stride_past_delay(self, damped_wave_result):
         scenario, result = damped_wave_result
@@ -1015,8 +1079,7 @@ class TestLazyLowBandSup:
     @pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.json")))
     def test_equals_eager_formula(self, name, monkeypatch):
         eager = []
-        refs = []
-        split, rescale, cal = norms.freq_split, norms.scale_columns, harness.calibrate
+        split, rescale = norms.freq_split, norms.scale_columns
 
         def recording_split(what, bands):
             # one spectrum per sample of the stack
@@ -1032,18 +1095,10 @@ class TestLazyLowBandSup:
             eager[-k:] = [math.ldexp(v, int(x)) for v, x in zip(eager[-k:], exponents)]
             return rescale(columns, e)
 
-        def recording_calibrate(*args, **kwargs):
-            out = cal(*args, **kwargs)
-            refs.append(out.ref)
-            return out
-
         monkeypatch.setattr(norms, "freq_split", recording_split)
         monkeypatch.setattr(norms, "scale_columns", recording_rescale)
-        monkeypatch.setattr(harness, "calibrate", recording_calibrate)
         result = harness.run_scenario(harness.load_scenario(SCENARIOS / f"{name}.json"))
-        lazy = np.concatenate([result.series.linf_low, *(r.linf_low for r in refs)])
-        assert len(refs) == (result.scenario.kind == "verify-envelope")
-        assert np.array_equal(lazy, np.array(eager))
+        assert np.array_equal(result.series.linf_low, np.array(eager))
 
     @pytest.mark.parametrize(
         "name",
@@ -1100,12 +1155,8 @@ class TestLowBandShortcut:
     def envelope_runs(self):
         runs = {}
         for name in ENVELOPE_SCENARIOS:
-            scenario = harness.load_scenario(SCENARIOS / f"{name}.json")
-            result = harness.run_scenario(scenario)
-            cal = harness.calibrate(
-                scenario.system, scenario.data, result.series.times, result.scan
-            )
-            runs[name] = (result.series, cal)
+            result = harness.run_scenario(harness.load_scenario(SCENARIOS / f"{name}.json"))
+            runs[name] = (result.series, _run_calibration(result))
         return runs
 
     @pytest.mark.parametrize("scale", [1.0, 0.5, 0.1, 1e-3])
@@ -1431,6 +1482,25 @@ class TestCli:
         assert captured.out.splitlines() == [f"error: {message}"]
         assert captured.err == ""
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "kind, command",
+        [
+            pytest.param(kind, command, id=f"{kind}-{command}")
+            for kind in ("box", "cosine")
+            for command in ("simulate", "verify")
+        ],
+    )
+    def test_runs_box_and_cosine_data(self, tmp_path, capsys, kind, command):
+        # the envelope constants read no data, so any bump kind is verified
+        raw = json.loads((SCENARIOS / "damped_wave.json").read_text())
+        for bump in raw["initial_data"]["bumps"]:
+            bump["kind"] = kind
+        out_dir = tmp_path / "run"
+        code = cli.main([command, str(_write(tmp_path, raw)), "--out", str(out_dir)])
+        assert code == 0, capsys.readouterr().out
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["envelope_ok"] and summary["envelope_checked"] == 200
 
     @pytest.mark.parametrize("stripes", [[[200.0, 201.0]], [[0.0, 0.01]]], ids=["outside", "narrow"])
     def test_fullspace_reads_no_stripes(self, tmp_path, stripes):

@@ -25,11 +25,12 @@ times and the probe's times scale by 1/c, speeds and the rate by c.
 Lengths: the domain, the stripes and the bumps times c, ``t_final`` times
 c and ``dd`` over c give the same cell values on cells c times as wide,
 so the pointwise sup is unchanged, ``l1`` scales by c and ``l2_total``
-and the component norms by c**(1/2), exactly for even k.  The band norms
-and the rate scan do not scale under lengths: the band split (wavenumber
-1) and the scan range (wavenumbers 1 to 100) are fixed wavenumbers; the
-reference box the envelope constants are calibrated on does scale, with
-as many points at every k.
+and the component norms by c**(1/2), exactly for even k.  The band norms,
+the rate scan and the envelope constants do not scale under lengths: the
+band split (wavenumber 1) and the scan range (wavenumbers 1 to 100) are
+fixed wavenumbers.  Under rates the symbol on the scan's frequencies
+scales by c and the lags by 1/c, so the envelope constants are unchanged
+and the two rates, uniform and diffusive, scale by c.
 
 Amplitude: the system is linear, so data times 2**k give norms times
 2**k exactly and the same summary, also near both ends of the float
@@ -58,6 +59,7 @@ from hypothesis import strategies as st
 
 from locdamp import harness, solver
 from locdamp.norms import NORM_COLUMNS
+from locdamp.spectral import gamma_estimate
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 # Largest difference allowed between a norm column and its mirror's, over
@@ -86,8 +88,8 @@ LOSSLESS_RTOL = 1e-14
 # bottom of the float range, past where squaring the raw field would
 # overflow or underflow.
 AMPLITUDE_EXPONENTS = (-1000, -600, 600, 1020)
-# Length scales 2**k of the calibration box property.
-BOX_EXPONENTS = range(-20, 5)
+# Rate scales 2**k of the envelope-constants property.
+CONSTANTS_EXPONENTS = range(-20, 5)
 # Hypothesis draws of the probe coherence property, and the largest
 # distance of a probe's ``plateau_min`` from 1 allowed.
 PROBE_DRAWS = 30
@@ -281,12 +283,11 @@ def assert_rate_scaling(base: harness.ScenarioResult, image: harness.ScenarioRes
              "residence_bound": 1 / c, "probe_speed": c, "probe_t_pred": 1 / c,
              "probe_onset": 1 / c, "probe_plateau_min": 1.0}
     assert _scaled_summary(sa, exact) == {key: sb[key] for key in _scaled_summary(sa, exact)}
-    # The scan's eigenvalues, and so the rate and the constants fitted with
-    # it, may differ in the last bits; t**(1/2) is exact for even k only.
-    close = {"gamma": c, "c_low_curvature": c, "c_high": 1.0, "c_low": c**-0.5}
+    # The scan's eigenvalues, and so the rate and the constants read with
+    # it, may differ in the last bits.
+    close = {"gamma": c, "c_low_curvature": c, "c_high": 1.0, "c_low": 1.0}
     for key, value in _scaled_summary(sa, close).items():
-        rel = 0.0 if key == "c_low" and k % 2 == 0 else UNITS_RTOL
-        assert sb[key] == pytest.approx(value, rel=rel, abs=0.0), key
+        assert sb[key] == pytest.approx(value, rel=UNITS_RTOL, abs=0.0), key
     keys = ("validation_ok", "checks", "tail_stabilized", "envelope_checked", "envelope_ok",
             "probe_within_one_stride", "shifts", "n_samples")
     assert {key: sa.get(key) for key in keys} == {key: sb.get(key) for key in keys}
@@ -338,37 +339,20 @@ class TestUnits:
         k = data.draw(st.sampled_from([-2, 2, 4]))
         assert_length_scaling(base, _run(tmp_path, length_scaled(raw, k), "lengths"), k)
 
-    @pytest.mark.parametrize("k", BOX_EXPONENTS)
-    def test_calibration_box_scales_with_lengths(self, tmp_path, monkeypatch, k):
-        # the same points, c times as far apart, on the shipped envelope
-        # scenarios; the box is read where the reference would be run, so
-        # no reference is evolved
+    @pytest.mark.parametrize("k", CONSTANTS_EXPONENTS)
+    def test_envelope_constants_under_rates(self, tmp_path, k):
+        # ``calibrate`` alone, at the shipped envelope scenarios' longest
+        # lags, from 2**-20 to 2**4
         c = math.ldexp(1.0, k)
         for raw, base in _shipped():
             if raw["kind"] == "verify-envelope":
-                image = _load(tmp_path, length_scaled(raw, k), "image")
-                x = reference_box(monkeypatch, image, base.series.times * c, base.scan)
-                x0 = reference_box(monkeypatch, base.scenario, base.series.times, base.scan)
-                assert x.size == x0.size, (raw["name"], x.size, x0.size)
-                assert np.array_equal(x, x0 * c), raw["name"]
-
-
-class _ReferenceBox(Exception):
-    def __init__(self, x: np.ndarray):
-        self.x = x
-
-
-def reference_box(monkeypatch, scenario: harness.Scenario, times, scan) -> np.ndarray:
-    """The points ``harness.calibrate`` would run the constant-damping
-    reference of ``scenario`` on, for trajectory ``times`` and the rate of
-    ``scan``."""
-    def stop(sys, data, x, times):
-        raise _ReferenceBox(x)
-
-    monkeypatch.setattr(harness, "_reference", stop)
-    with pytest.raises(_ReferenceBox) as box:
-        harness.calibrate(scenario.system, scenario.data, times, scan)
-    return box.value.x
+                image = _load(tmp_path, rate_scaled(raw, k), "image")
+                max_lag = base.scenario.t_final - base.envelope.residence_bound
+                a = harness.calibrate(base.scenario.system, base.scan, max_lag)
+                b = harness.calibrate(image.system, gamma_estimate(image.system), max_lag / c)
+                got = (b.gamma, b.kappa, b.c_high, b.c_low)
+                want = (a.gamma * c, a.kappa * c, a.c_high, a.c_low)
+                assert got == pytest.approx(want, rel=UNITS_RTOL, abs=0.0), raw["name"]
 
 
 class TestAmplitude:

@@ -200,7 +200,7 @@ def _norm_one_sample_at_a_time(monkeypatch):
 @pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.json")))
 def test_shipped_runs_equal_a_per_sample_replay(name, monkeypatch, tmp_path):
     # solver.run for the probes and envelope runs, fullspace_evolve for
-    # the fullspace run and the envelope runs' calibration references
+    # the fullspace run
     scenario = harness.load_scenario(SCENARIOS / f"{name}.json")
     runs = [harness.run_scenario(scenario)]
     runs[0].series.linf_low  # synthesized in blocks, before the replay's patch

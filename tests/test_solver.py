@@ -6,6 +6,7 @@ transport is a stripe that covers the domain; damping everywhere is a
 stripe outside the light cone of the data.
 """
 
+import json
 import math
 import tracemalloc
 import warnings
@@ -17,7 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import damped_wave_system, near_bumps, random_valid_system, three_speed_system
+from helpers import (
+    BESIDE_DAMPING,
+    BESIDE_DELAY,
+    damped_wave_system,
+    near_bumps,
+    random_valid_system,
+    stripe_beside_data,
+    three_speed_system,
+)
 from locdamp import harness
 from locdamp.chartimes import UndampedRegion
 from locdamp.model import HyperbolicSystem, diagonalize
@@ -770,3 +779,25 @@ class TestAgainstFullspaceReference:
         ref = fullspace_evolve(sys, x_ref, data.sample(x_ref, 2), traj.times)
         rel = np.abs(traj.l2_total - ref.l2_total) / ref.l2_total[0]
         assert float(rel.max()) < 1e-4
+
+
+class TestExactDelay:
+    """On a scalar system every characteristic spends the same time in the
+    stripe, so once the data have crossed it the delay is attained:
+    ``l2_total`` = e^(-d (t - tau)) ``l2_0``, with tau the crossing time."""
+
+    @pytest.mark.parametrize("n_cells", [248, 992])
+    def test_delay_is_attained(self, tmp_path, n_cells):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(stripe_beside_data(n_cells, t_final=8.0, stride=1)))
+        s = harness.load_scenario(path)
+        traj = run(
+            s.system, s.region, s.data, x_min=s.x_min, x_max=s.x_max,
+            t_final=s.t_final, stride=s.stride, n_cells=s.n_cells,
+        )
+        # measured 4.7e-15 and 1.8e-14 at t = 8, 5.5e-13 at t = 7; at t = 6
+        # the data's tail is still in the stripe (4e-6 off)
+        for t, rtol in ((8.0, 1e-13), (7.0, 1e-12)):
+            [i] = np.flatnonzero(traj.times == t)
+            exact = math.exp(-BESIDE_DAMPING * (t - BESIDE_DELAY)) * traj.l2_total[0]
+            assert traj.l2_total[i] == pytest.approx(exact, rel=rtol, abs=0.0), t
