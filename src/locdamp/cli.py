@@ -118,8 +118,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.out:
         harness.export(result, args.out)
     print(f"scenario: {scenario.name}")
-    print(f"delay bound: {env.residence_bound:.12g}  rate: {env.gamma:.12g}")
-    print(f"constants: high {env.c_high:.12g}  low {env.c_low:.12g}")
+    cal = env.calibration
+    print(f"delay bound: {env.residence_bound:.12g}  rate: {cal.gamma:.12g}")
+    print(f"constants: high {cal.c_high:.12g}  low {cal.c_low:.12g}  kappa {cal.kappa:.12g}")
     print(f"checked {env.n_checked} sample times past the delay")
     if env.violations:
         print(f"VIOLATIONS: {len(env.violations)}")

@@ -25,7 +25,7 @@ import numpy as np
 from locdamp import solver
 from locdamp.chartimes import UndampedRegion, residence_bound
 from locdamp.model import EigenStructure, HyperbolicSystem, ValidationReport, validate_system
-from locdamp.norms import NORM_COLUMNS, NormSeries, bin_weights, low_band_bound, low_band_sup
+from locdamp.norms import NORM_COLUMNS, NormSeries, low_band_bound, low_band_envelope, low_band_sup
 from locdamp.spectral import (
     RATE_RESOLUTION_FACTOR,
     SpectralScan,
@@ -257,12 +257,11 @@ class Violation:
 
 @dataclass(frozen=True)
 class EnvelopeReport:
-    """Delayed-envelope verification outcome for one trajectory."""
+    """Delayed-envelope verification outcome for one trajectory, against
+    the constants ``calibration``."""
 
     residence_bound: float
-    gamma: float
-    c_high: float
-    c_low: float
+    calibration: EnvelopeCalibration
     n_checked: int
     violations: tuple[Violation, ...]
 
@@ -277,9 +276,8 @@ def verify_envelope(traj: solver.Trajectory, cal: EnvelopeCalibration) -> Envelo
 
     High band: energy above wavenumber one under C_high
     exp(-gamma (t - tau)) l2_0.  Low band: sup of the smoothed field under
-    (l1_0 C_low / L) sum_k m_k exp(-kappa xi_k^2 (t - tau)) over the low bins
-    of the run's box of length L, m_k their Parseval weights: no Fourier
-    coefficient exceeds the initial integral l1_0.  Times earlier than one
+    (l1_0 C_low / L) sum_k m_k exp(-kappa xi_k^2 (t - tau)) over the run's
+    low bins (``low_band_envelope``).  Times earlier than one
     sampling stride past the delay are exempt; a 5% multiplicative slack
     absorbs discretisation.
     The low-band sup is synthesized (``low_band_sup``) only at checked
@@ -301,11 +299,7 @@ def verify_envelope(traj: solver.Trajectory, cal: EnvelopeCalibration) -> Envelo
     floor_low = NORM_FLOOR_RTOL * l1_0
     checked = np.flatnonzero(times >= tb + traj.stride_dt * (1.0 - 1e-9))
     lags = times[checked] - tb
-    length = traj.n_cells * traj.grid.dx
-    n_low = traj.low_modes.shape[-1]
-    xi_sq = (2.0 * np.pi / length * np.arange(n_low)) ** 2
-    weights = bin_weights(n_low, traj.n_cells) * (l1_0 * cal.c_low / length)
-    allowed_lows = np.exp(-cal.kappa * np.multiply.outer(lags, xi_sq)) @ weights
+    allowed_lows = low_band_envelope(traj.grid.bands, cal.kappa, lags, l1_0 * cal.c_low)
 
     violations: list[Violation] = []
     for i, lag, allowed_low in zip(checked.tolist(), lags.tolist(), allowed_lows.tolist()):
@@ -322,9 +316,7 @@ def verify_envelope(traj: solver.Trajectory, cal: EnvelopeCalibration) -> Envelo
                 violations.append(Violation(t, "low", measured_low, allowed_low))
     return EnvelopeReport(
         residence_bound=tb,
-        gamma=cal.gamma,
-        c_high=cal.c_high,
-        c_low=cal.c_low,
+        calibration=cal,
         n_checked=checked.size,
         violations=tuple(violations),
     )
@@ -517,8 +509,9 @@ def summarize(result: ScenarioResult) -> dict[str, Any]:
         e = result.envelope
         out.update(
             residence_bound=e.residence_bound,
-            c_high=e.c_high,
-            c_low=e.c_low,
+            c_high=e.calibration.c_high,
+            c_low=e.calibration.c_low,
+            kappa=e.calibration.kappa,
             envelope_checked=e.n_checked,
             envelope_violations=[
                 {"t": v.t, "band": v.band, "measured": v.measured, "allowed": v.allowed}

@@ -21,23 +21,22 @@ one whose window holds a damped cell makes every row live, and a cone
 with dead rows skips one whose window holds none, which would write
 nothing.  A field that fills the domain gives the full-width window.
 
-A row is shifted by one copy over the union of its old and new window,
-which reads the zeros beside the window, so no zero fill is needed but
-for inflow at a grid edge.  A step picks its copy from the window it
-carries.  While the window is at least ``reach = max|shifts|`` cells
-from both edges (the interior step), every row's source and destination
-lie on the grid: each moving row is one slice copy, and the window moves
-unclipped.  Within ``reach`` of an edge (the edge step) the copy is
-clipped to the grid, the cells whose source lies off it get zero inflow,
-and the window is clipped too.
+A step picks its copy from the window it carries.  While the window is
+at least ``reach = max|shifts|`` cells from both edges (the interior
+step), every row's source and destination lie on the grid: each moving
+row is shifted by one slice copy over the union of its old and new
+window, which reads the zeros beside the window, and the window moves
+unclipped.  Every other move of a row is one ``_move`` of its window
+``d`` cells on: it copies the window, drops what leaves the grid and
+sets the cells it vacates to +0.0.  Within ``reach`` of an edge (the
+edge step) that is ``d = shift``, and the window is clipped to the grid.
 
 A step whose window stays inside one undamped run (the whole grid when
 damping is off) and at least ``max(guard, reach)`` cells from both edges
 is pure transport: its relaxations write no damped cell, and its guard
 bands hold only zeros, so none can trip.  A call takes as many such steps
-as lie ahead, j, in one jump: each moving live row moves ``j * shift``
-cells by one copy and the cells it left are set to +0.0, the bits j steps
-would leave.
+as lie ahead, j, in one jump: each moving live row is moved
+``d = j * shift`` cells, the bits j steps would leave.
 
 A half-relaxation is one matrix product over the whole window, written
 back on its damped cells only; a column rounds the same in any product
@@ -146,6 +145,18 @@ def _nonzero_window(v: np.ndarray) -> tuple[int, int, list[bool]]:
     return lo, hi, bits[:, lo:hi].any(axis=1).tolist()
 
 
+def _move(row: np.ndarray, lo: int, hi: int, d: int) -> None:
+    """Move the window ``[lo, hi)`` of ``row`` ``d != 0`` cells on: copy
+    it, drop what leaves the grid, and set the cells it vacates to +0.0."""
+    a, b = max(0, lo + d), min(row.shape[0], hi + d)
+    if a < b:
+        row[a:b] = row[a - d:b - d]
+    if d > 0:
+        row[lo:min(hi, lo + d)] = 0.0
+    else:
+        row[max(lo, hi + d):hi] = 0.0
+
+
 def _relax(
     v: np.ndarray, damp_half: np.ndarray, damped: np.ndarray, lo: int, hi: int, halves: int = 1
 ) -> None:
@@ -225,12 +236,7 @@ def advance(
             if grow_right > 0:
                 j = min(j, (zone_ends[i] - hi) // grow_right)
             for row, s, _, _ in moving:
-                d = j * s
-                row[lo + d:hi + d] = row[lo:hi]
-                if d > 0:
-                    row[lo:min(hi, lo + d)] = 0.0
-                else:
-                    row[max(lo, hi + d):hi] = 0.0
+                _move(row, lo, hi, j * s)
             cells += n * (j * (hi - lo) + (grow_right - grow_left) * j * (j + 1) // 2)
             lo += j * grow_left
             hi += j * grow_right
@@ -239,28 +245,18 @@ def advance(
             owed = 0  # the jumped steps' relaxations write nothing
             continue
 
-        # row[x] = row[x - s] by one copy over the union of the row's old and
-        # new window, which reads the zeros beside the old one
         step += 1
         if reach <= lo and hi <= m - reach:
+            # row[x] = row[x - s] by one copy over the union of the row's old
+            # and new window, which reads the zeros beside the old one
             for row, _, neg, pos in moving:
                 row[lo + neg:hi + pos] = row[lo - pos:hi - neg]
             lo += grow_left
             hi += grow_right
         else:
-            # near an edge: clip the union [a, b) to the grid, and give zero
-            # inflow to its cells whose source x - s lies off the grid
-            for row, s, neg, pos in moving:
-                a, b = max(0, lo + neg), min(m, hi + pos)
-                c, d = max(a, s), min(b, m + s)
-                if c < d:
-                    row[c:d] = row[c - s:d - s]
-                    if a < c:
-                        row[a:c] = 0.0
-                    if d < b:
-                        row[d:b] = 0.0
-                else:
-                    row[a:b] = 0.0
+            # near an edge: each row's window moves clipped to the grid
+            for row, s, _, _ in moving:
+                _move(row, lo, hi, s)
             lo, hi = max(0, lo + grow_left), min(m, hi + grow_right)
             if lo >= hi:
                 lo = hi = 0  # every row has left the grid

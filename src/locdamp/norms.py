@@ -8,12 +8,13 @@ of each reduction per stack; each reduction runs along the trailing axes,
 so a sample's norms are the bits it gets when normed alone.  Every field
 is rescaled by its own power of two before it is squared, so norms
 neither overflow nor underflow at any amplitude and scale exactly with
-the data.
+the data.  The low band's sup (``low_band_sup``), an upper bound on it
+(``low_band_bound``) and its diffusive envelope (``low_band_envelope``)
+are read off the stored modes and the low bins, weighted alike.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -44,11 +45,10 @@ class NormSeries:
     as its Fourier coefficients: ``low_modes`` stacks each sample's
     real-FFT bins with xi <= 1 over ``n_cells``, the grid size they were
     taken on, shape ``(len(times), n, n_low)`` with ``n_low`` about
-    ``L / 2 pi + 1`` for a box of length ``L``.  Its sup, ``linf_low``, is
-    synthesized from them on first read, one transform per block of samples
-    (``samples_per_block``); a run never reads it, and the envelope check
-    synthesizes single samples where a bound on the modes does not settle
-    them.  A series is built from the ``field_norms`` columns of
+    ``L / 2 pi + 1`` for a box of length ``L``.  The low band's sup is
+    synthesized from them (``low_band_sup``) only where it is read: the
+    envelope check takes it at the samples that a bound on the modes does
+    not settle.  A series is built from the ``field_norms`` columns of
     consecutive stacks of samples (``from_blocks``).
     """
 
@@ -65,16 +65,6 @@ class NormSeries:
     @property
     def n_components(self) -> int:
         return self.comp_l2.shape[0]
-
-    @functools.cached_property
-    def linf_low(self) -> np.ndarray:
-        """Sup over cells of the pointwise norm of the low band, per sample:
-        one ``low_band_sup`` per block of samples."""
-        step = samples_per_block(self.n_components * self.n_cells)
-        return np.concatenate([
-            low_band_sup(self.low_modes[i:i + step], self.n_cells)
-            for i in range(0, self.times.size, step)
-        ])
 
     @classmethod
     def from_blocks(
@@ -114,12 +104,24 @@ def _paired_bins(n_bins: int, n_cells: int) -> slice:
     return slice(1, min(n_bins, (n_cells + 1) // 2))
 
 
-def bin_weights(n_bins: int, n_cells: int) -> np.ndarray:
+def _bin_weights(n_bins: int, n_cells: int) -> np.ndarray:
     """Parseval weights of the first ``n_bins`` real-FFT bins over
     ``n_cells`` cells: 2 on ``_paired_bins``, else 1."""
     weights = np.ones(n_bins)
     weights[_paired_bins(n_bins, n_cells)] = 2.0
     return weights
+
+
+def low_band_envelope(split: BandSplit, kappa: float, lags: np.ndarray, scale: float) -> np.ndarray:
+    """Per lag t, (scale / L) sum_k m_k exp(-kappa xi_k^2 t) over the low
+    bins xi_k of ``split``, on its box of length L = ``n_cells * dx``,
+    with m_k their Parseval weights: with ``scale = l1_0 * c_low``, the
+    diffusive bound on the low band's sup of a field of initial integral
+    l1_0, since no Fourier coefficient exceeds l1_0 / L."""
+    length = split.n_cells * split.dx
+    xi_sq = (2.0 * np.pi / length * np.arange(split.n_low)) ** 2
+    weights = _bin_weights(split.n_low, split.n_cells) * (scale / length)
+    return np.exp(-kappa * np.multiply.outer(lags, xi_sq)) @ weights
 
 
 def freq_split(what: np.ndarray, split: BandSplit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -252,7 +254,7 @@ def low_band_bound(low_modes: np.ndarray, n_cells: int) -> float:
     """
     n, n_low = low_modes.shape
     m = int(n_cells)
-    per_component = np.abs(low_modes) @ bin_weights(n_low, m)
+    per_component = np.abs(low_modes) @ _bin_weights(n_low, m)
     margin = 1.0 + 2.0 ** -52 * (8.0 * math.log2(m) + n_low + n + 8.0)
     return math.hypot(*per_component) * margin
 

@@ -122,7 +122,7 @@ def stripe_beside_data(n_cells: int, t_final: float = 5.0, stride: int = 2) -> d
     }
 
 
-def eager_linf_low(what: np.ndarray, m: int, dx: float) -> float:
+def eager_low_band_sup(what: np.ndarray, m: int, dx: float) -> float:
     """Sup of the pointwise norm of the xi <= 1 band of the field on ``m``
     cells of width ``dx`` whose real FFT is ``what``, computed eagerly: the
     whole spectrum with the high band zeroed, as Fourier coefficients

@@ -1,5 +1,8 @@
 """Every third-party module the tests and the benchmark import is declared
-in ``pyproject.toml``, so a clean install of the ``test`` extra runs them.
+in ``pyproject.toml``, so a clean install of the ``test`` extra runs them,
+and the package imports nothing but its own ``[project] dependencies``, so
+that a test-only package (scipy, hypothesis) or one that merely happens to
+be installed (mpmath) cannot slip into it.
 
 Imports are read from the source (any depth, optional ones included), not
 from what happens to be installed.  The standard library and the
@@ -14,6 +17,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = [*sorted((ROOT / "tests").glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py"))]
+PACKAGE = sorted((ROOT / "src").glob("*/*.py"))
 
 
 def imported_modules(path: Path) -> set[str]:
@@ -33,12 +37,20 @@ def own_modules() -> set[str]:
     return packages | {"perfbench", "tests"} | {p.stem for p in SOURCES}
 
 
-def declared() -> set[str]:
-    """The names in ``[project] dependencies`` and the ``test`` extra,
-    without version specifiers or extras, normalized as import names."""
+def third_party(paths: list[Path]) -> set[str]:
+    """The top-level names that ``paths`` import from outside the standard
+    library and the repository."""
+    names = set().union(*map(imported_modules, paths))
+    return names - (set(sys.stdlib_module_names) | own_modules())
+
+
+def declared(keys: tuple[str, ...] = ("dependencies", "test")) -> set[str]:
+    """The names in the ``pyproject.toml`` lists ``keys``, by default
+    ``[project] dependencies`` and the ``test`` extra, without version
+    specifiers or extras, normalized as import names."""
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     names = set()
-    for key in ("dependencies", "test"):
+    for key in keys:
         (items,) = re.findall(rf"^{key}\s*=\s*\[(.*?)\]", text, flags=re.M | re.S)
         for requirement in re.findall(r'"([^"]+)"', items):
             names.add(re.split(r"[\s\[<>=!~;]", requirement)[0].lower().replace("-", "_"))
@@ -47,11 +59,19 @@ def declared() -> set[str]:
 
 def test_declared_names_are_parsed():
     assert {"numpy", "pytest", "scipy", "hypothesis"} <= declared()
+    assert declared(("dependencies",)) == {"numpy"}
 
 
 def test_imports_of_tests_and_benchmark_are_declared():
-    third_party = set().union(*map(imported_modules, SOURCES))
-    third_party -= set(sys.stdlib_module_names) | own_modules()
-    undeclared = {name for name in third_party if name.lower() not in declared()}
+    imported = third_party(SOURCES)
+    undeclared = {name for name in imported if name.lower() not in declared()}
     assert not undeclared, f"imported but not declared in pyproject.toml: {sorted(undeclared)}"
-    assert {"numpy", "pytest", "hypothesis"} <= third_party
+    assert {"numpy", "pytest", "hypothesis"} <= imported
+
+
+def test_package_imports_only_its_dependencies():
+    imported = third_party(PACKAGE)
+    runtime = declared(("dependencies",))
+    undeclared = {name for name in imported if name.lower() not in runtime}
+    assert not undeclared, f"the package imports beyond [project] dependencies: {sorted(undeclared)}"
+    assert "numpy" in imported

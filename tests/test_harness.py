@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import locdamp
 from helpers import (
     BESIDE_DAMPING,
-    eager_linf_low,
+    eager_low_band_sup,
     eigenbasis_symbol,
     fit_decay_rate,
     fit_loglog_slope,
@@ -35,7 +35,7 @@ from locdamp import cli, harness, norms, solver, spectral
 from locdamp.chartimes import UndampedRegion, residence_bound
 from locdamp.model import diagonalize
 from locdamp.solver import Bump, InitialDataSpec, Trajectory
-from locdamp.norms import NormSeries
+from locdamp.norms import BandSplit, NormSeries, low_band_sup
 from locdamp.spectral import gamma_estimate
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -643,11 +643,9 @@ class TestCalibrate:
             ref = spectral.fullspace_evolve(sys, x, data.sample(x, sys.n), times)
             l2_0, l1_0 = float(ref.l2_total[0]), float(ref.l1[0])
             assert np.all(ref.l2_high <= cal.c_high * np.exp(-cal.gamma * times) * l2_0)
-            n_low = ref.low_modes.shape[-1]
-            xi_sq = (2.0 * np.pi / (m * dx) * np.arange(n_low)) ** 2
-            weights = norms.bin_weights(n_low, m) * (l1_0 * cal.c_low / (m * dx))
-            allowed_low = np.exp(-cal.kappa * np.multiply.outer(times, xi_sq)) @ weights
-            assert np.all(ref.linf_low <= allowed_low)
+            split = BandSplit.of(m, dx)
+            allowed_low = norms.low_band_envelope(split, cal.kappa, times, l1_0 * cal.c_low)
+            assert np.all(low_band_sup(ref.low_modes, m) <= allowed_low)
 
     def test_horizon_past_the_one_shot_guard(self):
         # 240 in 16 lags: the step's exponential has an argument of
@@ -673,7 +671,8 @@ class TestVerifyEnvelope:
         assert env.ok
         assert env.n_checked > 100
         assert env.residence_bound == pytest.approx(2.0, rel=1e-12)
-        assert env.gamma == pytest.approx(0.5, abs=1e-9)
+        assert env.calibration == _run_calibration(result)
+        assert env.calibration.gamma == pytest.approx(0.5, abs=1e-9)
 
     def test_shrunken_constants_trip_violations(self, damped_wave_result):
         scenario, result = damped_wave_result
@@ -1072,9 +1071,10 @@ class TestDefaultResolution:
 
 
 class TestLazyLowBandSup:
-    """``linf_low`` is synthesized from the stored low modes on first read:
-    bit-equal to transforming the whole masked spectrum back at each
-    sample, and never paid for by runs that do not read it."""
+    """The low band's sup is synthesized from the stored low modes only
+    where it is read: bit-equal to transforming the whole masked spectrum
+    back at each sample, never paid for by a run or an export, and taken
+    by the envelope check only at the samples it cannot settle otherwise."""
 
     @pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.json")))
     def test_equals_eager_formula(self, name, monkeypatch):
@@ -1083,7 +1083,7 @@ class TestLazyLowBandSup:
 
         def recording_split(what, bands):
             # one spectrum per sample of the stack
-            eager.extend(eager_linf_low(w, bands.n_cells, bands.dx) for w in what)
+            eager.extend(eager_low_band_sup(w, bands.n_cells, bands.dx) for w in what)
             return split(what, bands)
 
         def recording_rescale(columns, e):
@@ -1098,7 +1098,8 @@ class TestLazyLowBandSup:
         monkeypatch.setattr(norms, "freq_split", recording_split)
         monkeypatch.setattr(norms, "scale_columns", recording_rescale)
         result = harness.run_scenario(harness.load_scenario(SCENARIOS / f"{name}.json"))
-        assert np.array_equal(result.series.linf_low, np.array(eager))
+        series = result.series
+        assert np.array_equal(low_band_sup(series.low_modes, series.n_cells), np.array(eager))
 
     @pytest.mark.parametrize(
         "name",
@@ -1109,8 +1110,7 @@ class TestLazyLowBandSup:
         ),
     )
     def test_runs_that_do_not_read_it_never_synthesize_it(self, name, monkeypatch, tmp_path):
-        # samples brought back to the grid: the stacks are normed in blocks,
-        # so one call transforms a block of samples
+        # samples brought back to the grid, one per row of a stack
         samples = []
         irfft = np.fft.irfft
 
@@ -1126,9 +1126,6 @@ class TestLazyLowBandSup:
         # norm layer adds no transform of its own
         evolved = n_samples if result.scenario.kind == "fullspace" else 0
         assert sum(samples) == evolved
-        first = result.series.linf_low
-        assert result.series.linf_low is first
-        assert sum(samples) == evolved + n_samples
 
     @pytest.mark.parametrize("name", ENVELOPE_SCENARIOS)
     def test_check_synthesizes_only_unsettled_samples(self, name, monkeypatch):
@@ -1173,7 +1170,8 @@ class TestLowBandShortcut:
         assert report.violations == exhaustive.violations
         low = [v for v in exhaustive.violations if v.band == "low"]
         assert [v.measured for v in low] == [
-            float(traj.linf_low[np.flatnonzero(traj.times == v.t)[0]]) for v in low
+            low_band_sup(traj.low_modes[np.flatnonzero(traj.times == v.t)[0]], traj.n_cells)
+            for v in low
         ]
 
 
@@ -1457,7 +1455,9 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "envelopes hold" in out
-        assert (out_dir / "summary.json").exists()
+        summary = json.loads((out_dir / "summary.json").read_text())
+        c_high, c_low, kappa = (summary[key] for key in ("c_high", "c_low", "kappa"))
+        assert f"constants: high {c_high:.12g}  low {c_low:.12g}  kappa {kappa:.12g}" in out
 
     @pytest.mark.parametrize(
         "command, scenario, edit, message",

@@ -28,9 +28,10 @@ so the pointwise sup is unchanged, ``l1`` scales by c and ``l2_total``
 and the component norms by c**(1/2), exactly for even k.  The band norms,
 the rate scan and the envelope constants do not scale under lengths: the
 band split (wavenumber 1) and the scan range (wavenumbers 1 to 100) are
-fixed wavenumbers.  Under rates the symbol on the scan's frequencies
-scales by c and the lags by 1/c, so the envelope constants are unchanged
-and the two rates, uniform and diffusive, scale by c.
+fixed wavenumbers; both summaries still carry the same keys.  Under rates
+the symbol on the scan's frequencies scales by c and the lags by 1/c, so
+the envelope constants are unchanged and the rates, uniform (``gamma``)
+and diffusive (``kappa``, and the curvature fit), scale by c.
 
 Amplitude: the system is linear, so data times 2**k give norms times
 2**k exactly and the same summary, also near both ends of the float
@@ -58,7 +59,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from locdamp import harness, solver
-from locdamp.norms import NORM_COLUMNS
+from locdamp.norms import NORM_COLUMNS, low_band_sup
 from locdamp.spectral import gamma_estimate
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -285,7 +286,7 @@ def assert_rate_scaling(base: harness.ScenarioResult, image: harness.ScenarioRes
     assert _scaled_summary(sa, exact) == {key: sb[key] for key in _scaled_summary(sa, exact)}
     # The scan's eigenvalues, and so the rate and the constants read with
     # it, may differ in the last bits.
-    close = {"gamma": c, "c_low_curvature": c, "c_high": 1.0, "c_low": 1.0}
+    close = {"gamma": c, "kappa": c, "c_low_curvature": c, "c_high": 1.0, "c_low": 1.0}
     for key, value in _scaled_summary(sa, close).items():
         assert sb[key] == pytest.approx(value, rel=UNITS_RTOL, abs=0.0), key
     keys = ("validation_ok", "checks", "tail_stabilized", "envelope_checked", "envelope_ok",
@@ -310,6 +311,7 @@ def assert_length_scaling(base: harness.ScenarioResult, image: harness.ScenarioR
     keys = ("validation_ok", "checks", "envelope_checked", "probe_within_one_stride", "shifts",
             "n_samples")
     assert {key: sa.get(key) for key in keys} == {key: sb.get(key) for key in keys}
+    assert sa.keys() == sb.keys()
 
 
 class TestUnits:
@@ -362,9 +364,11 @@ class TestAmplitude:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 image = _run(tmp_path, amplitude_scaled(raw, k), "image")
-            for name in (*NORM_COLUMNS, "comp_l2", "linf_low"):
+            for name in (*NORM_COLUMNS, "comp_l2"):
                 expected = np.ldexp(getattr(base.series, name), k)
                 assert np.array_equal(getattr(image.series, name), expected), (raw["name"], name)
+            sups = [low_band_sup(r.series.low_modes, r.series.n_cells) for r in (base, image)]
+            assert np.array_equal(sups[1], np.ldexp(sups[0], k)), raw["name"]
             assert harness.summarize(image) == harness.summarize(base), raw["name"]
 
 

@@ -30,7 +30,7 @@ from locdamp.norms import (
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
-SERIES_FIELDS = (*NORM_COLUMNS, "times", "comp_l2", "low_modes", "linf_low")
+SERIES_FIELDS = (*NORM_COLUMNS, "times", "comp_l2", "low_modes")
 # Sample sizes on both sides of the bound: several samples per stack,
 # then a sample that fills a stack exactly and one just over the bound.
 SHAPES = [
@@ -123,9 +123,9 @@ class TestStackedEqualsOneAtATime:
         got = blocked(fields, split, basis, spectra)
         want = one_at_a_time(fields, split, basis, spectra)
         assert_same_series(got, want)
-        # the low-band sup of one sample at a time
+        # the low-band sup of the whole series and of one sample at a time
         sups = np.array([low_band_sup(c, m) for c in want.low_modes])
-        assert same_bytes(got.linf_low, sups)
+        assert same_bytes(low_band_sup(got.low_modes, m), sups)
 
     @pytest.mark.parametrize("side", ["grid", "spectrum"])
     def test_one_stack_mixing_scales(self, side):
@@ -203,7 +203,6 @@ def test_shipped_runs_equal_a_per_sample_replay(name, monkeypatch, tmp_path):
     # the fullspace run
     scenario = harness.load_scenario(SCENARIOS / f"{name}.json")
     runs = [harness.run_scenario(scenario)]
-    runs[0].series.linf_low  # synthesized in blocks, before the replay's patch
     _norm_one_sample_at_a_time(monkeypatch)
     runs.append(harness.run_scenario(scenario))
     got, want = (r.series for r in runs)

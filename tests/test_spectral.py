@@ -22,7 +22,14 @@ from helpers import (
 )
 from locdamp import harness, spectral
 from locdamp.model import HyperbolicSystem, diagonalize
-from locdamp.norms import BandSplit, NormSeries, field_norms, low_band_bound, low_band_sup
+from locdamp.norms import (
+    BandSplit,
+    NormSeries,
+    field_norms,
+    low_band_bound,
+    low_band_envelope,
+    low_band_sup,
+)
 from locdamp.spectral import (
     MIN_SCAN_SAMPLES,
     RATE_RESOLUTION_FACTOR,
@@ -396,6 +403,29 @@ class TestLowBandBound:
         assert low_band_bound(modes, m) > limit
 
 
+class TestLowBandEnvelope:
+    """``low_band_envelope`` against its sum written out bin by bin, with
+    weight 1 on the zero bin and on an even grid's Nyquist bin, else 2."""
+
+    @pytest.mark.parametrize("m, dx", [(4, 4.0), (5, 4.0), (400, 0.25), (401, 0.25)])
+    def test_equals_the_sum_over_the_low_bins(self, m, dx):
+        split = BandSplit.of(m, dx)
+        kappa, scale, length = 0.3, 1.7, m * dx
+        lags = [0.0, 0.5, 3.0, 40.0]
+        want = [
+            scale / length * sum(
+                (1.0 if k == 0 or 2 * k == m else 2.0)
+                * math.exp(-kappa * (2.0 * math.pi * k / length) ** 2 * t)
+                for k in range(split.n_low)
+            )
+            for t in lags
+        ]
+        got = low_band_envelope(split, kappa, np.array(lags), scale)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+        # the short grids keep every bin, the Nyquist bin of m = 4 included
+        assert split.n_low == (m // 2 + 1 if m < 10 else 16)
+
+
 class TestFullspaceEvolve:
     @pytest.mark.parametrize("m", [256, 255])
     @pytest.mark.parametrize(
@@ -409,8 +439,10 @@ class TestFullspaceEvolve:
         times = [0.0, 0.7, 1.4, 1.4, 3.0, 5.5]
         got = fullspace_evolve(sys, x, u0, times)
         want = _full_spectrum_oracle(sys, x, u0, times)
-        for name in ("l2_total", "l2_high", "l2_low", "linf", "linf_low", "l1", "comp_l2"):
+        for name in ("l2_total", "l2_high", "l2_low", "linf", "l1", "comp_l2"):
             assert np.allclose(getattr(got, name), getattr(want, name), rtol=1e-12, atol=0.0), name
+        sups = [low_band_sup(s.low_modes, m) for s in (got, want)]
+        assert np.allclose(*sups, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("m", [256, 255])
     @pytest.mark.parametrize(
@@ -550,10 +582,13 @@ class TestFullspaceEvolve:
         chained = fullspace_evolve(sys, x, u0, times)
         for j, t in enumerate(times):
             once = fullspace_evolve(sys, x, u0, [t])
-            for name in ("l2_total", "l2_high", "l2_low", "linf", "linf_low", "l1"):
+            for name in ("l2_total", "l2_high", "l2_low", "linf", "l1"):
                 assert getattr(chained, name)[j] == pytest.approx(
                     getattr(once, name)[0], rel=1e-12
                 ), (name, t)
+            assert low_band_sup(chained.low_modes[j], 256) == pytest.approx(
+                low_band_sup(once.low_modes[0], 256), rel=1e-12
+            ), t
             assert np.allclose(chained.comp_l2[:, j], once.comp_l2[:, 0], rtol=1e-12, atol=0.0)
 
     def test_one_exponential_per_distinct_increment(self, monkeypatch):
