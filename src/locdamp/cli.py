@@ -82,15 +82,14 @@ def _cmd_times(args: argparse.Namespace) -> int:
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     scenario = harness.load_scenario(args.scenario)
-    scan = gamma_estimate(scenario.system, xi_max=args.xi_max, samples=args.samples)
+    scan = gamma_estimate(scenario.system)
     print(f"scenario: {scenario.name}")
     print(f"uniform decay rate: {scan.gamma:.17g}")
     print(f"  attained at frequency {scan.gamma_argmax_xi:.12g}")
     print(f"  tail stabilized: {scan.tail_stabilized}")
     unresolved = "" if scan.resolved else "  (rate not resolved)"
     print(f"  scan resolution: {scan.resolution:.3e}{unresolved}")
-    print(f"low-frequency curvature: {scan.c_low:.17g}")
-    print(f"  fit residual: {scan.c_low_residual:.3e}")
+    print(f"diffusive rate (kappa): {scan.kappa:.17g}")
     return 0
 
 
@@ -134,7 +133,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="locdamp",
         description="Stripe-damped 1D transport: checks, timings, spectra, runs.",
@@ -150,10 +149,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--t-grid", help="time grid as start:stop:step", default=None)
     p.set_defaults(fn=_cmd_times)
 
-    p = sub.add_parser("spectrum", help="frequency scan of the decay rate")
+    p = sub.add_parser("spectrum", help="frequency scan of the decay rates")
     p.add_argument("scenario")
-    p.add_argument("--xi-max", type=float, default=100.0)
-    p.add_argument("--samples", type=int, default=400)
     p.set_defaults(fn=_cmd_spectrum)
 
     p = sub.add_parser("simulate", help="run a scenario and export norms + summary")
@@ -165,8 +162,11 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("scenario")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_verify)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     # ScenarioError is a ValueError, so it goes first.  A run can still reject
     # a loaded scenario: edge guard band, zero data, a rate the scan cannot
     # resolve.

@@ -225,9 +225,9 @@ def calibrate(sys: HyperbolicSystem, scan: SpectralScan, max_lag: float) -> Enve
     """The envelope constants of ``sys``, read off its symbol
     M(xi) = -i xi Lambda - S on the frequencies of ``scan`` at lags t up to
     ``max_lag`` (``propagator_sup``): ``c_high`` the largest
-    e^(gamma t) ||exp(t M(xi))||_2 over xi >= 1, ``kappa`` the least
-    -abscissa / xi^2 over xi in (0, 1], and ``c_low`` the largest
-    e^(kappa xi^2 t) ||exp(t M(xi))||_2 there.  Refuses a rate ``gamma``
+    e^(gamma t) ||exp(t M(xi))||_2 over xi >= 1 and ``c_low`` the largest
+    e^(kappa xi^2 t) ||exp(t M(xi))||_2 over xi in (0, 1], with the scan's
+    rates ``gamma`` and ``kappa``.  Refuses a rate ``gamma``
     that the scan does not resolve or that is not positive."""
     gamma = scan.gamma
     if not (scan.resolved and gamma > 0.0):
@@ -238,12 +238,11 @@ def calibrate(sys: HyperbolicSystem, scan: SpectralScan, max_lag: float) -> Enve
         )
     xi = scan.xi
     low = (xi > 0.0) & (xi <= 1.0)
-    kappa = float(np.min(-scan.abscissa[low] / xi[low] ** 2))
     return EnvelopeCalibration(
         gamma=gamma,
         c_high=propagator_sup(sys, xi[xi >= 1.0], gamma, max_lag),
-        c_low=propagator_sup(sys, xi[low], kappa * xi[low] ** 2, max_lag),
-        kappa=kappa,
+        c_low=propagator_sup(sys, xi[low], scan.kappa * xi[low] ** 2, max_lag),
+        kappa=scan.kappa,
     )
 
 
@@ -503,8 +502,7 @@ def summarize(result: ScenarioResult) -> dict[str, Any]:
         g = result.series.grid
         out.update(dx=g.dx, dt=g.dt, stripe_snap_error=g.snap_error, shifts=g.shifts.tolist())
     if result.scan is not None:
-        sc = result.scan
-        out.update(gamma=sc.gamma, c_low_curvature=sc.c_low, tail_stabilized=sc.tail_stabilized)
+        out.update(gamma=result.scan.gamma, tail_stabilized=result.scan.tail_stabilized)
     if result.envelope is not None:
         e = result.envelope
         out.update(

@@ -4,8 +4,9 @@ With the damping active everywhere, each spatial frequency evolves
 independently under a small complex matrix, the symbol.  This module
 provides it, a scaling-and-squaring exponential for whole stacks of them
 (a degree-20 Taylor polynomial evaluated by Paterson–Stockmeyer on a
-batch-last layout), the decay-rate scan (uniform rate at high frequency,
-diffusive curvature at low frequency), the propagators' largest norm,
+batch-last layout), the decay-rate scan (the uniform rate gamma above
+wavenumber one, the diffusive rate kappa at or below it), the
+propagators' largest norm,
 which sets the envelope constants, and a pseudospectral evolver on a
 periodic box, the ``fullspace`` kind's reference solution.  The evolver
 norms its samples in stacks (``locdamp.norms``): it takes a stack's band
@@ -36,11 +37,9 @@ SCALING_THETA = 1.0
 # stack and stay in cache.
 EXP_CHUNK_ENTRIES = 4096
 _TAYLOR_COEFFS = np.array([1.0 / math.factorial(j) for j in range(TAYLOR_DEGREE + 1)])
-# Low-frequency window for the diffusive-curvature fit.
-CURVATURE_XI_MAX = 0.1
-# The scan's linear half, samples // 2 points j / (samples // 2) on [0, 1),
-# puts its first positive point in that window from this many samples on.
-MIN_SCAN_SAMPLES = 2 * math.ceil(1.0 / CURVATURE_XI_MAX)
+# The decay-rate scan's top frequency and its number of frequencies.
+SCAN_XI_MAX = 100.0
+SCAN_SAMPLES = 400
 # A uniform rate within this factor of the scan's resolution is not told
 # apart from rounding; ``calibrate`` refuses it.
 RATE_RESOLUTION_FACTOR = 2.0 ** 20
@@ -144,8 +143,9 @@ class SpectralScan:
     """Decay-rate scan over frequency.
 
     ``gamma`` is the uniform high-frequency rate (negated worst abscissa
-    over xi >= 1); ``c_low`` the diffusive curvature fitted on the
-    quadratic dip near xi = 0.  ``tail_stabilized`` records whether the
+    over xi >= 1); ``kappa`` the diffusive rate, the least
+    -abscissa / xi^2 over xi in (0, 1], so that every scanned abscissa
+    there is at most -kappa xi^2.  ``tail_stabilized`` records whether the
     worst abscissa was attained away from the end of the scan range.
     ``resolution``, n eps times the largest Frobenius norm of the scanned
     matrices, bounds the rounding of every abscissa; a rate within
@@ -156,8 +156,7 @@ class SpectralScan:
     abscissa: np.ndarray
     gamma: float
     gamma_argmax_xi: float
-    c_low: float
-    c_low_residual: float
+    kappa: float
     tail_stabilized: bool
     resolution: float
 
@@ -166,33 +165,28 @@ class SpectralScan:
         return abs(self.gamma) > RATE_RESOLUTION_FACTOR * self.resolution
 
 
-def gamma_estimate(
-    sys: HyperbolicSystem,
-    *,
-    xi_max: float = 100.0,
-    samples: int = 400,
-    eigs: EigenStructure | None = None,
-) -> SpectralScan:
-    """Scan the per-frequency abscissa and extract both decay parameters.
+def gamma_estimate(sys: HyperbolicSystem, *, eigs: EigenStructure | None = None) -> SpectralScan:
+    """Scan the per-frequency abscissa and extract both decay rates.
 
-    The grid spends half its samples linearly on [0, 1) and half
-    logarithmically on [1, xi_max].  Only xi >= 1 feeds the uniform rate;
-    only 0 < xi <= 0.1 feeds the curvature fit.  The eigenstructure is
-    ``sys.eigs`` unless one is given.
+    The grid spends half of its ``SCAN_SAMPLES`` frequencies linearly on
+    [0, 1) and half logarithmically on [1, ``SCAN_XI_MAX``].  Only xi >= 1
+    feeds the uniform rate; only 0 < xi <= 1 feeds the diffusive rate.
+    The eigenstructure is ``sys.eigs`` unless one is given.  A largest
+    speed whose product with the top frequency is not finite is refused
+    before the scan builds its matrices.
     """
-    if not (np.isfinite(xi_max) and xi_max > 1.0):
-        raise ValueError("gamma_estimate: xi_max must be finite and exceed 1")
-    if samples < MIN_SCAN_SAMPLES:
-        raise ValueError(f"gamma_estimate: need at least {MIN_SCAN_SAMPLES} samples")
     if eigs is None:
         eigs = sys.eigs
-    if not math.isfinite(xi_max * float(np.abs(eigs.lambdas).max())):
-        raise ValueError("gamma_estimate: xi_max times the largest speed must be finite")
-    n_low = samples // 2
+    if not math.isfinite(SCAN_XI_MAX * float(np.abs(eigs.lambdas).max())):
+        raise ValueError(
+            f"gamma_estimate: the largest speed times the top frequency {SCAN_XI_MAX:g} "
+            "must be finite"
+        )
+    n_low = SCAN_SAMPLES // 2
     xi = np.concatenate(
         [
             np.linspace(0.0, 1.0, n_low, endpoint=False),
-            np.logspace(0.0, np.log10(xi_max), samples - n_low),
+            np.logspace(0.0, np.log10(SCAN_XI_MAX), SCAN_SAMPLES - n_low),
         ]
     )
     stack = _symbol_stack(sys, eigs, xi)
@@ -213,18 +207,13 @@ def gamma_estimate(
     tail_max = float(hi_absc[split:].max())
     tail_stabilized = tail_max <= rest_max + max(1e-9 * abs(rest_max), resolution)
 
-    fit = (xi > 0.0) & (xi <= CURVATURE_XI_MAX)
-    xs = xi[fit]
-    ys = absc[fit]
-    c_low = -float(np.sum(ys * xs ** 2)) / float(np.sum(xs ** 4))
-    resid = float(np.max(np.abs(ys + c_low * xs ** 2)))
+    low = (xi > 0.0) & (xi <= 1.0)
     return SpectralScan(
         xi=xi,
         abscissa=absc,
         gamma=gamma,
         gamma_argmax_xi=arg_xi,
-        c_low=c_low,
-        c_low_residual=resid,
+        kappa=float(np.min(-absc[low] / xi[low] ** 2)),
         tail_stabilized=tail_stabilized,
         resolution=resolution,
     )

@@ -5,6 +5,7 @@ known-good scenario; the envelope machinery is checked both on a passing
 run and with artificially shrunken constants that must trip violations.
 """
 
+import argparse
 import dataclasses
 import json
 import math
@@ -951,6 +952,24 @@ class TestPublicNames:
             captured = capsys.readouterr()
             assert (code, captured.err) == (0, ""), words
 
+    def test_readme_command_line_names_the_parsers_options(self):
+        # the README's command-line section states rules for the options the
+        # parser defines, no more and no fewer
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = re.search(r"^## Command line\n(.*?)(?=^## |\Z)", readme, flags=re.S | re.M)
+        stated = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section.group(1)))
+        parser = cli._parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        defined = {
+            option
+            for p in (parser, *sub.choices.values())
+            for action in p._actions
+            for option in action.option_strings
+            if option.startswith("--") and option != "--help"
+        }
+        assert defined
+        assert stated == defined
+
 
 class TestExport:
     def test_header_and_determinism(self, tmp_path):
@@ -1311,39 +1330,46 @@ class TestCli:
         assert code == 2
         assert out.splitlines() == [f"error: {message}"]
 
-    @pytest.mark.parametrize(
-        "option, value, message",
-        [
-            ("--xi-max", "0.5", "xi_max must be finite and exceed 1"),
-            ("--xi-max", "nan", "xi_max must be finite and exceed 1"),
-            ("--xi-max", "inf", "xi_max must be finite and exceed 1"),
-            ("--samples", "19", "need at least 20 samples"),
-            ("--xi-max", "1e308", "xi_max times the largest speed must be finite"),
-        ],
-    )
-    def test_spectrum_bad_scan_options(self, capsys, option, value, message):
-        # three_speed_321's largest speed, 3, takes 1e308 past the float range
-        code = cli.main(["spectrum", str(SCENARIOS / "three_speed_321.json"), option, value])
+    @staticmethod
+    def _wave_with_speed(tmp_path: Path, speed: float) -> Path:
+        """``damped_wave`` with speeds +-``speed``."""
+        raw = json.loads((SCENARIOS / "damped_wave.json").read_text())
+        raw["system"]["a"] = [[0.0, speed], [speed, 0.0]]
+        return _write(tmp_path, raw)
+
+    def test_spectrum_refuses_a_speed_past_the_scan_range(self, tmp_path, capsys):
+        # 1.8e306 times the top frequency 100 passes the float range
+        code = cli.main(["spectrum", str(self._wave_with_speed(tmp_path, 1.8e306))])
         out = capsys.readouterr().out
         assert code == 2
-        assert out.splitlines() == [f"error: gamma_estimate: {message}"]
+        assert out.splitlines() == [
+            "error: gamma_estimate: the largest speed times the top frequency 100 must be finite"
+        ]
 
     def test_spectrum(self, capsys):
-        code = cli.main(
-            ["spectrum", str(SCENARIOS / "damped_wave.json"), "--samples", "64"]
-        )
+        code = cli.main(["spectrum", str(SCENARIOS / "damped_wave.json")])
         out = capsys.readouterr().out
         assert code == 0
         rate_line = next(l for l in out.splitlines() if "uniform decay rate" in l)
         assert float(rate_line.split(":")[1]) == pytest.approx(0.5, abs=1e-9)
         assert re.search(r"^  scan resolution: \S+$", out, re.MULTILINE)
+        kappa_line = next(l for l in out.splitlines() if l.startswith("diffusive rate (kappa): "))
+        assert float(kappa_line.split(":")[1]) == pytest.approx(0.5, abs=1e-12)
 
-    def test_spectrum_fewest_samples_fit_a_curvature(self, capsys):
-        code = cli.main(["spectrum", str(SCENARIOS / "damped_wave.json"), "--samples", "20"])
-        out = capsys.readouterr().out
-        assert code == 0
-        curvature = next(l for l in out.splitlines() if "curvature" in l)
-        assert math.isfinite(float(curvature.split(":")[1]))
+    @pytest.mark.parametrize("name", ["damped_wave", "three_speed_321"])
+    def test_spectrum_summary_and_verify_show_one_kappa(self, tmp_path, capsys, name):
+        # spectrum prints kappa to 17 digits, the summary holds it whole and
+        # verify's constants line prints it to 12
+        path = str(SCENARIOS / f"{name}.json")
+        assert cli.main(["spectrum", path]) == 0
+        out = capsys.readouterr().out.splitlines()
+        kappa = next(l for l in out if l.startswith("diffusive rate (kappa): ")).split(": ")[1]
+        assert cli.main(["verify", path, "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert f"{summary['kappa']:.17g}" == kappa
+        constants = next(l for l in out if l.startswith("constants: "))
+        assert constants.endswith(f"  kappa {float(kappa):.12g}")
 
     def test_spectrum_marks_an_unresolved_rate(self, tmp_path, capsys):
         raw = json.loads((SCENARIOS / "damped_wave.json").read_text())
@@ -1353,12 +1379,10 @@ class TestCli:
         assert code == 0
         assert re.search(r"^  scan resolution: \S+  \(rate not resolved\)$", out, re.MULTILINE)
 
-    def test_spectrum_resolution_finite_at_the_largest_frequency(self, capsys):
-        # 5.9e307 times the largest speed 3 is finite, but the square of a
+    def test_spectrum_resolution_finite_at_the_largest_frequency(self, tmp_path, capsys):
+        # 1.7e306 times the top frequency 100 is finite, but the square of a
         # matrix norm there is not
-        code = cli.main(
-            ["spectrum", str(SCENARIOS / "three_speed_321.json"), "--xi-max", "5.9e307"]
-        )
+        code = cli.main(["spectrum", str(self._wave_with_speed(tmp_path, 1.7e306))])
         out = capsys.readouterr().out
         assert code == 0
         resolution = re.search(r"^  scan resolution: (\S+)", out, re.MULTILINE)

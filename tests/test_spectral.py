@@ -31,7 +31,6 @@ from locdamp.norms import (
     low_band_sup,
 )
 from locdamp.spectral import (
-    MIN_SCAN_SAMPLES,
     RATE_RESOLUTION_FACTOR,
     MatrixExpError,
     fullspace_evolve,
@@ -204,14 +203,17 @@ class TestAbscissa:
 
 
 class TestGammaEstimate:
-    def test_damped_wave_rate_and_curvature(self):
+    def test_damped_wave_rate_and_kappa(self):
         scan = gamma_estimate(damped_wave_system())
         assert scan.gamma == pytest.approx(0.5, abs=1e-9)
         assert scan.tail_stabilized
         assert scan.gamma_argmax_xi >= 1.0
-        # the quadratic dip near xi = 0 has unit curvature for this system
-        assert abs(scan.c_low - 1.0) <= 0.02
-        assert scan.c_low_residual <= 1e-3
+        # the abscissa is (sqrt(1 - 4 xi^2) - 1) / 2 up to xi = 1/2 and -1/2
+        # past it, so -abscissa / xi^2 rises from 1 to 2 and then falls to
+        # its least, 1/2, at xi = 1
+        assert scan.kappa == pytest.approx(0.5, abs=1e-12)
+        low = (scan.xi > 0.0) & (scan.xi <= 1.0)
+        assert scan.xi[low][np.argmin(-scan.abscissa[low] / scan.xi[low] ** 2)] == 1.0
         assert scan.xi.size == 400
         assert scan.abscissa.size == 400
 
@@ -248,22 +250,14 @@ class TestGammaEstimate:
         assert np.array_equal(scan.abscissa, one_by_one)
 
     def test_input_validation(self):
-        sys = damped_wave_system()
-        with pytest.raises(ValueError, match="xi_max"):
-            gamma_estimate(sys, xi_max=1.0)
-        with pytest.raises(ValueError, match="at least 20 samples"):
-            gamma_estimate(sys, samples=19)
-
-    def test_fewest_samples_reach_the_curvature_window(self):
-        # the linear half's first positive point is 1 / (samples // 2)
-        assert MIN_SCAN_SAMPLES == 20
-        scan = gamma_estimate(damped_wave_system(), samples=MIN_SCAN_SAMPLES)
-        assert np.count_nonzero((scan.xi > 0.0) & (scan.xi <= spectral.CURVATURE_XI_MAX)) == 1
-        assert math.isfinite(scan.c_low) and math.isfinite(scan.c_low_residual)
+        # speeds of 1.8e306 times the top frequency 100 pass the float range
+        sys = HyperbolicSystem(a=[[0.0, 1.8e306], [1.8e306, 0.0]], n1=1, dd=[[1.0]])
+        with pytest.raises(ValueError, match="largest speed times the top frequency"):
+            gamma_estimate(sys)
 
     def test_results_scale_with_the_time_unit(self):
-        # a and dd times 2^e scale every symbol, so the abscissae, the rate,
-        # the curvature and the resolution by exactly 2^e; the tail verdict
+        # a and dd times 2^e scale every symbol, so the abscissae, both
+        # rates and the resolution by exactly 2^e; the tail verdict
         # must not move, also where it reads False
         rng = np.random.default_rng(3)
         verdicts = []
@@ -274,7 +268,7 @@ class TestGammaEstimate:
             base = gamma_estimate(HyperbolicSystem(a=a, n1=1, dd=dd))
             slow = gamma_estimate(HyperbolicSystem(a=np.ldexp(a, -20), n1=1, dd=np.ldexp(dd, -20)))
             assert np.array_equal(slow.abscissa, np.ldexp(base.abscissa, -20))
-            for name in ("gamma", "c_low", "resolution"):
+            for name in ("gamma", "kappa", "resolution"):
                 assert getattr(slow, name) == math.ldexp(getattr(base, name), -20), name
             assert slow.tail_stabilized == base.tail_stabilized
             verdicts.append(base.tail_stabilized)
@@ -310,9 +304,9 @@ class TestRateResolution:
             assert abs(scan.gamma - damped_wave_rate(k)) <= scan.resolution, f"dd = 1e{j}"
 
     def test_resolution_finite_for_a_finite_stack(self):
-        # the largest symbol entry is about 1.8e308: its norm's square overflows
-        sys = harness.load_scenario(SCENARIOS / "three_speed_321.json").system
-        assert math.isfinite(gamma_estimate(sys, xi_max=5.9e307).resolution)
+        # the largest symbol entry is about 1.7e308: its norm's square overflows
+        sys = HyperbolicSystem(a=[[0.0, 1.7e306], [1.7e306, 0.0]], n1=1, dd=[[1.0]])
+        assert math.isfinite(gamma_estimate(sys).resolution)
 
     def test_decoupled_rate_is_not_resolved(self):
         scan = gamma_estimate(HyperbolicSystem(a=np.diag([1.0, 2.0]), n1=1, dd=[[1.0]]))
